@@ -81,16 +81,15 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
 def cmd_register(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
+    key = _read_key_file(args.key_file)
     try:
-        registry = locker_store.load_registry()
-        registry.register(args.user, _read_key_file(args.key_file), args.phrase)
+        locker_store.register(args.user, key, args.phrase)
     except store.DuplicateUser as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DUPLICATE_USER
     except (store.StoreError, protocol.ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    locker_store.save_registry(registry)
     _emit(args, f"registered {args.user}", {"registered": args.user})
     return EXIT_OK
 

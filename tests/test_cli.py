@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digilock
 from digilock.cli import main
+from digilock.crypto import SecretKey
+from digilock.store import LockerStore
 
 
 @pytest.fixture
@@ -255,3 +262,69 @@ def test_output_never_contains_key_bytes(world, capsys):
     out = capsys.readouterr().out.encode()
     assert (world["tmp"] / "alice.key").read_bytes() not in out
     assert (world["tmp"] / "provider.key").read_bytes() not in out
+
+
+def test_concurrent_register_keeps_every_user(world):
+    # 8 CLI processes register at once against a registry large enough that
+    # each load-modify-save takes a while; a lost update drops users while
+    # every process still exits 0
+    _provision(world)
+    locker_store = LockerStore(world["store"])
+    registry = locker_store.load_registry()
+    for i in range(2000):
+        registry.register(f"seed-{i}", SecretKey(b"k%d" % i), "p")
+    locker_store.save_registry(registry)
+    env = dict(os.environ, PYTHONPATH=str(Path(digilock.__file__).parent.parent))
+    users = [f"racer-{i}" for i in range(8)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "digilock.cli", "register", "--store", world["store"],
+             "--user", user, "--key-file", world["user_key"], "--phrase", "p"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for user in users
+    ]
+    try:
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    records = locker_store.load_registry().records
+    assert [u for u in users if u not in records] == []
+    assert len(records) == 2000 + len(users)
+
+
+def _corrupt_bob(world):
+    _provision(world)
+    assert _register(world) == 0
+    assert _register(world, user="bob", phrase="bob phrase") == 0
+    path = Path(world["store"]) / "registry.json"
+    doc = json.loads(path.read_text())
+    doc["records"]["bob"]["d_u"] = "not hex"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_corrupt_record_fails_only_its_own_user(world, capsys):
+    path = _corrupt_bob(world)
+    assert _access(world) == 0
+    assert _access(world, user="bob", phrase="bob phrase") == 8
+    assert "corrupt registry record for user 'bob'" in capsys.readouterr().err
+    bob_before = json.loads(path.read_text())["records"]["bob"]
+    assert _register(world, user="carol") == 0
+    after = json.loads(path.read_text())["records"]
+    assert after["bob"] == bob_before
+    assert set(after) == {"alice", "bob", "carol"}
+
+
+def test_access_serves_an_indented_registry_file(world):
+    # registries written before the compact format are indented JSON
+    _provision(world)
+    assert _register(world) == 0
+    path = Path(world["store"]) / "registry.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    assert _access(world) == 0
+    assert _access(world, key=world["wrong_key"]) == 4

@@ -1,3 +1,4 @@
+import base64
 import json
 import random
 
@@ -13,6 +14,7 @@ from digilock.store import (
     NotProvisioned,
     Registry,
     SessionNotOpen,
+    StoreError,
     UnknownDocument,
     UnknownUser,
     vault_key,
@@ -94,6 +96,34 @@ def test_registry_json_schema(tmp_path):
     assert set(entry["sealed"]) == {"nonce", "body", "tag"}
 
 
+def test_registry_version_2_fails_at_load(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    locker_store.provision(SecretKey(b"master"))
+    doc = json.loads(locker_store.registry_path.read_text())
+    doc["version"] = 2
+    locker_store.registry_path.write_text(json.dumps(doc))
+    with pytest.raises(StoreError, match="version 2"):
+        locker_store.load_registry()
+
+
+def test_registry_decodes_a_record_on_first_lookup(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    registry.register("bob", SecretKey(b"kb"), "phrase")
+    locker_store.save_registry(registry)
+    doc = json.loads(locker_store.registry_path.read_text())
+    doc["records"]["bob"]["sealed"]["tag"] = 7
+    locker_store.registry_path.write_text(json.dumps(doc))
+    loaded = locker_store.load_registry()  # bob's bad entry is not decoded here
+    assert len(loaded.records) == 2 and "bob" in loaded.records
+    assert loaded.get_record("alice") == record
+    with pytest.raises(StoreError, match="bob") as caught:
+        loaded.get_record("bob")
+    assert not isinstance(caught.value, UnknownUser)
+    assert loaded.to_json()["records"]["bob"] == doc["records"]["bob"]
+
+
 def test_registry_file_contains_no_secret_bytes(tmp_path):
     rnd = random.Random(0x5EC2E7)
     provider_key = SecretKey(rnd.randbytes(24))
@@ -106,8 +136,6 @@ def test_registry_file_contains_no_secret_bytes(tmp_path):
     for secret in (bytes(provider_key), bytes(user_key)):
         assert secret not in raw
         assert secret.hex().encode() not in raw
-        import base64
-
         assert base64.b64encode(secret) not in raw
 
 
@@ -121,6 +149,24 @@ def test_vault_round_trip(tmp_path):
     locker_store.vault_put("alice", "deed", doc, key_l, session)
     assert locker_store.vault_get("alice", "deed", key_l, session) == doc
     assert locker_store.vault_list("alice", session) == ["deed"]
+
+
+def test_vault_list_names_match_entry_files(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("ålice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("ålice")
+    names = ["zeta", "résumé", "日本語の書類", "a b.pdf", "\U0001f512 lock", "Z", "é"]
+    for name in names:
+        locker_store.vault_put("ålice", name, name.encode(), key_l, session)
+    # the names stored inside the entries, in file order
+    stored = [
+        json.loads(path.read_text(encoding="utf-8"))["name"]
+        for path in sorted(locker_store.vault_dir("ålice").glob("*.json"))
+    ]
+    assert locker_store.vault_list("ålice", session) == stored
+    assert sorted(stored) == sorted(names)
 
 
 def test_vault_requires_open_session(tmp_path):
@@ -157,8 +203,6 @@ def test_vault_file_does_not_leak_plaintext(tmp_path):
     (entry,) = list(locker_store.vault_dir("alice").glob("*.json"))
     raw = entry.read_bytes()
     assert doc not in raw
-    import base64
-
     assert base64.b64encode(doc) not in raw
 
 
