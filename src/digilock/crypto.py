@@ -146,12 +146,6 @@ class SeededRng:
             out += block
         return bytes(out[:n])
 
-    def clone(self) -> "SeededRng":
-        twin = SeededRng.__new__(SeededRng)
-        twin._prefix = self._prefix
-        twin._counter = self._counter
-        return twin
-
 
 _system_rng = SystemRng()
 

@@ -5,15 +5,22 @@ every schedule of adversary moves up to a fixed depth, the locker reaches
 Open only when the accepted auth request was user-built, the accepted
 provider key equals the genuine R, and the accepted ack was user-produced.
 
-The model is the logical protocol (one registered user, honest provider
-responder, relay hops collapsed): a move delivers, drops, duplicates, or
-bit-flips a pending message, or injects any message the adversary has
-observed, including a full prior session it recorded. Honest-actor
-responses are computed with the real step functions. Nonces are derived
-deterministically from (seed, session serial) rather than drawn from an
-RNG, so states reached by different schedules compare equal and the search
-space is message scheduling, not nonce entropy; per-session distinctness,
-the property the protocol actually relies on, is preserved.
+The model is the logical protocol (honest provider responder, relay hops
+collapsed): a move delivers, drops, duplicates, or bit-flips a pending
+message, or injects any message the adversary has observed, including a
+full prior session it recorded. The user and the locker answer through
+`protocol.user_on_message` and `protocol.locker_on_message`, the same
+transitions `sim` drives. The model differs from `sim.LockerActor` on
+purpose: it has one registered user; an auth request for an unknown id is
+refused without touching that user's session slot; and there is no
+seen-nonce cache or provider-key FIFO, since the one slot takes every
+provider key and ack.
+
+Nonces are derived deterministically from (seed, session serial) rather
+than drawn from an RNG, so states reached by different schedules compare
+equal and the search space is message scheduling, not nonce entropy;
+per-session distinctness, the property the protocol actually relies on,
+is preserved.
 """
 
 from __future__ import annotations
@@ -25,29 +32,20 @@ from dataclasses import dataclass, replace
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
 from .protocol import (
-    BlobAuthFailure,
-    ChallengeAuthFailure,
-    EncodingError,
     FailureReason,
     LockerPhase,
     LockerRecord,
     LockerSession,
-    PhraseMismatch,
-    UserPhase,
     UserSession,
 )
-from .sim import flip_field_bit
+from .sim import ACTOR_ADVERSARY, ACTOR_LOCKER, ACTOR_PROVIDER, ACTOR_USER, flip_field_bit
 from .wire import Message, MessageKind
 
 MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
 _NO_TIMEOUT_MS = 1 << 40
 _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
-
-ORIGIN_USER = "user"
-ORIGIN_PROVIDER = "provider"
-ORIGIN_LOCKER = "locker"
-ORIGIN_ADVERSARY = "adversary"
+_TO_USER = (MessageKind.CHALLENGE, MessageKind.RESULT, MessageKind.ERROR)
 
 
 class DepthExceeded(Exception):
@@ -55,16 +53,16 @@ class DepthExceeded(Exception):
 
 
 class _QueueRng:
-    """Hands out pre-derived chunks; a stand-in for the nonce source."""
+    """A stand-in for the nonce source: the k-th take returns the chunk
+    derived from (seed, labels[k], index)."""
 
-    def __init__(self, chunks: list[bytes]) -> None:
-        self._chunks = list(chunks)
+    def __init__(self, seed: int, index: int, *labels: bytes) -> None:
+        self._seed = seed
+        self._index = index
+        self._labels = list(labels)
 
     def take(self, n: int) -> bytes:
-        chunk = self._chunks.pop(0)
-        if len(chunk) != n:
-            raise AssertionError(f"derived chunk is {len(chunk)} bytes, wanted {n}")
-        return chunk
+        return _derive(self._seed, self._labels.pop(0), self._index, n)
 
 
 def _derive(seed: int, label: bytes, index: int, n: int) -> bytes:
@@ -87,6 +85,7 @@ class _World:
     provider_key: SecretKey
     h_r: Digest
     record: LockerRecord
+    provider_reply: bytes  # the provider's answer to every key request
 
 
 @dataclass(frozen=True)
@@ -129,20 +128,15 @@ class Enumeration:
         return {o for o in self.outcomes if o.locker_opened}
 
 
-def _dst_for(kind: MessageKind) -> str:
-    if kind in (MessageKind.AUTH_REQUEST, MessageKind.PROVIDER_KEY, MessageKind.ACK):
-        return "locker"
-    if kind is MessageKind.PROVIDER_KEY_REQUEST:
-        return "provider"
-    return "user"
-
-
-_PKREQ_RAW = Message(MessageKind.PROVIDER_KEY_REQUEST, ()).encode()
-_RESULT_RAW = Message(MessageKind.RESULT, (b"open",)).encode()
-
-
-def _error_raw(reason: FailureReason) -> bytes:
-    return Message(MessageKind.ERROR, (reason.value.encode("ascii"),)).encode()
+# the constant replies, encoded once
+_FRAMES = {
+    msg: msg.encode()
+    for msg in (
+        protocol.PROVIDER_KEY_REQUEST,
+        protocol.RESULT_OPEN,
+        *map(protocol.error_message, FailureReason),
+    )
+}
 
 
 def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
@@ -153,11 +147,7 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
     provider_key = SecretKey(setup.take(16))
     h_r = sha256(bytes(provider_key))
     record = protocol.register_user(
-        user_id,
-        user_key,
-        phrase,
-        h_r,
-        rng=_QueueRng([_derive(seed, b"register-seal", 0, 12)]),
+        user_id, user_key, phrase, h_r, rng=_QueueRng(seed, 0, b"register-seal")
     )
     world = _World(
         seed=seed,
@@ -167,10 +157,11 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         provider_key=provider_key,
         h_r=h_r,
         record=record,
+        provider_reply=Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),)).encode(),
     )
     # one complete prior session, recorded off the wire by the adversary
     auth_old, user_old = protocol.user_begin_session(
-        user_id, user_key, rng=_QueueRng([_derive(seed, b"na", 0, 16)])
+        user_id, user_key, rng=_QueueRng(seed, 0, b"na")
     )
     locker_old = protocol.locker_verify_auth(record, auth_old)
     locker_old = protocol.locker_verify_provider(h_r, provider_key, locker_old)
@@ -180,21 +171,19 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         locker_old,
         now=0,
         timeout_ms=_NO_TIMEOUT_MS,
-        rng=_QueueRng(
-            [_derive(seed, b"nr", 0, 16), _derive(seed, b"seal", 0, 12)]
-        ),
+        rng=_QueueRng(seed, 0, b"nr", b"seal"),
     )
     ack_old, _ = protocol.user_process_challenge(
         user_old, user_id, user_key, phrase, challenge_old
     )
     knowledge = frozenset(
         {
-            (auth_old.encode(), ORIGIN_USER),
-            (_PKREQ_RAW, ORIGIN_LOCKER),
-            (Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),)).encode(), ORIGIN_PROVIDER),
-            (challenge_old.encode(), ORIGIN_LOCKER),
-            (ack_old.encode(), ORIGIN_USER),
-            (_RESULT_RAW, ORIGIN_LOCKER),
+            (auth_old.encode(), ACTOR_USER),
+            (_FRAMES[protocol.PROVIDER_KEY_REQUEST], ACTOR_LOCKER),
+            (world.provider_reply, ACTOR_PROVIDER),
+            (challenge_old.encode(), ACTOR_LOCKER),
+            (ack_old.encode(), ACTOR_USER),
+            (_FRAMES[protocol.RESULT_OPEN], ACTOR_LOCKER),
         }
     )
     return world, knowledge
@@ -210,11 +199,9 @@ def _initial_state(
             locker=None, user=None, serial=1, pending=(), knowledge=old_knowledge
         )
     auth, user_session = protocol.user_begin_session(
-        world.user_id,
-        world.user_key,
-        rng=_QueueRng([_derive(world.seed, b"na", 1, 16)]),
+        world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
     )
-    entry = (auth.encode(), ORIGIN_USER)
+    entry = (auth.encode(), ACTOR_USER)
     return ModelState(
         locker=None,
         user=user_session,
@@ -235,140 +222,6 @@ def _with_outputs(
     )
 
 
-def _locker_on_auth(
-    state: ModelState, world: _World, msg: Message, origin: str
-) -> ModelState:
-    user_id = msg.fields[0].decode("utf-8", errors="replace")
-    if user_id != world.user_id:
-        # unknown user: refused, and no effect on the registered user's slot
-        return _with_outputs(
-            state, [(_error_raw(FailureReason.BAD_USER_KEY), ORIGIN_LOCKER)]
-        )
-    session = protocol.locker_verify_auth(world.record, msg)
-    state = replace(
-        state,
-        locker=session,
-        auth_genuine=origin == ORIGIN_USER,
-        pk_genuine=False,
-        ack_genuine=False,
-    )
-    if session.phase is LockerPhase.USER_VERIFIED:
-        return _with_outputs(state, [(_PKREQ_RAW, ORIGIN_LOCKER)])
-    return _with_outputs(
-        state, [(_error_raw(FailureReason.BAD_USER_KEY), ORIGIN_LOCKER)]
-    )
-
-
-def _locker_on_provider_key(
-    state: ModelState, world: _World, msg: Message
-) -> ModelState:
-    if state.locker is None or state.locker.phase is not LockerPhase.USER_VERIFIED:
-        return state
-    provider_key = SecretKey(msg.fields[0])
-    session = protocol.locker_verify_provider(world.h_r, provider_key, state.locker)
-    if session.phase is LockerPhase.FAILED:
-        return _with_outputs(
-            replace(state, locker=session),
-            [(_error_raw(FailureReason.BAD_PROVIDER_KEY), ORIGIN_LOCKER)],
-        )
-    rng = _QueueRng(
-        [
-            _derive(world.seed, b"nr", state.serial, 16),
-            _derive(world.seed, b"seal", state.serial, 12),
-        ]
-    )
-    try:
-        challenge, session = protocol.locker_build_challenge(
-            world.record,
-            provider_key,
-            session,
-            now=0,
-            timeout_ms=_NO_TIMEOUT_MS,
-            rng=rng,
-        )
-    except BlobAuthFailure:
-        session = replace(
-            session,
-            phase=LockerPhase.FAILED,
-            failure=FailureReason.BLOB_AUTH_FAILURE,
-        )
-        return _with_outputs(
-            replace(state, locker=session),
-            [(_error_raw(FailureReason.BLOB_AUTH_FAILURE), ORIGIN_LOCKER)],
-        )
-    state = replace(
-        state,
-        locker=session,
-        serial=state.serial + 1,
-        pk_genuine=msg.fields[0] == bytes(world.provider_key),
-    )
-    return _with_outputs(state, [(challenge.encode(), ORIGIN_LOCKER)])
-
-
-def _locker_on_ack(state: ModelState, msg: Message, origin: str) -> ModelState:
-    if state.locker is None or state.locker.phase is not LockerPhase.CHALLENGE_SENT:
-        return state
-    session = protocol.locker_verify_ack(state.locker, msg, now=0)
-    if session.phase is LockerPhase.OPEN:
-        state = replace(
-            state, locker=session, ack_genuine=origin == ORIGIN_USER
-        )
-        return _with_outputs(state, [(_RESULT_RAW, ORIGIN_LOCKER)])
-    assert session.failure is not None
-    return _with_outputs(
-        replace(state, locker=session),
-        [(_error_raw(session.failure), ORIGIN_LOCKER)],
-    )
-
-
-def _user_on_message(state: ModelState, world: _World, msg: Message) -> ModelState:
-    user = state.user
-    if user is None:
-        return state
-    if msg.kind is MessageKind.CHALLENGE:
-        if user.phase is not UserPhase.AWAITING_CHALLENGE:
-            return state
-        try:
-            ack, user = protocol.user_process_challenge(
-                user, world.user_id, world.user_key, world.phrase, msg
-            )
-        except ChallengeAuthFailure:
-            return replace(
-                state,
-                user=replace(
-                    user,
-                    phase=UserPhase.FAILED,
-                    failure=FailureReason.CHALLENGE_AUTH_FAILURE,
-                ),
-            )
-        except (PhraseMismatch, EncodingError):
-            return replace(
-                state,
-                user=replace(
-                    user,
-                    phase=UserPhase.FAILED,
-                    failure=FailureReason.PHRASE_MISMATCH,
-                ),
-            )
-        return _with_outputs(
-            replace(state, user=user), [(ack.encode(), ORIGIN_USER)]
-        )
-    if msg.kind is MessageKind.RESULT and user.phase is UserPhase.ACK_SENT:
-        return replace(state, user=replace(user, phase=UserPhase.DONE))
-    if msg.kind is MessageKind.ERROR and user.phase not in (
-        UserPhase.DONE,
-        UserPhase.FAILED,
-    ):
-        try:
-            reason = FailureReason(msg.fields[0].decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            reason = None
-        return replace(
-            state, user=replace(user, phase=UserPhase.FAILED, failure=reason)
-        )
-    return state
-
-
 def _deliver(
     state: ModelState, world: _World, raw: bytes, origin: str, cache: dict
 ) -> ModelState:
@@ -376,17 +229,50 @@ def _deliver(
     if msg is None:
         msg = Message.decode(raw)
         cache[raw] = msg
-    dst = _dst_for(msg.kind)
-    if dst == "locker":
-        if msg.kind is MessageKind.AUTH_REQUEST:
-            return _locker_on_auth(state, world, msg, origin)
-        if msg.kind is MessageKind.PROVIDER_KEY:
-            return _locker_on_provider_key(state, world, msg)
-        return _locker_on_ack(state, msg, origin)
-    if dst == "provider":
-        reply = Message(MessageKind.PROVIDER_KEY, (bytes(world.provider_key),))
-        return _with_outputs(state, [(reply.encode(), ORIGIN_PROVIDER)])
-    return _user_on_message(state, world, msg)
+    if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
+        return _with_outputs(state, [(world.provider_reply, ACTOR_PROVIDER)])
+    if msg.kind in _TO_USER:
+        if state.user is None:
+            return state
+        user, reply = protocol.user_on_message(
+            state.user, world.user_id, world.user_key, world.phrase, msg
+        )
+        if user is not state.user:
+            state = replace(state, user=user)
+        if reply is None:
+            return state
+        return _with_outputs(state, [(reply.encode(), ACTOR_USER)])
+    if (
+        msg.kind is MessageKind.AUTH_REQUEST
+        and msg.fields[0].decode("utf-8", errors="replace") != world.user_id
+    ):
+        # unknown user: refused, and no effect on the registered user's slot
+        reply = protocol.error_message(FailureReason.BAD_USER_KEY)
+        return _with_outputs(state, [(_FRAMES[reply], ACTOR_LOCKER)])
+    locker, reply = protocol.locker_on_message(
+        world.record,
+        world.h_r,
+        state.locker,
+        msg,
+        now=0,
+        timeout_ms=_NO_TIMEOUT_MS,
+        rng=_QueueRng(world.seed, state.serial, b"nr", b"seal"),
+    )
+    if reply is None:
+        return state
+    # the genuine flags record who built what the locker accepted
+    changes: dict = {}
+    if msg.kind is MessageKind.AUTH_REQUEST:
+        user_built = origin == ACTOR_USER
+        changes = dict(auth_genuine=user_built, pk_genuine=False, ack_genuine=False)
+    elif locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
+        pk_genuine = msg.fields[0] == bytes(world.provider_key)
+        changes = dict(serial=state.serial + 1, pk_genuine=pk_genuine)
+    elif locker.phase is LockerPhase.OPEN:
+        changes = dict(ack_genuine=origin == ACTOR_USER)
+    state = replace(state, locker=locker, **changes)
+    raw_reply = _FRAMES.get(reply) or reply.encode()
+    return _with_outputs(state, [(raw_reply, ACTOR_LOCKER)])
 
 
 def _without_pending(state: ModelState, entry: tuple[bytes, str]) -> ModelState:
@@ -419,7 +305,7 @@ def _successors(
             cache[raw] = msg
         for index in range(len(msg.fields)):
             flipped = flip_field_bit(msg, index).encode()
-            out.append(_deliver(removed, world, flipped, ORIGIN_ADVERSARY, cache))
+            out.append(_deliver(removed, world, flipped, ACTOR_ADVERSARY, cache))
     # inject: replay anything ever observed, to its natural destination
     for raw, origin in sorted(state.knowledge):
         out.append(_deliver(state, world, raw, origin, cache))

@@ -14,6 +14,16 @@ the user's and the provider's secrets were supplied. A session then runs:
 All step functions are pure given (state, message, now); time enters only
 through an explicit clock value, and randomness through an explicit rng.
 States are immutable; transitions return new states.
+
+`locker_on_message` and `user_on_message` compose the steps into each
+actor's whole transition: one inbound message to a new session and the
+reply. The simulator (`sim`) and the model checker (`explore`) both drive
+these two functions, so the search checks the same code the scenarios run.
+Each caller keeps only its bookkeeping: which session a message lands on
+and which user ids are known. The model differs from the simulated locker
+on purpose: it has one registered user, an auth request for an unknown id
+leaves that user's session untouched, and it has no seen-nonce cache or
+provider-key FIFO.
 """
 
 from __future__ import annotations
@@ -346,3 +356,107 @@ def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
             session, phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
         )
     return session
+
+
+PROVIDER_KEY_REQUEST = Message(MessageKind.PROVIDER_KEY_REQUEST, ())
+RESULT_OPEN = Message(MessageKind.RESULT, (b"open",))
+
+
+def error_message(reason: FailureReason) -> Message:
+    return Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
+
+
+def reason_from_wire(raw: bytes) -> FailureReason | None:
+    try:
+        return FailureReason(raw.decode("ascii"))
+    except (UnicodeDecodeError, ValueError):
+        return None
+
+
+def locker_on_message(
+    record: LockerRecord,
+    h_r: Digest,
+    session: LockerSession | None,
+    msg: Message,
+    *,
+    now: int,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    rng: Rng | None = None,
+) -> tuple[LockerSession | None, Message | None]:
+    """The locker's transition for one inbound message about `record`'s user.
+
+    An auth request starts a new session (the old one is replaced) and asks
+    for the provider key; a provider key for a user-verified session yields
+    the challenge; an ack for a challenge-sent session opens the locker.
+    Every refusal fails the session and replies with the error naming its
+    reason. A message the session is not waiting for changes nothing and
+    gets no reply.
+    """
+    if msg.kind is MessageKind.AUTH_REQUEST:
+        session = locker_verify_auth(record, msg)
+        if session.phase is LockerPhase.USER_VERIFIED:
+            return session, PROVIDER_KEY_REQUEST
+        return session, error_message(FailureReason.BAD_USER_KEY)
+    if session is None:
+        return session, None
+    if (
+        msg.kind is MessageKind.PROVIDER_KEY
+        and session.phase is LockerPhase.USER_VERIFIED
+    ):
+        provider_key = SecretKey(msg.fields[0])
+        session = locker_verify_provider(h_r, provider_key, session)
+        if session.phase is LockerPhase.FAILED:
+            return session, error_message(FailureReason.BAD_PROVIDER_KEY)
+        try:
+            challenge, session = locker_build_challenge(
+                record, provider_key, session, now=now, timeout_ms=timeout_ms, rng=rng
+            )
+        except BlobAuthFailure:
+            failure = FailureReason.BLOB_AUTH_FAILURE
+            session = replace(session, phase=LockerPhase.FAILED, failure=failure)
+            return session, error_message(failure)
+        return session, challenge
+    if msg.kind is MessageKind.ACK and session.phase is LockerPhase.CHALLENGE_SENT:
+        session = locker_verify_ack(session, msg, now)
+        if session.phase is LockerPhase.OPEN:
+            return session, RESULT_OPEN
+        assert session.failure is not None
+        return session, error_message(session.failure)
+    return session, None
+
+
+def user_on_message(
+    session: UserSession,
+    user_id: str,
+    key: SecretKey,
+    phrase: str,
+    msg: Message,
+) -> tuple[UserSession, Message | None]:
+    """The user agent's transition for one inbound message.
+
+    A challenge awaited is answered with the ack, or fails the session when
+    it does not open or carries another phrase; a result after the ack ends
+    the session; an error ends an unfinished session with its reason.
+    Anything else changes nothing and gets no reply.
+    """
+    if msg.kind is MessageKind.CHALLENGE:
+        if session.phase is not UserPhase.AWAITING_CHALLENGE:
+            return session, None
+        try:
+            ack, session = user_process_challenge(session, user_id, key, phrase, msg)
+        except ChallengeAuthFailure:
+            failure = FailureReason.CHALLENGE_AUTH_FAILURE
+        except (PhraseMismatch, EncodingError):
+            failure = FailureReason.PHRASE_MISMATCH
+        else:
+            return session, ack
+        return replace(session, phase=UserPhase.FAILED, failure=failure), None
+    if msg.kind is MessageKind.RESULT and session.phase is UserPhase.ACK_SENT:
+        return replace(session, phase=UserPhase.DONE), None
+    if msg.kind is MessageKind.ERROR and session.phase not in (
+        UserPhase.DONE,
+        UserPhase.FAILED,
+    ):
+        failure = reason_from_wire(msg.fields[0])
+        return replace(session, phase=UserPhase.FAILED, failure=failure), None
+    return session, None

@@ -8,6 +8,16 @@ structured outcome plus a trace. All randomness flows from a single 64-bit
 seed and time from an explicit millisecond clock, so a scenario replays
 byte for byte.
 
+The actors' transitions are `protocol.user_on_message` and
+`protocol.locker_on_message`, the same functions `explore` searches over.
+`LockerActor` adds what the model leaves out: any number of registered
+users (an unknown id fails that id's session), the opt-in seen-nonce cache,
+and the FIFO that matches provider keys to waiting sessions.
+
+Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
+the provider seat, the channel taps, whether an adversary replays the
+recorded auth request afterwards, and the failure the locker must report.
+
 The adversary is Dolev-Yao-lite: it records, replays, drops, and bit-flips
 messages on channels it sits on, and never learns secrets that did not
 cross its wire.
@@ -33,34 +43,55 @@ from .crypto import (
 )
 from .protocol import (
     DEFAULT_TIMEOUT_MS,
-    BlobAuthFailure,
-    ChallengeAuthFailure,
-    EncodingError,
     FailureReason,
     LockerPhase,
     LockerSession,
-    PhraseMismatch,
-    UserPhase,
     UserSession,
 )
-from .store import Registry, UnknownUser
+from .store import Registry
 from .wire import Message, MessageKind, encode_fields
-
-SCENARIO_NAMES = (
-    "honest",
-    "replay",
-    "impersonation",
-    "repudiation-user",
-    "repudiation-provider",
-    "tamper",
-)
-
-TAMPER_TARGETS = ("prf-field", "challenge-body", "ack-digest")
 
 ACTOR_USER = "user"
 ACTOR_PROVIDER = "provider"
 ACTOR_LOCKER = "locker"
 ACTOR_ADVERSARY = "adversary"
+
+HOP_MS = 1  # simulated time per channel hop
+MAX_HOPS = 200  # a run that needs more hops is looping
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One scenario: how the run differs from an honest session."""
+
+    expected_failure: str | None  # the locker's failure reason; None: it opens
+    wrong_secret: str | None = None  # "user-key" or "provider-key"
+    rogue_provider: bool = False  # the provider seat keeps the challenge
+    tamper: tuple[tuple[str, str], MessageKind, int] | None = None  # edge, kind, field
+    replay: bool = False  # afterwards, an adversary resends the recorded auth
+
+
+# (scenario, variant) -> plan; a scenario without variants has variant None
+_PLANS = {
+    ("honest", None): _Plan(None),
+    ("replay", None): _Plan("timeout", replay=True),
+    ("impersonation", None): _Plan("timeout", rogue_provider=True),
+    ("repudiation-user", None): _Plan("bad-user-key", wrong_secret="user-key"),
+    ("repudiation-provider", None): _Plan("bad-provider-key", wrong_secret="provider-key"),
+    ("tamper", "prf-field"): _Plan(
+        "bad-user-key", tamper=((ACTOR_PROVIDER, ACTOR_LOCKER), MessageKind.AUTH_REQUEST, 1)
+    ),
+    ("tamper", "challenge-body"): _Plan(
+        "timeout", tamper=((ACTOR_PROVIDER, ACTOR_USER), MessageKind.CHALLENGE, 0)
+    ),
+    ("tamper", "ack-digest"): _Plan(
+        "bad-ack", tamper=((ACTOR_PROVIDER, ACTOR_LOCKER), MessageKind.ACK, 0)
+    ),
+}
+_DEFAULT_VARIANTS = {"tamper": "challenge-body"}
+
+SCENARIO_NAMES = tuple(dict.fromkeys(name for name, _ in _PLANS))
+TAMPER_TARGETS = tuple(variant for name, variant in _PLANS if name == "tamper")
 
 
 class SimClock:
@@ -156,10 +187,6 @@ class Packet:
     replayed: bool = False
 
 
-def _error_message(reason: FailureReason) -> Message:
-    return Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
-
-
 def flip_field_bit(msg: Message, field_index: int, bit: int = 0) -> Message:
     """Return a copy of msg with one bit of one field inverted."""
     fields = list(msg.fields)
@@ -218,48 +245,13 @@ class UserActor:
     def handle(
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
-        if msg.kind is MessageKind.CHALLENGE:
-            if self.session is None or self.session.phase is not UserPhase.AWAITING_CHALLENGE:
-                return []
-            try:
-                ack, self.session = protocol.user_process_challenge(
-                    self.session,
-                    self.creds.user_id,
-                    self.creds.key,
-                    self.creds.phrase,
-                    msg,
-                )
-            except ChallengeAuthFailure:
-                self._fail(FailureReason.CHALLENGE_AUTH_FAILURE)
-                return []
-            except (PhraseMismatch, EncodingError):
-                self._fail(FailureReason.PHRASE_MISMATCH)
-                return []
-            return [(ACTOR_PROVIDER, ack, ACTOR_USER)]
-        if (
-            msg.kind is MessageKind.RESULT
-            and self.session is not None
-            and self.session.phase is UserPhase.ACK_SENT
-        ):
-            self.session = replace(self.session, phase=UserPhase.DONE)
-        elif (
-            msg.kind is MessageKind.ERROR
-            and self.session is not None
-            and self.session.phase not in (UserPhase.DONE, UserPhase.FAILED)
-        ):
-            self._fail(_reason_from_wire(msg.fields[0]))
-        return []
-
-    def _fail(self, reason: FailureReason | None) -> None:
-        assert self.session is not None
-        self.session = replace(self.session, phase=UserPhase.FAILED, failure=reason)
-
-
-def _reason_from_wire(raw: bytes) -> FailureReason | None:
-    try:
-        return FailureReason(raw.decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        return None
+        if self.session is None:
+            return []
+        creds = self.creds
+        self.session, reply = protocol.user_on_message(
+            self.session, creds.user_id, creds.key, creds.phrase, msg
+        )
+        return [] if reply is None else [(ACTOR_PROVIDER, reply, ACTOR_USER)]
 
 
 class ProviderActor:
@@ -325,6 +317,9 @@ class ReplaySeat:
 class LockerActor:
     """The locker module: verifies both parties, then waits on consent.
 
+    Each message goes to one user's session through
+    `protocol.locker_on_message`; this class picks the session, keeps the
+    registry lookup, and refuses unknown ids and (opt-in) seen nonces.
     `reject_seen_nonces` turns on an optional replay cache that refuses an
     auth request whose nonce was already accepted; it defaults off, where
     the only replay defense is the ack the replayer cannot produce.
@@ -353,97 +348,53 @@ class LockerActor:
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
         if msg.kind is MessageKind.AUTH_REQUEST:
-            return self._on_auth_request(msg)
-        if msg.kind is MessageKind.PROVIDER_KEY:
-            return self._on_provider_key(msg, now)
-        if msg.kind is MessageKind.ACK:
-            return self._on_ack(msg, now)
-        return []
-
-    def _on_auth_request(self, msg: Message) -> list[tuple[str, Message, str]]:
-        user_id = msg.fields[0].decode("utf-8", errors="replace")
-        try:
-            record = self.registry.get_record(user_id)
-        except UnknownUser:
-            self.sessions[user_id] = LockerSession(
-                user_id=user_id,
-                phase=LockerPhase.FAILED,
-                failure=FailureReason.BAD_USER_KEY,
-            )
-            return [(ACTOR_PROVIDER, _error_message(FailureReason.BAD_USER_KEY), ACTOR_LOCKER)]
-        if self.reject_seen_nonces and msg.fields[2] in self._seen_nonces:
-            self.sessions[user_id] = LockerSession(
-                user_id=user_id,
-                phase=LockerPhase.FAILED,
-                failure=FailureReason.REPLAYED_NONCE,
-            )
-            return [
-                (ACTOR_PROVIDER, _error_message(FailureReason.REPLAYED_NONCE), ACTOR_LOCKER)
-            ]
+            user_id = msg.fields[0].decode("utf-8", errors="replace")
+            if user_id not in self.registry.records:
+                refusal = FailureReason.BAD_USER_KEY
+            elif self.reject_seen_nonces and msg.fields[2] in self._seen_nonces:
+                refusal = FailureReason.REPLAYED_NONCE
+            else:
+                refusal = None
+            if refusal is not None:
+                self.sessions[user_id] = LockerSession(
+                    user_id=user_id, phase=LockerPhase.FAILED, failure=refusal
+                )
+                return [(ACTOR_PROVIDER, protocol.error_message(refusal), ACTOR_LOCKER)]
+        elif msg.kind is MessageKind.PROVIDER_KEY:
+            # provider keys carry no session handle: the oldest waiting
+            # user-verified session takes the key
+            while self._awaiting_provider:
+                user_id = self._awaiting_provider.popleft()
+                session = self.sessions.get(user_id)
+                if session is not None and session.phase is LockerPhase.USER_VERIFIED:
+                    break
+            else:
+                return []  # unsolicited provider key
+        elif msg.kind is MessageKind.ACK:
+            # acks carry no session handle either: the first challenge-sent
+            # session takes the ack
+            for user_id, session in self.sessions.items():
+                if session.phase is LockerPhase.CHALLENGE_SENT:
+                    break
+            else:
+                return []  # no session awaiting consent
+        else:
+            return []
         # one active session per user: a fresh auth request replaces it
-        state = protocol.locker_verify_auth(record, msg)
-        self.sessions[user_id] = state
-        if state.phase is LockerPhase.USER_VERIFIED:
+        session, reply = protocol.locker_on_message(
+            self.registry.get_record(user_id),
+            self.registry.h_r,
+            self.sessions.get(user_id),
+            msg,
+            now=now,
+            timeout_ms=self.timeout_ms,
+            rng=self.rng,
+        )
+        self.sessions[user_id] = session
+        if session.phase is LockerPhase.USER_VERIFIED:  # a fresh auth request passed
             self._seen_nonces.add(msg.fields[2])
             self._awaiting_provider.append(user_id)
-            request = Message(MessageKind.PROVIDER_KEY_REQUEST, ())
-            return [(ACTOR_PROVIDER, request, ACTOR_LOCKER)]
-        return [(ACTOR_PROVIDER, _error_message(FailureReason.BAD_USER_KEY), ACTOR_LOCKER)]
-
-    def _on_provider_key(
-        self, msg: Message, now: int
-    ) -> list[tuple[str, Message, str]]:
-        while self._awaiting_provider:
-            user_id = self._awaiting_provider.popleft()
-            session = self.sessions.get(user_id)
-            if session is not None and session.phase is LockerPhase.USER_VERIFIED:
-                break
-        else:
-            return []  # unsolicited provider key
-        provider_key = SecretKey(msg.fields[0])
-        record = self.registry.get_record(user_id)
-        session = protocol.locker_verify_provider(
-            self.registry.h_r, provider_key, session
-        )
-        if session.phase is LockerPhase.FAILED:
-            self.sessions[user_id] = session
-            return [
-                (ACTOR_PROVIDER, _error_message(FailureReason.BAD_PROVIDER_KEY), ACTOR_LOCKER)
-            ]
-        try:
-            challenge, session = protocol.locker_build_challenge(
-                record,
-                provider_key,
-                session,
-                now=now,
-                timeout_ms=self.timeout_ms,
-                rng=self.rng,
-            )
-        except BlobAuthFailure:
-            self.sessions[user_id] = replace(
-                session,
-                phase=LockerPhase.FAILED,
-                failure=FailureReason.BLOB_AUTH_FAILURE,
-            )
-            return [
-                (ACTOR_PROVIDER, _error_message(FailureReason.BLOB_AUTH_FAILURE), ACTOR_LOCKER)
-            ]
-        self.sessions[user_id] = session
-        return [(ACTOR_PROVIDER, challenge, ACTOR_LOCKER)]
-
-    def _on_ack(self, msg: Message, now: int) -> list[tuple[str, Message, str]]:
-        for user_id, session in self.sessions.items():
-            if session.phase is LockerPhase.CHALLENGE_SENT:
-                break
-        else:
-            return []  # no session awaiting consent
-        session = protocol.locker_verify_ack(session, msg, now)
-        self.sessions[user_id] = session
-        if session.phase is LockerPhase.OPEN:
-            result = Message(MessageKind.RESULT, (b"open",))
-            return [(ACTOR_PROVIDER, result, ACTOR_LOCKER)]
-        assert session.failure is not None
-        return [(ACTOR_PROVIDER, _error_message(session.failure), ACTOR_LOCKER)]
+        return [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
 
     def check_timeouts(self, now: int) -> None:
         for user_id, session in self.sessions.items():
@@ -487,13 +438,11 @@ class Simulation:
         clock: SimClock,
         trace: Trace,
         taps: dict[tuple[str, str], object] | None = None,
-        hop_ms: int = 1,
     ) -> None:
         self.actors = actors
         self.clock = clock
         self.trace = trace
         self.taps = taps or {}
-        self.hop_ms = hop_ms
         self.queue: deque[Packet] = deque()
 
     def post(self, src: str, dst: str, msg: Message, origin: str) -> None:
@@ -513,14 +462,15 @@ class Simulation:
         for dst, msg, origin in outs:
             self.post(src, dst, msg, origin)
 
-    def pump(self, max_hops: int = 200) -> None:
+    def pump(self) -> None:
+        """Deliver queued packets, one per HOP_MS, until the queue is empty."""
         hops = 0
         while self.queue:
             hops += 1
-            if hops > max_hops:
-                raise RuntimeError(f"simulation exceeded {max_hops} hops")
+            if hops > MAX_HOPS:
+                raise RuntimeError(f"simulation exceeded {MAX_HOPS} hops")
             packet = self.queue.popleft()
-            self.clock.advance(self.hop_ms)
+            self.clock.advance(HOP_MS)
             tap = self.taps.get((packet.src, packet.dst))
             if tap is not None:
                 delivered, verdict = tap.intercept(packet)
@@ -579,7 +529,9 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Loadable scenario definition: {scenario, seed, variant, timeout_ms}."""
+    """Loadable scenario definition: {scenario, seed, variant, timeout_ms}.
+
+    `variant` is a tamper target; the other scenarios take none."""
 
     scenario: str
     seed: int = 0
@@ -589,8 +541,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "tamper" and self.variant not in (None, *TAMPER_TARGETS):
-            raise ValueError(f"unknown tamper variant {self.variant!r}")
+        if _plan_key(self.scenario, self.variant) not in _PLANS:
+            raise ValueError(f"unknown {self.scenario} variant {self.variant!r}")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be >= 1")
 
@@ -610,26 +562,6 @@ class ScenarioSpec:
             variant=obj.get("variant"),
             timeout_ms=int(obj.get("timeout_ms", DEFAULT_TIMEOUT_MS)),
         )
-
-
-def _outcome(
-    scenario: str,
-    locker_session: LockerSession | None,
-    user_session: UserSession | None,
-    adversary_failure: FailureReason | None = None,
-) -> ScenarioOutcome:
-    locker_phase = locker_session.phase if locker_session else LockerPhase.IDLE
-    failure = locker_session.failure if locker_session else None
-    user_failure = user_session.failure if user_session else None
-    return ScenarioOutcome(
-        scenario=scenario,
-        locker_phase=locker_phase.value,
-        user_phase=user_session.phase.value if user_session else None,
-        locker_opened=locker_phase is LockerPhase.OPEN,
-        failure_reason=failure.value if failure else None,
-        user_failure=user_failure.value if user_failure else None,
-        adversary_failure=adversary_failure.value if adversary_failure else None,
-    )
 
 
 def seed_world(
@@ -667,18 +599,16 @@ def drive_session(
     creds: Credentials,
     provider_key: SecretKey,
     *,
-    clock: SimClock | None = None,
-    trace: Trace | None = None,
     rng_user: Rng | None = None,
     rng_locker: Rng | None = None,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     taps: dict[tuple[str, str], object] | None = None,
     provider: ProviderActor | None = None,
-    finish_timeouts: bool = True,
 ) -> SessionRun:
-    """Run one access session to quiescence (the shared scenario core)."""
-    clock = clock or SimClock()
-    trace = trace or Trace()
+    """Run one access session to quiescence, then past its ack deadline if
+    the locker still waits for consent (the shared scenario core)."""
+    clock = SimClock()
+    trace = Trace()
     user = UserActor(creds, rng=rng_user)
     provider = provider or ProviderActor(provider_key)
     locker = LockerActor(registry, timeout_ms=timeout_ms, rng=rng_locker)
@@ -689,22 +619,49 @@ def drive_session(
         taps=taps,
     )
     sim.send_all(ACTOR_USER, user.begin())
-    sim.pump()
-    if finish_timeouts:
-        session = locker.session_for(creds.user_id)
-        if session is not None and session.phase is LockerPhase.CHALLENGE_SENT:
-            assert session.deadline is not None
-            clock.advance(session.deadline - clock.now + 1)
-            locker.check_timeouts(clock.now)
+    _pump_to_deadline(sim, locker, creds.user_id)
     return SessionRun(
         user=user, provider=provider, locker=locker, clock=clock, trace=trace, sim=sim
     )
 
 
-def run_honest_session(
-    seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
+def _pump_to_deadline(sim: Simulation, locker: LockerActor, user_id: str) -> None:
+    """Pump to quiescence; a session still awaiting its ack then times out."""
+    sim.pump()
+    session = locker.session_for(user_id)
+    if session is not None and session.phase is LockerPhase.CHALLENGE_SENT:
+        assert session.deadline is not None
+        sim.clock.advance(session.deadline - sim.clock.now + 1)
+        locker.check_timeouts(sim.clock.now)
+
+
+def _plan_key(scenario: str, variant: str | None) -> tuple[str, str | None]:
+    return scenario, variant or _DEFAULT_VARIANTS.get(scenario)
+
+
+def _run_plan(
+    scenario: str, variant: str | None, seed: int, timeout_ms: int, bit: int = 0
 ) -> tuple[ScenarioOutcome, Trace]:
+    """Run the table row for (scenario, variant) from the seed."""
+    plan = _PLANS[_plan_key(scenario, variant)]
     registry, creds, provider_key = seed_world(seed)
+    if plan.wrong_secret is not None:
+        wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
+        if plan.wrong_secret == "user-key":
+            creds = replace(creds, key=wrong)
+        else:
+            provider_key = wrong
+    knowledge: list[Message] = []
+    taps: dict[tuple[str, str], object] = {}
+    if plan.replay:
+        tap = RecordingTap(knowledge)
+        taps = {(ACTOR_USER, ACTOR_PROVIDER): tap, (ACTOR_PROVIDER, ACTOR_USER): tap}
+    if plan.tamper is not None:
+        edge, kind, field_index = plan.tamper
+        taps = {edge: TamperTap(kind, field_index, bit)}
+    adversary: ImpersonatingProvider | ReplaySeat | None = (
+        ImpersonatingProvider(provider_key, creds.user_id) if plan.rogue_provider else None
+    )
     run = drive_session(
         registry,
         creds,
@@ -712,41 +669,60 @@ def run_honest_session(
         rng_user=SeededRng(seed, b"user"),
         rng_locker=SeededRng(seed, b"locker"),
         timeout_ms=timeout_ms,
+        taps=taps,
+        provider=adversary,
     )
-    assert run.user is not None
-    outcome = _outcome(
-        "honest", run.locker.session_for(creds.user_id), run.user.session
+    user_session: UserSession | None = run.user.session
+    if plan.replay:
+        # the recorded auth request comes back from a seat that holds no key
+        recorded_auth = next(m for m in knowledge if m.kind is MessageKind.AUTH_REQUEST)
+        adversary = ReplaySeat(creds.user_id, recorded_auth)
+        sim = Simulation(
+            {
+                ACTOR_USER: adversary,
+                ACTOR_PROVIDER: ProviderActor(provider_key),
+                ACTOR_LOCKER: run.locker,
+            },
+            clock=run.clock,
+            trace=run.trace,
+        )
+        sim.inject(ACTOR_PROVIDER, recorded_auth, origin=ACTOR_USER)
+        _pump_to_deadline(sim, run.locker, creds.user_id)
+        user_session = None
+    locker_session = run.locker.session_for(creds.user_id)
+    locker_phase = locker_session.phase if locker_session else LockerPhase.IDLE
+    failure = locker_session.failure if locker_session else None
+    user_failure = user_session.failure if user_session else None
+    adversary_failure = adversary.failure if adversary is not None else None
+    outcome = ScenarioOutcome(
+        scenario=scenario,
+        locker_phase=locker_phase.value,
+        user_phase=user_session.phase.value if user_session else None,
+        locker_opened=locker_phase is LockerPhase.OPEN,
+        failure_reason=failure.value if failure else None,
+        user_failure=user_failure.value if user_failure else None,
+        adversary_failure=adversary_failure.value if adversary_failure else None,
     )
     return outcome, run.trace
+
+
+def run_honest_session(
+    seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
+) -> tuple[ScenarioOutcome, Trace]:
+    return _run_plan("honest", None, seed, timeout_ms)
 
 
 def run_repudiation_scenario(
     variant: str, seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> tuple[ScenarioOutcome, Trace]:
     """One party supplies a wrong secret; the locker must refuse to open."""
-    if variant not in ("wrong-user-key", "wrong-provider-key"):
+    scenario = {
+        "wrong-user-key": "repudiation-user",
+        "wrong-provider-key": "repudiation-provider",
+    }.get(variant)
+    if scenario is None:
         raise ValueError(f"unknown repudiation variant {variant!r}")
-    registry, creds, provider_key = seed_world(seed)
-    wrong = SeededRng(seed, b"wrong-secret")
-    if variant == "wrong-user-key":
-        creds = replace(creds, key=SecretKey(wrong.take(16)))
-        scenario = "repudiation-user"
-    else:
-        provider_key = SecretKey(wrong.take(16))
-        scenario = "repudiation-provider"
-    run = drive_session(
-        registry,
-        creds,
-        provider_key,
-        rng_user=SeededRng(seed, b"user"),
-        rng_locker=SeededRng(seed, b"locker"),
-        timeout_ms=timeout_ms,
-    )
-    assert run.user is not None
-    outcome = _outcome(
-        scenario, run.locker.session_for(creds.user_id), run.user.session
-    )
-    return outcome, run.trace
+    return _run_plan(scenario, None, seed, timeout_ms)
 
 
 def run_replay_scenario(
@@ -758,49 +734,7 @@ def run_replay_scenario(
     the replaying adversary holds no user key, cannot derive the session
     key, and the session dies at the ack deadline.
     """
-    registry, creds, provider_key = seed_world(seed)
-    knowledge: list[Message] = []
-    tap = RecordingTap(knowledge)
-    run = drive_session(
-        registry,
-        creds,
-        provider_key,
-        rng_user=SeededRng(seed, b"user"),
-        rng_locker=SeededRng(seed, b"locker"),
-        timeout_ms=timeout_ms,
-        taps={
-            (ACTOR_USER, ACTOR_PROVIDER): tap,
-            (ACTOR_PROVIDER, ACTOR_USER): tap,
-        },
-    )
-    recorded_auth = next(
-        m for m in knowledge if m.kind is MessageKind.AUTH_REQUEST
-    )
-    seat = ReplaySeat(creds.user_id, recorded_auth)
-    locker = run.locker
-    sim = Simulation(
-        {
-            ACTOR_USER: seat,
-            ACTOR_PROVIDER: ProviderActor(provider_key),
-            ACTOR_LOCKER: locker,
-        },
-        clock=run.clock,
-        trace=run.trace,
-    )
-    sim.inject(ACTOR_PROVIDER, recorded_auth, origin=ACTOR_USER)
-    sim.pump()
-    session = locker.session_for(creds.user_id)
-    if session is not None and session.phase is LockerPhase.CHALLENGE_SENT:
-        assert session.deadline is not None
-        run.clock.advance(session.deadline - run.clock.now + 1)
-        locker.check_timeouts(run.clock.now)
-    outcome = _outcome(
-        "replay",
-        locker.session_for(creds.user_id),
-        None,
-        adversary_failure=seat.failure,
-    )
-    return outcome, run.trace
+    return _run_plan("replay", None, seed, timeout_ms)
 
 
 def run_impersonation_scenario(
@@ -808,33 +742,7 @@ def run_impersonation_scenario(
 ) -> tuple[ScenarioOutcome, Trace]:
     """The provider seat forwards genuine traffic but keeps the challenge,
     failing to open it without the user key; the locker times out."""
-    registry, creds, provider_key = seed_world(seed)
-    rogue = ImpersonatingProvider(provider_key, creds.user_id)
-    run = drive_session(
-        registry,
-        creds,
-        provider_key,
-        rng_user=SeededRng(seed, b"user"),
-        rng_locker=SeededRng(seed, b"locker"),
-        timeout_ms=timeout_ms,
-        provider=rogue,
-    )
-    assert run.user is not None
-    outcome = _outcome(
-        "impersonation",
-        run.locker.session_for(creds.user_id),
-        run.user.session,
-        adversary_failure=rogue.failure,
-    )
-    return outcome, run.trace
-
-
-_TAMPER_PLANS = {
-    # target -> (edge, message kind, field index)
-    "prf-field": ((ACTOR_PROVIDER, ACTOR_LOCKER), MessageKind.AUTH_REQUEST, 1),
-    "challenge-body": ((ACTOR_PROVIDER, ACTOR_USER), MessageKind.CHALLENGE, 0),
-    "ack-digest": ((ACTOR_PROVIDER, ACTOR_LOCKER), MessageKind.ACK, 0),
-}
+    return _run_plan("impersonation", None, seed, timeout_ms)
 
 
 def run_tamper_scenario(
@@ -845,71 +753,19 @@ def run_tamper_scenario(
     bit: int = 0,
 ) -> tuple[ScenarioOutcome, Trace]:
     """Flip one bit of one protocol field in transit; the locker must not open."""
-    try:
-        edge, kind, field_index = _TAMPER_PLANS[target]
-    except KeyError:
-        raise ValueError(f"unknown tamper target {target!r}") from None
-    registry, creds, provider_key = seed_world(seed)
-    run = drive_session(
-        registry,
-        creds,
-        provider_key,
-        rng_user=SeededRng(seed, b"user"),
-        rng_locker=SeededRng(seed, b"locker"),
-        timeout_ms=timeout_ms,
-        taps={edge: TamperTap(kind, field_index, bit)},
-    )
-    assert run.user is not None
-    outcome = _outcome(
-        "tamper", run.locker.session_for(creds.user_id), run.user.session
-    )
-    return outcome, run.trace
+    if ("tamper", target) not in _PLANS:
+        raise ValueError(f"unknown tamper target {target!r}")
+    return _run_plan("tamper", target, seed, timeout_ms, bit)
 
 
 def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioOutcome, Trace]:
-    """Dispatch a scenario spec to its driver."""
-    if spec.scenario == "honest":
-        return run_honest_session(spec.seed, timeout_ms=spec.timeout_ms)
-    if spec.scenario == "replay":
-        return run_replay_scenario(spec.seed, timeout_ms=spec.timeout_ms)
-    if spec.scenario == "impersonation":
-        return run_impersonation_scenario(spec.seed, timeout_ms=spec.timeout_ms)
-    if spec.scenario == "repudiation-user":
-        return run_repudiation_scenario(
-            "wrong-user-key", spec.seed, timeout_ms=spec.timeout_ms
-        )
-    if spec.scenario == "repudiation-provider":
-        return run_repudiation_scenario(
-            "wrong-provider-key", spec.seed, timeout_ms=spec.timeout_ms
-        )
-    if spec.scenario == "tamper":
-        return run_tamper_scenario(
-            spec.variant or "challenge-body", spec.seed, timeout_ms=spec.timeout_ms
-        )
-    raise ValueError(f"unknown scenario {spec.scenario!r}")
-
-
-_EXPECTED_FAILURES = {
-    "replay": "timeout",
-    "impersonation": "timeout",
-    "repudiation-user": "bad-user-key",
-    "repudiation-provider": "bad-provider-key",
-}
-
-_EXPECTED_TAMPER_FAILURES = {
-    "prf-field": "bad-user-key",
-    "challenge-body": "timeout",
-    "ack-digest": "bad-ack",
-}
+    """Run the table row a scenario spec names."""
+    return _run_plan(spec.scenario, spec.variant, spec.seed, spec.timeout_ms)
 
 
 def outcome_matches_expectation(spec: ScenarioSpec, outcome: ScenarioOutcome) -> bool:
     """True iff the run ended the way the scenario is supposed to end."""
-    if spec.scenario == "honest":
+    expected = _PLANS[_plan_key(spec.scenario, spec.variant)].expected_failure
+    if expected is None:
         return outcome.locker_opened
-    if outcome.locker_opened:
-        return False
-    if spec.scenario == "tamper":
-        expected = _EXPECTED_TAMPER_FAILURES[spec.variant or "challenge-body"]
-        return outcome.failure_reason == expected
-    return outcome.failure_reason == _EXPECTED_FAILURES[spec.scenario]
+    return not outcome.locker_opened and outcome.failure_reason == expected

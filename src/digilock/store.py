@@ -168,11 +168,6 @@ class Registry:
         self.records[user_id] = record
         return record
 
-    def put_record(self, record: LockerRecord) -> None:
-        if record.user_id in self.records:
-            raise DuplicateUser(f"user {record.user_id!r} already registered")
-        self.records[record.user_id] = record
-
     def get_record(self, user_id: str) -> LockerRecord:
         try:
             return self.records[user_id]

@@ -219,6 +219,8 @@ def test_simulate_tamper_variants():
 
 def test_simulate_bad_variant_is_usage_error():
     assert main(["simulate", "--scenario", "tamper", "--variant", "nonsense"]) == 1
+    # a scenario that takes no variant refuses one instead of ignoring it
+    assert main(["simulate", "--scenario", "replay", "--variant", "bogus"]) == 1
 
 
 def test_store_env_var_default(world, monkeypatch, capsys):

@@ -186,12 +186,10 @@ def test_secret_key_repr_is_redacted():
         SecretKey(b"x" * 65)
 
 
-def test_seeded_rng_is_deterministic_and_clonable():
+def test_seeded_rng_is_deterministic():
     a = SeededRng(42, b"ctx")
     b = SeededRng(42, b"ctx")
     assert a.take(33) == b.take(33)
-    c = a.clone()
-    assert a.take(16) == c.take(16)
     assert SeededRng(42, b"ctx").take(8) != SeededRng(43, b"ctx").take(8)
     assert SeededRng(42, b"a").take(8) != SeededRng(42, b"b").take(8)
 

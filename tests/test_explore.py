@@ -59,6 +59,19 @@ def test_adversary_only_never_opens():
     assert any(o.locker_phase == "challenge-sent" for o in enum.outcomes)
 
 
+@pytest.mark.parametrize(
+    "depth,include_honest_user,counts",
+    [(4, True, (994, 3946)), (6, True, (13_106, 69_371)), (6, False, (393, 2408))],
+)
+def test_search_space_counts_are_pinned(depth, include_honest_user, counts):
+    # the exact size of the searched space: a change to the model's
+    # transitions that adds, drops or merges states shows up here
+    enum = enumerate_small_traces(
+        depth=depth, seed=0, include_honest_user=include_honest_user
+    )
+    assert (enum.states_explored, enum.transitions) == counts
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_small_traces(depth=4, seed=3)
     b = enumerate_small_traces(depth=4, seed=3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,9 @@ def test_scenario_spec_json_round_trip():
         ScenarioSpec(scenario="meltdown")
     with pytest.raises(ValueError):
         ScenarioSpec(scenario="honest", timeout_ms=0)
+    for name in ("honest", "replay", "repudiation-user"):
+        with pytest.raises(ValueError):
+            ScenarioSpec(scenario=name, variant="prf-field")
 
 
 def test_outcome_matches_expectation():
@@ -264,3 +268,35 @@ def test_user_actor_ignores_stray_messages():
     out = actor.handle(Message(MessageKind.RESULT, (b"open",)), "locker", 0)
     assert out == []
     assert actor.session.phase.value == "awaiting-challenge"
+
+
+# sha256 of the trace's JSON lines followed by the outcome's sorted JSON, for
+# every scenario and tamper variant: any change to a message byte, a hop, a
+# verdict or a terminal state changes the digest
+PINNED_RUNS = {
+    ("honest", None, 0): "8a29449501c8b1626e33b69d25ef635863acf8e4355874e60fad521a1c2cf766",
+    ("replay", None, 0): "48e7924016b37d3e69e61111132adaa8ff494e5b78cf4d513bea518948dcc44a",
+    ("impersonation", None, 0): "8150c5acc23e293897140289b543c44a1f49ce46c2b5645eee1936982b13a945",
+    ("repudiation-user", None, 0): "8d79322dbd34bc35bd47cda349fba66d2497687b99ff46d10775da941a52847c",
+    ("repudiation-provider", None, 0): "70289844149a90914fc8f481a63bfa696d6c84e3034899d279d9612abce66a8e",
+    ("tamper", "prf-field", 0): "0340e5e838c1c67439cb6371d22e30a66be849995f8012bb5cc5bf598b8d2891",
+    ("tamper", "challenge-body", 0): "12aab48d61ff5b88f24d39402e7bf48906b5a3989d50fd42e34e7ba2e8acc7a8",
+    ("tamper", "ack-digest", 0): "c4957e6d0633849ed78faf4aea65f2a9f64f186e73634603c16ae00c944b10e4",
+    ("honest", None, 7): "7a9214fc61ccc0e043e313bed246d6e81323b302eb5fe1b001057f13762aed14",
+    ("replay", None, 7): "1f01ab7397701ecf805afa1b0a2fbbd6962c4b0e4f07cd2a8b81cc9150230d31",
+    ("impersonation", None, 7): "f26572a02310c33582b61e875c50ac8b614162b6931d4da12d3d384b0dc59a49",
+    ("repudiation-user", None, 7): "494384c41d1f4c7f3d4831036b7451c22095410fe6a27a8354f1ca68508fc3d6",
+    ("repudiation-provider", None, 7): "3b80384615a88c4a536b16a5fc90fbe9619632e8967ac4f1271f3b46f8461f3c",
+    ("tamper", "prf-field", 7): "b2b497e89b7c285b5c3a422d05aba1b99c077ebd3742f245e406de2bc341d385",
+    ("tamper", "challenge-body", 7): "7278e2c781592e506ee08076ab7ec1e30baf7f68d071e3dc59f91b919a0e3234",
+    ("tamper", "ack-digest", 7): "3f338eaf26a9464cccf74633169c84911de535adf25a8bc8d10ea9f70b8f9e90",
+}
+
+
+@pytest.mark.parametrize("scenario,variant,seed", sorted(PINNED_RUNS, key=str))
+def test_seeded_runs_are_pinned(scenario, variant, seed):
+    spec = ScenarioSpec(scenario=scenario, seed=seed, variant=variant)
+    outcome, trace = run_scenario(spec)
+    blob = trace.to_jsonl() + json.dumps(outcome.to_json(), sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == PINNED_RUNS[scenario, variant, seed]

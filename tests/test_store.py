@@ -57,13 +57,6 @@ def test_register_and_get_record():
         registry.get_record("bob")
 
 
-def test_put_record_duplicate():
-    registry = Registry.provision(SecretKey(b"master"))
-    record = registry.register("alice", SecretKey(b"ka"), "phrase")
-    with pytest.raises(DuplicateUser):
-        registry.put_record(record)
-
-
 def test_registry_save_load_round_trip(tmp_path):
     rnd = random.Random(0x5707E)
     locker_store = LockerStore(tmp_path)
