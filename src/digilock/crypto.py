@@ -49,7 +49,7 @@ class Digest(bytes):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (bytes, bytearray, memoryview)):
             return NotImplemented
-        return hmac.compare_digest(bytes(self), bytes(other))
+        return ct_equal(self, other)
 
     def __ne__(self, other: object) -> bool:
         eq = self.__eq__(other)
@@ -163,10 +163,11 @@ def prf(key: bytes, data: bytes) -> Digest:
 
 
 def xor_digests(a: bytes, b: bytes) -> Digest:
-    """Bytewise XOR of two 32-byte digests."""
+    """Bytewise XOR of two 32-byte digests, done as one 256-bit integer XOR."""
     if len(a) != DIGEST_LEN or len(b) != DIGEST_LEN:
         raise ValueError("xor_digests operands must be 32 bytes each")
-    return Digest(bytes(x ^ y for x, y in zip(a, b)))
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return Digest(x.to_bytes(DIGEST_LEN, "big"))
 
 
 def fresh_nonce(rng: Rng | None = None) -> Nonce:

@@ -1,16 +1,28 @@
 """Persistence for the locker registry and the per-user document vault.
 
-The registry is one compact JSON document: {"version": 1, "h_r": hex,
-"records": {user id: {"d_u": hex, "sealed": {"nonce": b64, "body": b64,
-"tag": b64}}}}. Loading checks the version and h_r but keeps each record as
-its parsed JSON entry; a record is decoded the first time it is looked up,
-and saving passes entries that were never decoded straight through, so a
-session touches one record rather than all of them. Commands that change
-the registry (provision, register) hold an exclusive flock on
-registry.lock in the store for their whole load-modify-save.
+The registry is one SQLite database, <store>/registry.db, format version 2:
+
+    meta(version INTEGER, h_r BLOB)                          one row
+    records(user_id TEXT PRIMARY KEY, d_u BLOB, sealed BLOB)  WITHOUT ROWID
+
+where sealed is the record's Ciphertext as nonce || body || tag (12 and 16
+bytes at the ends). Loading reads only the meta row. Registry.records is then
+a StoredRecords mapping that answers a lookup with one indexed SELECT and
+decodes only that row, so a session touches one record however many users
+exist, and a row that fails to decode fails only its own user.
+save_registry inserts the records added since load or provision in one
+transaction, and the PRIMARY KEY turns a clash into DuplicateUser; register
+is that one INSERT. Locking and atomicity are SQLite's: every write is a
+BEGIN IMMEDIATE transaction, the journal is SQLite's default rollback journal
+and synchronous its default FULL, so concurrent writers queue on the lock and
+a crash mid-write leaves the previous state readable. Reads open the file
+with mode=rw, so an unprovisioned store gets no empty database. A store that
+holds only a version-1 registry.json is refused: migrating it is not
+implemented.
 Vault entries are individual JSON files with base64 bodies, sealed under a
 key derived from L so documents at rest stay bound to both parties' keys;
-the file name is the hex of the document name.
+the file name is the hex of the document name. Entries are written to a
+temporary file and renamed into place, without fsync.
 Everything here is reachable only from the locker actor; the provider seat
 gets no handle to a store.
 """
@@ -18,9 +30,9 @@ gets no handle to a store.
 from __future__ import annotations
 
 import base64
-import fcntl
 import json
 import os
+import sqlite3
 import tempfile
 from collections.abc import Iterator, MutableMapping
 from contextlib import contextmanager
@@ -28,15 +40,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import protocol
-from .crypto import Ciphertext, Digest, Rng, SecretKey, seal, sha256, unseal
+from .crypto import DIGEST_LEN, Ciphertext, Digest, Rng, SecretKey, seal, sha256, unseal
 from .protocol import LockerPhase, LockerRecord, LockerSession
 from .wire import encode_fields
 
-REGISTRY_FILENAME = "registry.json"
-LOCK_FILENAME = "registry.lock"
+REGISTRY_FILENAME = "registry.db"
+REGISTRY_VERSION = 2
+V1_REGISTRY_FILENAME = "registry.json"
 VAULT_DIRNAME = "vault"
 VAULT_KEY_LABEL = b"vault"
 NAME_MAX = 128
+
+_SCHEMA = (
+    "CREATE TABLE meta (version INTEGER NOT NULL, h_r BLOB NOT NULL)",
+    "CREATE TABLE records (user_id TEXT PRIMARY KEY, d_u BLOB NOT NULL,"
+    " sealed BLOB NOT NULL) WITHOUT ROWID",
+)
 
 
 class StoreError(Exception):
@@ -88,66 +107,89 @@ def _ct_from_json(obj: dict) -> Ciphertext:
     )
 
 
-def _record_to_json(record: LockerRecord) -> dict:
-    return {"d_u": record.d_u.hex(), "sealed": _ct_to_json(record.sealed)}
-
-
-def _record_from_json(user_id: str, entry: object) -> LockerRecord:
+def _decode_record(user_id: str, d_u: object, sealed: object) -> LockerRecord:
     try:
+        if not isinstance(d_u, bytes) or not isinstance(sealed, bytes):
+            raise TypeError("d_u and sealed must be BLOBs")
         return LockerRecord(
-            user_id=user_id,
-            d_u=Digest(bytes.fromhex(entry["d_u"])),
-            sealed=_ct_from_json(entry["sealed"]),
+            user_id=user_id, d_u=Digest(d_u), sealed=Ciphertext.from_bytes(sealed)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise StoreError(f"corrupt registry record for user {user_id!r}: {exc!r}") from None
 
 
-class Records(MutableMapping[str, LockerRecord]):
-    """User id -> LockerRecord, holding loaded records as their JSON entries.
+class StoredRecords(MutableMapping[str, LockerRecord]):
+    """User id -> LockerRecord over the records table of one store.
 
-    An entry is decoded on first lookup and the record replaces it, so a
-    registry of N users costs one decode per user actually touched. A
-    malformed entry raises StoreError when looked up, not at load.
+    A lookup is one indexed SELECT; a row found is kept, since records are
+    never changed or deleted, and decoded when first read. Records set here
+    are kept in `added` until LockerStore.save_registry inserts them.
     """
 
-    def __init__(self, entries: dict | None = None) -> None:
-        self._entries: dict[str, object] = dict(entries or {})
+    def __init__(self, locker_store: LockerStore) -> None:
+        self._store = locker_store
+        self._held: dict[str, LockerRecord | tuple] = {}
+        self.added: dict[str, LockerRecord] = {}
+
+    def _row(self, user_id: str) -> LockerRecord | tuple | None:
+        held = self._held.get(user_id)
+        if held is None:
+            rows = self._store._query(
+                "SELECT d_u, sealed FROM records WHERE user_id = ?", (user_id,)
+            )
+            if rows:
+                held = self._held[user_id] = rows[0]
+        return held
 
     def __getitem__(self, user_id: str) -> LockerRecord:
-        value = self._entries[user_id]
-        if not isinstance(value, LockerRecord):
-            value = self._entries[user_id] = _record_from_json(user_id, value)
-        return value
-
-    def __setitem__(self, user_id: str, record: LockerRecord) -> None:
-        self._entries[user_id] = record
-
-    def __delitem__(self, user_id: str) -> None:
-        del self._entries[user_id]
+        held = self._row(user_id)
+        if held is None:
+            raise KeyError(user_id)
+        if not isinstance(held, LockerRecord):
+            held = self._held[user_id] = _decode_record(user_id, *held)
+        return held
 
     def __contains__(self, user_id: object) -> bool:
-        return user_id in self._entries
+        return isinstance(user_id, str) and self._row(user_id) is not None
+
+    def __setitem__(self, user_id: str, record: LockerRecord) -> None:
+        self._held[user_id] = self.added[user_id] = record
+
+    def __delitem__(self, user_id: str) -> None:
+        raise StoreError("registry records are never deleted")
+
+    def setdefault(self, user_id: str, record: LockerRecord) -> object:
+        """Keep `record` unless one is already held for `user_id`.
+
+        Unlike a lookup this runs no SELECT, so registering N users reads
+        nothing; a clash with a stored row raises DuplicateUser at save.
+        """
+        held = self._held.get(user_id)
+        if held is None:
+            self[user_id] = held = record
+        return held
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        rows = self._store._query("SELECT user_id, d_u, sealed FROM records")
+        for user_id, *row in rows:
+            self._held.setdefault(user_id, tuple(row))
+        return iter([row[0] for row in rows] + list(self.added))
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def to_json(self) -> dict:
-        return {
-            uid: _record_to_json(value) if isinstance(value, LockerRecord) else value
-            for uid, value in self._entries.items()
-        }
+        ((count,),) = self._store._query("SELECT count(*) FROM records")
+        return count + len(self.added)
 
 
 @dataclass
 class Registry:
-    """The locker's registry: provider digest plus per-user records."""
+    """The locker's registry: provider digest plus per-user records.
+
+    In memory (sim, explore) the records are a plain dict; a registry loaded
+    from or provisioned in a LockerStore holds StoredRecords.
+    """
 
     h_r: Digest
-    records: Records = field(default_factory=Records)
+    records: MutableMapping[str, LockerRecord] = field(default_factory=dict)
 
     @classmethod
     def provision(cls, provider_key: SecretKey) -> "Registry":
@@ -162,10 +204,9 @@ class Registry:
         *,
         rng: Rng | None = None,
     ) -> LockerRecord:
-        if user_id in self.records:
-            raise DuplicateUser(f"user {user_id!r} already registered")
         record = protocol.register_user(user_id, key, phrase, self.h_r, rng=rng)
-        self.records[user_id] = record
+        if self.records.setdefault(user_id, record) is not record:
+            raise DuplicateUser(f"user {user_id!r} already registered")
         return record
 
     def get_record(self, user_id: str) -> LockerRecord:
@@ -173,17 +214,6 @@ class Registry:
             return self.records[user_id]
         except KeyError:
             raise UnknownUser(f"no record for user {user_id!r}") from None
-
-    def to_json(self) -> dict:
-        return {"version": 1, "h_r": self.h_r.hex(), "records": self.records.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Registry":
-        if obj.get("version") != 1:
-            raise StoreError(f"unsupported registry version {obj.get('version')!r}")
-        if not isinstance(obj.get("records"), dict):
-            raise StoreError("registry records must be a JSON object")
-        return cls(h_r=Digest(bytes.fromhex(obj["h_r"])), records=Records(obj["records"]))
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -207,8 +237,17 @@ def _require_open(session: LockerSession | None, user_id: str) -> None:
         raise SessionNotOpen(f"no open session for user {user_id!r}")
 
 
+def _meta_row(con: sqlite3.Connection) -> tuple | None:
+    try:
+        return con.execute("SELECT version, h_r FROM meta").fetchone()
+    except sqlite3.OperationalError as exc:
+        if "no such table" in str(exc):
+            return None
+        raise
+
+
 class LockerStore:
-    """Filesystem-backed locker state: registry file plus vault directory."""
+    """Filesystem-backed locker state: registry database plus vault directory."""
 
     def __init__(
         self,
@@ -228,48 +267,115 @@ class LockerStore:
     def vault_dir(self, user_id: str) -> Path:
         return self.root / self.vault_dirname / user_id.encode("utf-8").hex()
 
-    def is_provisioned(self) -> bool:
-        return self.registry_path.exists()
+    def _refuse_v1(self) -> None:
+        legacy = self.root / V1_REGISTRY_FILENAME
+        if legacy.exists():
+            raise StoreError(
+                f"{legacy} is a version-1 registry; this version reads only "
+                f"{REGISTRY_FILENAME} (version {REGISTRY_VERSION}) and cannot "
+                "migrate it"
+            )
 
     @contextmanager
-    def _registry_lock(self) -> Iterator[None]:
-        """Hold an exclusive lock on the registry across processes.
+    def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
+        """One autocommit connection, closed on exit; SQLite errors become
+        StoreError. mode=rw never creates the file; only provision asks rwc."""
+        uri = f"{self.registry_path.absolute().as_uri()}?mode={mode}"
+        try:
+            con = sqlite3.connect(uri, uri=True, isolation_level=None)
+        except sqlite3.Error as exc:
+            if self.registry_path.exists():
+                raise StoreError(f"cannot open {self.registry_path}: {exc}") from None
+            self._refuse_v1()
+            raise NotProvisioned(f"no registry at {self.registry_path}") from None
+        try:
+            yield con
+        except sqlite3.Error as exc:
+            raise StoreError(f"registry {self.registry_path}: {exc}") from exc
+        finally:
+            con.close()
 
-        Every load-modify-save of the registry runs inside it; otherwise two
-        writers that load the same file each save without the other's change.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.root / LOCK_FILENAME, "ab") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)  # released when the file closes
-            yield
+    @contextmanager
+    def _write(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
+        """One write transaction, committed on success and rolled back on any
+        error. BEGIN IMMEDIATE takes the write lock before the first read, so
+        concurrent writers wait on SQLite's busy timeout in turn."""
+        with self._connect(mode) as con:
+            con.execute("BEGIN IMMEDIATE")
+            with con:
+                yield con
+
+    def _query(self, sql: str, params: tuple = ()) -> list:
+        with self._connect() as con:
+            return con.execute(sql, params).fetchall()
+
+    def _h_r(self, con: sqlite3.Connection) -> Digest:
+        row = _meta_row(con)
+        if row is None:
+            raise NotProvisioned(f"no registry at {self.registry_path}")
+        version, h_r = row
+        if version != REGISTRY_VERSION:
+            raise StoreError(f"unsupported registry version {version!r}")
+        if not isinstance(h_r, bytes) or len(h_r) != DIGEST_LEN:
+            raise StoreError("corrupt registry meta row: h_r is not a digest")
+        return Digest(h_r)
+
+    def is_provisioned(self) -> bool:
+        """True once the meta row exists, not merely the file."""
+        try:
+            with self._connect() as con:
+                return _meta_row(con) is not None
+        except NotProvisioned:
+            return False
 
     def provision(self, provider_key: SecretKey) -> Registry:
-        with self._registry_lock():
-            if self.is_provisioned():
+        self._refuse_v1()
+        self.root.mkdir(parents=True, exist_ok=True)
+        registry = Registry.provision(provider_key)
+        with self._write("rwc") as con:
+            if _meta_row(con) is not None:
                 raise AlreadyProvisioned(f"registry exists at {self.registry_path}")
-            registry = Registry.provision(provider_key)
-            self.save_registry(registry)
-        return registry
+            for statement in _SCHEMA:
+                con.execute(statement)
+            con.execute(
+                "INSERT INTO meta VALUES (?, ?)", (REGISTRY_VERSION, bytes(registry.h_r))
+            )
+        return Registry(h_r=registry.h_r, records=StoredRecords(self))
 
     def register(self, user_id: str, key: SecretKey, phrase: str) -> LockerRecord:
-        """Add one user to the on-disk registry under the registry lock."""
-        with self._registry_lock():
-            registry = self.load_registry()
-            record = registry.register(user_id, key, phrase)
-            self.save_registry(registry)
+        """Add one user to the on-disk registry: one INSERT, one transaction."""
+        registry = self.load_registry()
+        record = registry.register(user_id, key, phrase)
+        self.save_registry(registry)
         return record
 
     def load_registry(self) -> Registry:
-        if not self.is_provisioned():
-            raise NotProvisioned(f"no registry at {self.registry_path}")
-        with open(self.registry_path, "r", encoding="utf-8") as handle:
-            return Registry.from_json(json.load(handle))
+        with self._connect() as con:
+            h_r = self._h_r(con)
+        return Registry(h_r=h_r, records=StoredRecords(self))
 
     def save_registry(self, registry: Registry) -> None:
-        # compact separators keep json.dumps on its C encoder; indent does not
-        data = json.dumps(registry.to_json(), separators=(",", ":")).encode("utf-8")
-        self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.registry_path, data)
+        """Insert the records added since load or provision in one transaction.
+
+        If any of them is already stored, DuplicateUser is raised and nothing
+        is written.
+        """
+        added = registry.records.added
+        if not added:
+            return
+        with self._write() as con:
+            try:
+                con.executemany(
+                    "INSERT INTO records VALUES (?, ?, ?)",
+                    (
+                        (user_id, bytes(record.d_u), record.sealed.to_bytes())
+                        for user_id, record in added.items()
+                    ),
+                )
+            except sqlite3.IntegrityError:
+                who = f"user {next(iter(added))!r}" if len(added) == 1 else "a user"
+                raise DuplicateUser(f"{who} already registered") from None
+        added.clear()
 
     def _entry_path(self, user_id: str, name: str) -> Path:
         raw = name.encode("utf-8")

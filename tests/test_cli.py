@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -67,7 +69,7 @@ def test_provision_prints_provider_digest(world, capsys):
     printed = capsys.readouterr().out.strip()
     key_bytes = (world["tmp"] / "provider.key").read_bytes()
     assert printed == hashlib.sha256(key_bytes).hexdigest()
-    assert (world["tmp"] / "store" / "registry.json").exists()
+    assert (world["tmp"] / "store" / "registry.db").exists()
 
 
 def test_provision_twice_exits_2(world):
@@ -299,14 +301,18 @@ def test_concurrent_register_keeps_every_user(world):
     assert len(records) == 2000 + len(users)
 
 
+def _rows(path):
+    with closing(sqlite3.connect(path)) as con:
+        return {row[0]: row[1:] for row in con.execute("SELECT * FROM records")}
+
+
 def _corrupt_bob(world):
     _provision(world)
     assert _register(world) == 0
     assert _register(world, user="bob", phrase="bob phrase") == 0
-    path = Path(world["store"]) / "registry.json"
-    doc = json.loads(path.read_text())
-    doc["records"]["bob"]["d_u"] = "not hex"
-    path.write_text(json.dumps(doc))
+    path = Path(world["store"]) / "registry.db"
+    with closing(sqlite3.connect(path)) as con, con:
+        con.execute("UPDATE records SET d_u = x'0bad' WHERE user_id = 'bob'")
     return path
 
 
@@ -315,18 +321,43 @@ def test_corrupt_record_fails_only_its_own_user(world, capsys):
     assert _access(world) == 0
     assert _access(world, user="bob", phrase="bob phrase") == 8
     assert "corrupt registry record for user 'bob'" in capsys.readouterr().err
-    bob_before = json.loads(path.read_text())["records"]["bob"]
+    bob_before = _rows(path)["bob"]
     assert _register(world, user="carol") == 0
-    after = json.loads(path.read_text())["records"]
+    after = _rows(path)
     assert after["bob"] == bob_before
     assert set(after) == {"alice", "bob", "carol"}
 
 
-def test_access_serves_an_indented_registry_file(world):
-    # registries written before the compact format are indented JSON
+def test_v1_registry_json_is_refused(world, capsys):
+    # a store from before the SQLite registry holds only registry.json; it is
+    # refused, not read, and no second registry is created beside it
+    store_dir = Path(world["store"])
+    store_dir.mkdir()
+    legacy = store_dir / "registry.json"
+    legacy.write_text('{"version":1,"h_r":"' + "00" * 32 + '","records":{}}')
+    before = legacy.read_bytes()
+    assert _access(world) == 8
+    assert _register(world) == 8
+    assert _provision(world) == 8
+    err = capsys.readouterr().err
+    assert err.count("version-1 registry") == 3
+    assert sorted(p.name for p in store_dir.iterdir()) == ["registry.json"]
+    assert legacy.read_bytes() == before
+
+
+def test_store_keeps_no_lock_temp_or_journal_files(world, capsys):
     _provision(world)
     assert _register(world) == 0
-    path = Path(world["store"]) / "registry.json"
-    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    assert _register(world) == 3
     assert _access(world) == 0
-    assert _access(world, key=world["wrong_key"]) == 4
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed")
+    base = [
+        "--store", world["store"], "--user", "alice", "--key-file", world["user_key"],
+        "--provider-key-file", world["provider"], "--phrase", "blue bicycle",
+    ]
+    assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
+    assert main(["vault", *base, "get", "--name", "deed", "--out", str(doc)]) == 0
+    store_dir = Path(world["store"])
+    assert sorted(p.name for p in store_dir.iterdir()) == ["registry.db", "vault"]
+    assert [p.suffix for p in (store_dir / "vault").rglob("*") if p.is_file()] == [".json"]

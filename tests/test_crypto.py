@@ -93,6 +93,22 @@ def test_xor_digests_properties():
         assert xor_digests(xor_digests(a, b), c) == xor_digests(a, xor_digests(b, c))
 
 
+def test_xor_digests_matches_bytewise_reference():
+    rnd = random.Random(0x0B0C)
+    edges = [b"\x00" * 32, b"\xff" * 32, b"\x80" + b"\x00" * 31, b"\x00" * 31 + b"\x01"]
+    pairs = [(x, y) for x in edges for y in edges]
+    pairs += [(rnd.randbytes(32), rnd.randbytes(32)) for _ in range(500)]
+    for a, b in pairs:
+        out = xor_digests(a, b)
+        assert isinstance(out, Digest)
+        assert bytes(out) == bytes(x ^ y for x, y in zip(a, b))
+    for bad in (b"", b"\x00" * 31, b"\x00" * 33):
+        with pytest.raises(ValueError):
+            xor_digests(bad, b"\x00" * 32)
+        with pytest.raises(ValueError):
+            xor_digests(b"\x00" * 32, bad)
+
+
 def test_seal_unseal_round_trip():
     rnd = random.Random(0x5EA1)
     for _ in range(100):

@@ -1,12 +1,19 @@
 import base64
 import json
+import os
 import random
+import sqlite3
+import subprocess
+import sys
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
+import digilock
 from digilock import protocol
 from digilock.crypto import SecretKey, SeededRng, sha256
-from digilock.protocol import LockerPhase, LockerSession
+from digilock.protocol import LockerPhase, LockerRecord, LockerSession
 from digilock.store import (
     AlreadyProvisioned,
     DuplicateUser,
@@ -23,6 +30,11 @@ from digilock.store import (
 
 def _open_session(user_id: str) -> LockerSession:
     return LockerSession(user_id=user_id, phase=LockerPhase.OPEN)
+
+
+def _sql(locker_store: LockerStore, statement: str) -> list:
+    with closing(sqlite3.connect(locker_store.registry_path)) as con, con:
+        return con.execute(statement).fetchall()
 
 
 def test_provision_stores_h_r_only(tmp_path):
@@ -45,6 +57,24 @@ def test_provision_twice_fails(tmp_path):
 def test_load_before_provision_fails(tmp_path):
     with pytest.raises(NotProvisioned):
         LockerStore(tmp_path).load_registry()
+
+
+def test_load_before_provision_creates_no_file(tmp_path):
+    missing = tmp_path / "never-made"
+    with pytest.raises(NotProvisioned):
+        LockerStore(missing).load_registry()
+    assert not missing.exists()
+    with pytest.raises(NotProvisioned):
+        LockerStore(tmp_path).register("alice", SecretKey(b"ka"), "phrase")
+    assert list(tmp_path.iterdir()) == []
+    # a file without the meta row (say, an interrupted provision) is not a registry
+    locker_store = LockerStore(tmp_path)
+    locker_store.registry_path.touch()
+    assert not locker_store.is_provisioned()
+    with pytest.raises(NotProvisioned):
+        locker_store.load_registry()
+    locker_store.provision(SecretKey(b"master"))
+    assert locker_store.is_provisioned()
 
 
 def test_register_and_get_record():
@@ -76,26 +106,31 @@ def test_registry_save_load_round_trip(tmp_path):
     assert locker_store.registry_path.read_bytes() == first
 
 
-def test_registry_json_schema(tmp_path):
+def test_registry_db_schema(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
-    registry.register("alice", SecretKey(b"ka"), "phrase")
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
     locker_store.save_registry(registry)
-    doc = json.loads(locker_store.registry_path.read_text())
-    assert doc["version"] == 1
-    assert doc["h_r"] == sha256(b"master").hex()
-    entry = doc["records"]["alice"]
-    assert set(entry) == {"d_u", "sealed"}
-    assert set(entry["sealed"]) == {"nonce", "body", "tag"}
+    columns = {
+        table: [(row[1], row[2], row[5]) for row in _sql(locker_store, f"PRAGMA table_info({table})")]
+        for table in ("meta", "records")
+    }
+    assert columns == {
+        "meta": [("version", "INTEGER", 0), ("h_r", "BLOB", 0)],
+        "records": [("user_id", "TEXT", 1), ("d_u", "BLOB", 0), ("sealed", "BLOB", 0)],
+    }
+    assert _sql(locker_store, "SELECT version, h_r FROM meta") == [(2, bytes(sha256(b"master")))]
+    sealed = record.sealed
+    assert _sql(locker_store, "SELECT * FROM records") == [
+        ("alice", bytes(record.d_u), sealed.nonce + sealed.body + sealed.tag)
+    ]
 
 
-def test_registry_version_2_fails_at_load(tmp_path):
+def test_registry_unknown_version_fails_at_load(tmp_path):
     locker_store = LockerStore(tmp_path)
     locker_store.provision(SecretKey(b"master"))
-    doc = json.loads(locker_store.registry_path.read_text())
-    doc["version"] = 2
-    locker_store.registry_path.write_text(json.dumps(doc))
-    with pytest.raises(StoreError, match="version 2"):
+    _sql(locker_store, "UPDATE meta SET version = 3")
+    with pytest.raises(StoreError, match="version 3"):
         locker_store.load_registry()
 
 
@@ -105,16 +140,14 @@ def test_registry_decodes_a_record_on_first_lookup(tmp_path):
     record = registry.register("alice", SecretKey(b"ka"), "phrase")
     registry.register("bob", SecretKey(b"kb"), "phrase")
     locker_store.save_registry(registry)
-    doc = json.loads(locker_store.registry_path.read_text())
-    doc["records"]["bob"]["sealed"]["tag"] = 7
-    locker_store.registry_path.write_text(json.dumps(doc))
-    loaded = locker_store.load_registry()  # bob's bad entry is not decoded here
+    _sql(locker_store, "UPDATE records SET sealed = x'0bad' WHERE user_id = 'bob'")
+    loaded = locker_store.load_registry()  # bob's bad row is not decoded here
     assert len(loaded.records) == 2 and "bob" in loaded.records
     assert loaded.get_record("alice") == record
     with pytest.raises(StoreError, match="bob") as caught:
         loaded.get_record("bob")
     assert not isinstance(caught.value, UnknownUser)
-    assert loaded.to_json()["records"]["bob"] == doc["records"]["bob"]
+    assert _sql(locker_store, "SELECT sealed FROM records WHERE user_id = 'bob'") == [(b"\x0b\xad",)]
 
 
 def test_registry_file_contains_no_secret_bytes(tmp_path):
@@ -225,15 +258,20 @@ def test_save_is_atomic_against_partial_writes(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
     before = locker_store.registry_path.read_bytes()
-    # a failing serialization must not clobber the existing file
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+
+    # a record that fails to serialize after alice's INSERT ran must roll
+    # the whole transaction back
     class Boom:
-        def to_json(self):
+        def to_bytes(self):
             raise RuntimeError("boom")
 
+    registry.records["boom"] = LockerRecord(user_id="boom", d_u=record.d_u, sealed=Boom())
     with pytest.raises(RuntimeError):
-        locker_store.save_registry(Boom())
+        locker_store.save_registry(registry)
     assert locker_store.registry_path.read_bytes() == before
-    assert not list(tmp_path.glob("registry.json.*"))  # no temp droppings
+    assert "alice" not in locker_store.load_registry().records
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db"]  # no journal
 
 
 def test_provider_actor_has_no_store_capability():
@@ -243,3 +281,87 @@ def test_provider_actor_has_no_store_capability():
     provider = ProviderActor(SecretKey(b"master"))
     for value in vars(provider).values():
         assert not isinstance(value, (Registry, LockerStore))
+
+
+def test_lookups_read_one_row_and_registers_read_none(tmp_path, monkeypatch):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    for i in range(20):
+        registry.register(f"user-{i}", SecretKey(b"k%d" % i), "p")
+    locker_store.save_registry(registry)
+    queries = []
+    real_query = LockerStore._query
+
+    def counting_query(self, sql, params=()):
+        queries.append(sql)
+        return real_query(self, sql, params)
+
+    monkeypatch.setattr(LockerStore, "_query", counting_query)
+    loaded = locker_store.load_registry()
+    assert queries == []  # load reads the meta row only
+    assert "user-7" in loaded.records
+    assert loaded.get_record("user-7").user_id == "user-7"
+    assert queries == ["SELECT d_u, sealed FROM records WHERE user_id = ?"]
+    for i in range(50):
+        loaded.register(f"new-{i}", SecretKey(b"n%d" % i), "p")
+    assert len(queries) == 1  # the PRIMARY KEY checks duplicates at save
+    locker_store.save_registry(loaded)
+    assert len(queries) == 1 and len(locker_store.load_registry().records) == 70
+
+
+def test_duplicate_of_a_stored_user_fails_at_save_and_writes_nothing(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    registry.register("alice", SecretKey(b"ka"), "phrase")
+    locker_store.save_registry(registry)
+    with pytest.raises(DuplicateUser):
+        registry.register("alice", SecretKey(b"kb"), "other")  # held since save
+    stale = locker_store.load_registry()
+    stale.register("carol", SecretKey(b"kc"), "phrase")
+    stale.register("alice", SecretKey(b"kb"), "other")  # not held: no SELECT
+    with pytest.raises(DuplicateUser):
+        locker_store.save_registry(stale)
+    assert sorted(locker_store.load_registry().records) == ["alice"]
+    with pytest.raises(DuplicateUser, match="'alice'"):
+        locker_store.register("alice", SecretKey(b"kb"), "other")
+
+
+_CRASH_IN_COMMIT = """
+import os, sqlite3, sys
+from digilock.crypto import SecretKey
+from digilock.store import LockerStore
+
+real_connect = sqlite3.connect
+
+def connect(*args, **kwargs):
+    con = real_connect(*args, **kwargs)
+    # die as the COMMIT starts: the INSERT has run, the transaction is open
+    con.set_trace_callback(lambda sql: os._exit(9) if sql == "COMMIT" else None)
+    return con
+
+sqlite3.connect = connect
+LockerStore(sys.argv[1]).register("mallory", SecretKey(b"km"), "phrase")
+"""
+
+
+def test_crash_inside_write_transaction_keeps_old_state(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    alice = registry.register("alice", SecretKey(b"ka"), "phrase")
+    bob = registry.register("bob", SecretKey(b"kb"), "phrase")
+    locker_store.save_registry(registry)
+    env = dict(os.environ, PYTHONPATH=str(Path(digilock.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", _CRASH_IN_COMMIT, str(tmp_path)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert child.returncode == 9, child.stderr
+    assert (tmp_path / "registry.db-journal").exists()  # it died mid-transaction
+    loaded = locker_store.load_registry()
+    assert loaded.get_record("alice") == alice
+    assert loaded.get_record("bob") == bob
+    assert "mallory" not in loaded.records
+    locker_store.register("mallory", SecretKey(b"km"), "phrase")
+    assert sorted(locker_store.load_registry().records) == ["alice", "bob", "mallory"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db"]
+
