@@ -8,11 +8,17 @@ Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
   4 bad user key, 5 bad provider key, 6 session not open,
   7 unknown document, 8 other protocol or store failure.
+
+`main(argv)` can be called repeatedly in one process. The argument parser
+is built on the first call, not at import, and is shared by every later
+call; nothing mutates it after it is built, and every call parses into a
+fresh namespace, so no option carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -154,8 +160,13 @@ def cmd_vault(args: argparse.Namespace) -> int:
             if args.out:
                 Path(args.out).write_bytes(doc)
             else:
-                sys.stdout.buffer.write(doc)
-                sys.stdout.buffer.flush()
+                buffer = getattr(sys.stdout, "buffer", None)
+                if buffer is None:
+                    print("error: stdout takes no bytes here; write the document "
+                          "with --out FILE", file=sys.stderr)
+                    return EXIT_FAILURE
+                buffer.write(doc)
+                buffer.flush()
         else:
             names = locker_store.vault_list(args.user, session)
             _emit(args, "\n".join(names), {"documents": names})
@@ -201,6 +212,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="digilock",
@@ -225,14 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("provision", parents=[common_store],
                        help="create a registry from the provider master key")
     p.add_argument("--provider-key-file", required=True)
-    p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("register", parents=[common_store],
                        help="register a user with a key file and secret phrase")
     p.add_argument("--user", required=True)
     p.add_argument("--key-file", required=True)
     p.add_argument("--phrase", required=True)
-    p.set_defaults(func=cmd_register)
 
     access_args = argparse.ArgumentParser(add_help=False)
     access_args.add_argument("--user", required=True)
@@ -242,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("access", parents=[common_store, access_args],
                        help="run a full locker access session")
-    p.set_defaults(func=cmd_access)
 
     p = sub.add_parser("vault", parents=[common_store, access_args],
                        help="access the locker, then run one vault operation")
@@ -250,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="document name (put/get)")
     p.add_argument("--file", help="input file (put)")
     p.add_argument("--out", help="output file (get; default stdout)")
-    p.set_defaults(func=cmd_vault)
 
     p = sub.add_parser("simulate", help="run a named scenario in memory")
     p.add_argument(
@@ -263,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("--trace-out", default=None, help="write JSON-lines trace here")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -277,8 +284,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("vault put/get requires --name")
         if args.vault_op == "put" and not args.file:
             parser.error("vault put requires --file")
+    # looked up per call, not bound into the shared parser, so a command
+    # function patched or wrapped after the first call is the one that runs
+    command = {
+        "provision": cmd_provision, "register": cmd_register, "access": cmd_access,
+        "vault": cmd_vault, "simulate": cmd_simulate,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except SystemExit:
         raise
     except (store.StoreError, protocol.ProtocolError, OSError, ValueError) as exc:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sqlite3
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import digilock
+from digilock import cli
 from digilock.cli import main
 from digilock.crypto import SecretKey
 from digilock.store import LockerStore
@@ -62,6 +66,13 @@ def _access(world, user="alice", key=None, provider=None, phrase="blue bicycle")
             "--phrase", phrase,
         ]
     )
+
+
+def _vault_base(world):
+    return [
+        "--store", world["store"], "--user", "alice", "--key-file", world["user_key"],
+        "--provider-key-file", world["provider"], "--phrase", "blue bicycle",
+    ]
 
 
 def test_provision_prints_provider_digest(world, capsys):
@@ -146,6 +157,24 @@ def test_vault_put_get_list(world, capsysbinary):
     assert out_file.read_bytes() == payload
     assert main(["vault"] + base + ["list"]) == 0
     assert b"deed" in capsysbinary.readouterr().out
+
+
+def test_vault_get_to_a_text_stdout_exits_8_and_names_out(world, capsys):
+    # an in-process caller may swap sys.stdout for a text stream with no
+    # byte buffer; the document cannot go there, so the command asks for --out
+    _provision(world)
+    _register(world)
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed bytes")
+    base = _vault_base(world)
+    assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
+    capsys.readouterr()
+    text_out = io.StringIO()
+    with contextlib.redirect_stdout(text_out):
+        code = main(["vault", *base, "get", "--name", "deed"])
+    assert code == 8
+    assert text_out.getvalue() == ""
+    assert "--out" in capsys.readouterr().err
 
 
 def test_vault_get_before_put_exits_7(world):
@@ -361,3 +390,81 @@ def test_store_keeps_no_lock_temp_or_journal_files(world, capsys):
     store_dir = Path(world["store"])
     assert sorted(p.name for p in store_dir.iterdir()) == ["registry.db", "vault"]
     assert [p.suffix for p in (store_dir / "vault").rglob("*") if p.is_file()] == [".json"]
+
+
+def _json_main(argv, capsys):
+    assert main(["--output", "json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_main_reuses_one_parser_and_carries_no_option_over(world, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert _provision(world) == 0
+    first_build = len(built)
+    assert first_build > 0
+    assert _register(world) == 0
+    capsys.readouterr()
+
+    # --output json on one call, plain text on the next
+    assert _json_main(["vault", *_vault_base(world), "list"], capsys) == {"documents": []}
+    assert _access(world) == 0
+    assert capsys.readouterr().out == "OPEN\n"
+
+    # a variant and a timeout on one call, the defaults on the next
+    spec = _json_main(["simulate", "--scenario", "tamper", "--variant", "ack-digest",
+                       "--timeout-ms", "7"], capsys)["spec"]
+    assert (spec["variant"], spec["timeout_ms"]) == ("ack-digest", 7)
+    payload = _json_main(["simulate", "--scenario", "tamper"], capsys)
+    assert (payload["spec"]["variant"], payload["spec"]["timeout_ms"]) == (None, 5000)
+    assert payload["matched"] is True
+
+    # a usage error, then --help, each followed by a valid call
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate"])
+    assert exc.value.code == 1
+    assert main(["simulate", "--scenario", "honest"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: digilock" in capsys.readouterr().out
+    assert _access(world) == 0
+
+    assert len(built) == first_build
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_builds_no_parser_and_the_module_command_keeps_its_exit_codes():
+    env = dict(os.environ, PYTHONPATH=str(Path(digilock.__file__).parent.parent))
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    real_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import digilock.cli\n"
+        "print(len(built))\n"
+    )
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    imported = run("-c", probe)
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == "0"
+    helped = run("-m", "digilock.cli", "--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "usage: digilock" in helped.stdout
+    usage = run("-m", "digilock.cli", "simulate")
+    assert usage.returncode == 1
+    assert "--scenario" in usage.stderr
