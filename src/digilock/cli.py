@@ -4,6 +4,10 @@ manage vault documents, and execute named attack scenarios.
 Secrets travel via files, never argv; the secret phrase is the exception
 (low sensitivity next to the keys) and is documented as argv-visible.
 
+`access` and `vault` open the locker with `protocol.run_session`, the
+direct loop over the user and locker transitions; the simulator (`sim`)
+serves only `simulate`.
+
 Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
   4 bad user key, 5 bad provider key, 6 session not open,
@@ -26,8 +30,7 @@ from pathlib import Path
 
 from . import protocol, sim, store
 from .crypto import SecretKey
-from .protocol import DEFAULT_TIMEOUT_MS, LockerPhase
-from .sim import Credentials, ScenarioSpec, drive_session
+from .protocol import DEFAULT_TIMEOUT_MS, FailureReason, LockerPhase, LockerSession
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,33 +96,34 @@ def cmd_register(args: argparse.Namespace) -> int:
     except store.DuplicateUser as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DUPLICATE_USER
-    except (store.StoreError, protocol.ProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     _emit(args, f"registered {args.user}", {"registered": args.user})
     return EXIT_OK
 
 
-def _run_local_access(args: argparse.Namespace, locker_store: store.LockerStore):
+def _run_local_access(
+    args: argparse.Namespace, locker_store: store.LockerStore
+) -> tuple[store.Registry, LockerSession]:
     """Run a full access session against the on-disk registry."""
     registry = locker_store.load_registry()
-    creds = Credentials(
-        user_id=args.user,
-        key=_read_key_file(args.key_file),
-        phrase=args.phrase,
-    )
+    key = _read_key_file(args.key_file)
     provider_key = _read_key_file(args.provider_key_file)
-    run = drive_session(
-        registry, creds, provider_key, timeout_ms=args.timeout_ms
+    protocol.user_id_bytes(args.user)  # an id the wire cannot carry fails (exit 8)
+    record = registry.records.get(args.user)
+    if record is None:  # refused as a wrong key is, so ids cannot be probed
+        failure = FailureReason.BAD_USER_KEY
+        return registry, LockerSession(args.user, LockerPhase.FAILED, failure=failure)
+    session, _ = protocol.run_session(
+        record, registry.h_r, args.user, key, args.phrase, provider_key,
+        timeout_ms=args.timeout_ms,
     )
-    return registry, run
+    return registry, session
 
 
-def _access_exit(session, args: argparse.Namespace) -> int:
-    if session is not None and session.phase is LockerPhase.OPEN:
+def _access_exit(session: LockerSession, args: argparse.Namespace) -> int:
+    if session.phase is LockerPhase.OPEN:
         _emit(args, "OPEN", {"locker_opened": True, "failure_reason": None})
         return EXIT_OK
-    reason = session.failure.value if session and session.failure else "no-session"
+    reason = session.failure.value
     _emit(
         args,
         f"DENIED ({reason})",
@@ -129,24 +133,14 @@ def _access_exit(session, args: argparse.Namespace) -> int:
 
 
 def cmd_access(args: argparse.Namespace) -> int:
-    locker_store = store.LockerStore(_store_path(args))
-    try:
-        _, run = _run_local_access(args, locker_store)
-    except (store.StoreError, protocol.ProtocolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    return _access_exit(run.locker.session_for(args.user), args)
+    _, session = _run_local_access(args, store.LockerStore(_store_path(args)))
+    return _access_exit(session, args)
 
 
 def cmd_vault(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
-    try:
-        registry, run = _run_local_access(args, locker_store)
-    except (store.StoreError, protocol.ProtocolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    session = run.locker.session_for(args.user)
-    if session is None or session.phase is not LockerPhase.OPEN:
+    registry, session = _run_local_access(args, locker_store)
+    if session.phase is not LockerPhase.OPEN:
         return _access_exit(session, args)
     record = registry.get_record(args.user)
     key_l = protocol.locker_key(record.d_u, registry.h_r)
@@ -181,7 +175,7 @@ def cmd_vault(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        spec = ScenarioSpec(
+        spec = sim.ScenarioSpec(
             scenario=args.scenario,
             seed=args.seed if args.seed is not None else 0,
             variant=args.variant,

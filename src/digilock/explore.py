@@ -8,9 +8,10 @@ provider key equals the genuine R, and the accepted ack was user-produced.
 The model is the logical protocol (honest provider responder, relay hops
 collapsed): a move delivers, drops, duplicates, or bit-flips a pending
 message, or injects any message the adversary has observed, including a
-full prior session it recorded. The user and the locker answer through
-`protocol.user_on_message` and `protocol.locker_on_message`, the same
-transitions `sim` drives. The model differs from `sim.LockerActor` on
+full prior session it recorded (run by `protocol.run_session`). The user
+and the locker answer through `protocol.user_on_message` and
+`protocol.locker_on_message`, the same transitions `sim` drives and
+`run_session` loops over. The model differs from `sim.LockerActor` on
 purpose: it has one registered user; an auth request for an unknown id is
 refused without touching that user's session slot; and there is no
 seen-nonce cache or provider-key FIFO, since the one slot takes every
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
 from .protocol import (
+    TO_USER,
     FailureReason,
     LockerPhase,
     LockerRecord,
@@ -45,7 +47,12 @@ MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
 _NO_TIMEOUT_MS = 1 << 40
 _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
-_TO_USER = (MessageKind.CHALLENGE, MessageKind.RESULT, MessageKind.ERROR)
+# who sends each kind in a session; the locker sends the rest
+_SENDERS = {
+    MessageKind.AUTH_REQUEST: ACTOR_USER,
+    MessageKind.ACK: ACTOR_USER,
+    MessageKind.PROVIDER_KEY: ACTOR_PROVIDER,
+}
 
 
 class DepthExceeded(Exception):
@@ -160,31 +167,12 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         provider_reply=Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),)).encode(),
     )
     # one complete prior session, recorded off the wire by the adversary
-    auth_old, user_old = protocol.user_begin_session(
-        user_id, user_key, rng=_QueueRng(seed, 0, b"na")
-    )
-    locker_old = protocol.locker_verify_auth(record, auth_old)
-    locker_old = protocol.locker_verify_provider(h_r, provider_key, locker_old)
-    challenge_old, locker_old = protocol.locker_build_challenge(
-        record,
-        provider_key,
-        locker_old,
-        now=0,
-        timeout_ms=_NO_TIMEOUT_MS,
-        rng=_QueueRng(seed, 0, b"nr", b"seal"),
-    )
-    ack_old, _ = protocol.user_process_challenge(
-        user_old, user_id, user_key, phrase, challenge_old
+    _, sent = protocol.run_session(
+        record, h_r, user_id, user_key, phrase, provider_key,
+        rng_user=_QueueRng(seed, 0, b"na"), rng_locker=_QueueRng(seed, 0, b"nr", b"seal"),
     )
     knowledge = frozenset(
-        {
-            (auth_old.encode(), ACTOR_USER),
-            (_FRAMES[protocol.PROVIDER_KEY_REQUEST], ACTOR_LOCKER),
-            (world.provider_reply, ACTOR_PROVIDER),
-            (challenge_old.encode(), ACTOR_LOCKER),
-            (ack_old.encode(), ACTOR_USER),
-            (_FRAMES[protocol.RESULT_OPEN], ACTOR_LOCKER),
-        }
+        (msg.encode(), _SENDERS.get(msg.kind, ACTOR_LOCKER)) for msg in sent
     )
     return world, knowledge
 
@@ -231,7 +219,7 @@ def _deliver(
         cache[raw] = msg
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
         return _with_outputs(state, [(world.provider_reply, ACTOR_PROVIDER)])
-    if msg.kind in _TO_USER:
+    if msg.kind in TO_USER:
         if state.user is None:
             return state
         user, reply = protocol.user_on_message(

@@ -17,13 +17,15 @@ States are immutable; transitions return new states.
 
 `locker_on_message` and `user_on_message` compose the steps into each
 actor's whole transition: one inbound message to a new session and the
-reply. The simulator (`sim`) and the model checker (`explore`) both drive
-these two functions, so the search checks the same code the scenarios run.
-Each caller keeps only its bookkeeping: which session a message lands on
-and which user ids are known. The model differs from the simulated locker
-on purpose: it has one registered user, an auth request for an unknown id
-leaves that user's session untouched, and it has no seen-nonce cache or
-provider-key FIFO.
+reply. Three drivers run these two functions, and none holds another copy
+of the session order: `run_session` here (one session with no adversary,
+which the CLI runs and `explore` records as the adversary's prior
+session), the simulator (`sim`) and the model checker (`explore`). So the
+search checks the code the scenarios and the CLI run. Each driver keeps
+only its bookkeeping: which session a message lands on and which user ids
+are known. The model differs from the simulated locker on purpose: it has
+one registered user, an auth request for an unknown id leaves that user's
+session untouched, and it has no seen-nonce cache or provider-key FIFO.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class LockerPhase(enum.Enum):
 
 
 class UserPhase(enum.Enum):
-    START = "start"
     AWAITING_CHALLENGE = "awaiting-challenge"
     ACK_SENT = "ack-sent"
     DONE = "done"
@@ -460,3 +461,48 @@ def user_on_message(
         failure = reason_from_wire(msg.fields[0])
         return replace(session, phase=UserPhase.FAILED, failure=failure), None
     return session, None
+
+
+TO_USER = (MessageKind.CHALLENGE, MessageKind.RESULT, MessageKind.ERROR)  # locker -> user
+
+
+def run_session(
+    record: LockerRecord,
+    h_r: Digest,
+    user_id: str,
+    key: SecretKey,
+    phrase: str,
+    provider_key: SecretKey,
+    *,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    rng_user: Rng | None = None,
+    rng_locker: Rng | None = None,
+) -> tuple[LockerSession, list[Message]]:
+    """Run one session of `user_id` with the provider answering `provider_key`.
+
+    Time is the simulator's hop clock: the auth request lands at 2, the
+    provider key at 4 and the ack at 8. Returns the locker's final session,
+    timed out at its deadline + 1 if the user stopped before the ack, and
+    every message sent, in order.
+    """
+    msg, user = user_begin_session(user_id, key, rng=rng_user)
+    sent = []
+    locker = None
+    now = 0
+    while msg is not None:
+        sent.append(msg)
+        now += 2  # two 1 ms hops: across the provider seat, or to it and back
+        if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
+            msg = Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),))
+            sent.append(msg)
+        if msg.kind in TO_USER:
+            user, msg = user_on_message(user, user_id, key, phrase, msg)
+        else:
+            locker, msg = locker_on_message(
+                record, h_r, locker, msg, now=now, timeout_ms=timeout_ms, rng=rng_locker
+            )
+    assert locker is not None  # the auth request always makes a session
+    if locker.phase is LockerPhase.CHALLENGE_SENT:
+        assert locker.deadline is not None
+        locker = locker_check_timeout(locker, locker.deadline + 1)
+    return locker, sent

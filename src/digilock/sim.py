@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
 from . import protocol
@@ -91,7 +91,6 @@ _PLANS = {
 _DEFAULT_VARIANTS = {"tamper": "challenge-body"}
 
 SCENARIO_NAMES = tuple(dict.fromkeys(name for name, _ in _PLANS))
-TAMPER_TARGETS = tuple(variant for name, variant in _PLANS if name == "tamper")
 
 
 class SimClock:
@@ -115,15 +114,7 @@ class TraceStep:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "origin": self.origin,
-            "kind": self.kind,
-            "payload_sha256": self.payload_sha256,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 class Trace:
@@ -516,15 +507,7 @@ class ScenarioOutcome:
     adversary_failure: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "locker_phase": self.locker_phase,
-            "user_phase": self.user_phase,
-            "locker_opened": self.locker_opened,
-            "failure_reason": self.failure_reason,
-            "user_failure": self.user_failure,
-            "adversary_failure": self.adversary_failure,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -547,12 +530,7 @@ class ScenarioSpec:
             raise ValueError("timeout_ms must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "variant": self.variant,
-            "timeout_ms": self.timeout_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioSpec":
@@ -587,11 +565,9 @@ class SessionRun:
     """Handles left behind by a driven session, for assertions and vault ops."""
 
     user: UserActor | None
-    provider: ProviderActor
     locker: LockerActor
     clock: SimClock
     trace: Trace
-    sim: Simulation
 
 
 def drive_session(
@@ -620,9 +596,7 @@ def drive_session(
     )
     sim.send_all(ACTOR_USER, user.begin())
     _pump_to_deadline(sim, locker, creds.user_id)
-    return SessionRun(
-        user=user, provider=provider, locker=locker, clock=clock, trace=trace, sim=sim
-    )
+    return SessionRun(user=user, locker=locker, clock=clock, trace=trace)
 
 
 def _pump_to_deadline(sim: Simulation, locker: LockerActor, user_id: str) -> None:

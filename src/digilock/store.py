@@ -249,23 +249,15 @@ def _meta_row(con: sqlite3.Connection) -> tuple | None:
 class LockerStore:
     """Filesystem-backed locker state: registry database plus vault directory."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        registry_filename: str = REGISTRY_FILENAME,
-        vault_dirname: str = VAULT_DIRNAME,
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.registry_filename = registry_filename
-        self.vault_dirname = vault_dirname
 
     @property
     def registry_path(self) -> Path:
-        return self.root / self.registry_filename
+        return self.root / REGISTRY_FILENAME
 
     def vault_dir(self, user_id: str) -> Path:
-        return self.root / self.vault_dirname / user_id.encode("utf-8").hex()
+        return self.root / VAULT_DIRNAME / user_id.encode("utf-8").hex()
 
     def _refuse_v1(self) -> None:
         legacy = self.root / V1_REGISTRY_FILENAME

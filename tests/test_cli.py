@@ -468,3 +468,60 @@ def test_import_builds_no_parser_and_the_module_command_keeps_its_exit_codes():
     usage = run("-m", "digilock.cli", "simulate")
     assert usage.returncode == 1
     assert "--scenario" in usage.stderr
+
+
+@pytest.mark.parametrize(
+    "timeout_ms,code,text", [(3, 8, "DENIED (timeout)"), (4, 0, "OPEN")]
+)
+def test_access_ack_deadline_follows_the_hop_clock(world, capsys, timeout_ms, code, text):
+    # the challenge is built at 4 ms and the ack lands at 8 ms, so a 3 ms
+    # deadline has passed when it arrives and a 4 ms one has not
+    _provision(world)
+    _register(world)
+    capsys.readouterr()
+    argv = ["access", *_vault_base(world), "--timeout-ms", str(timeout_ms)]
+    assert main(argv) == code
+    assert capsys.readouterr().out.strip() == text
+
+
+def test_vault_past_the_ack_deadline_exits_8(world):
+    _provision(world)
+    _register(world)
+    assert main(["vault", *_vault_base(world), "--timeout-ms", "3", "list"]) == 8
+
+
+@pytest.mark.parametrize(
+    "user,error", [("u" * 65, "1-64 UTF-8 bytes"), ("al\x1fice", "byte 0x1f")]
+)
+def test_access_with_an_unencodable_user_id_exits_8(world, capsys, user, error):
+    # an id the wire cannot carry is a failure, not a denial of an unknown user
+    _provision(world)
+    _register(world)
+    capsys.readouterr()
+    assert _access(world, user=user) == 8
+    captured = capsys.readouterr()
+    assert error in captured.err
+    assert "DENIED" not in captured.out
+
+
+def test_access_and_vault_run_without_the_simulator(world, monkeypatch, capsys):
+    from digilock import sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the store commands must not run the simulator")
+
+    monkeypatch.setattr(sim, "drive_session", refuse)
+    monkeypatch.setattr(sim, "Simulation", refuse)
+    _provision(world)
+    _register(world)
+    capsys.readouterr()
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed bytes")
+    out = world["tmp"] / "restored.bin"
+    base = _vault_base(world)
+    assert _access(world) == 0
+    assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
+    assert main(["vault", *base, "get", "--name", "deed", "--out", str(out)]) == 0
+    assert main(["vault", *base, "list"]) == 0
+    assert out.read_bytes() == b"deed bytes"
+    assert capsys.readouterr().out.split() == ["OPEN", "stored", "deed", "deed"]

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from digilock import explore
 from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
@@ -78,3 +81,17 @@ def test_enumeration_is_deterministic():
     assert a.outcomes == b.outcomes
     assert a.states_explored == b.states_explored
     assert a.transitions == b.transitions
+
+
+@pytest.mark.parametrize(
+    "seed,pinned",
+    [
+        (0, "e3b7ec1ec6b5df027d44b6f3eef7d62917e1167de3ce18be23cff7e2fc3870bc"),
+        (7, "727a172265cc40292317926744fc3d76fc0caefa0fbb8e769db668fd01d77f00"),
+    ],
+)
+def test_recorded_prior_session_is_pinned(seed, pinned):
+    # the adversary's starting knowledge: every frame of one honest session
+    # and the party that sent it, byte for byte
+    _, knowledge = explore._build_world(seed)
+    assert hashlib.sha256(repr(sorted(knowledge)).encode()).hexdigest() == pinned

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from digilock import protocol
+from digilock import protocol, sim
 from digilock.crypto import Digest, Nonce, SecretKey, SeededRng, sha256, unseal
 from digilock.protocol import (
     BlobAuthFailure,
@@ -273,3 +273,40 @@ def test_canonical_concat_is_unambiguous():
     a = sha256(protocol.encode_fields([b"ab", b"c"]))
     b = sha256(protocol.encode_fields([b"a", b"bc"]))
     assert a != b
+
+
+@pytest.mark.parametrize("timeout_ms", [1, 3, 4, 5000])
+@pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase"])
+def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
+    # the direct loop and the simulator's channel model reach the same
+    # locker session, deadline and failure included, on every path
+    for seed in range(50):
+        registry, creds, provider_key = sim.seed_world(seed)
+        wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
+        if fault == "user-key":
+            creds = replace(creds, key=wrong)
+        elif fault == "provider-key":
+            provider_key = wrong
+        elif fault == "phrase":
+            creds = replace(creds, phrase="not " + creds.phrase)
+        run = sim.drive_session(
+            registry, creds, provider_key, timeout_ms=timeout_ms,
+            rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
+        )
+        session, _ = protocol.run_session(
+            registry.get_record(creds.user_id), registry.h_r,
+            creds.user_id, creds.key, creds.phrase, provider_key,
+            timeout_ms=timeout_ms,
+            rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
+        )
+        assert session == run.locker.session_for(creds.user_id), seed
+
+
+def test_run_session_honest_transcript():
+    registry, creds, provider_key = sim.seed_world(3)
+    session, sent = protocol.run_session(
+        registry.get_record(creds.user_id), registry.h_r,
+        creds.user_id, creds.key, creds.phrase, provider_key,
+    )
+    assert session.phase is LockerPhase.OPEN
+    assert [msg.kind.label for msg in sent] == sim.HONEST_KIND_SEQUENCE
