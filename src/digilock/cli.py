@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import protocol, sim, store
 from .crypto import SecretKey
-from .protocol import DEFAULT_TIMEOUT_MS, FailureReason, LockerPhase, LockerSession
+from .protocol import DEFAULT_TIMEOUT_MS, LockerPhase, LockerSession
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,14 +107,11 @@ def _run_local_access(
     registry = locker_store.load_registry()
     key = _read_key_file(args.key_file)
     provider_key = _read_key_file(args.provider_key_file)
-    protocol.user_id_bytes(args.user)  # an id the wire cannot carry fails (exit 8)
-    record = registry.records.get(args.user)
-    if record is None:  # refused as a wrong key is, so ids cannot be probed
-        failure = FailureReason.BAD_USER_KEY
-        return registry, LockerSession(args.user, LockerPhase.FAILED, failure=failure)
+    # an unknown id is refused as a wrong key is (exit 4), so ids cannot be
+    # probed; an id the wire cannot carry raises EncodingError (exit 8)
     session, _ = protocol.run_session(
-        record, registry.h_r, args.user, key, args.phrase, provider_key,
-        timeout_ms=args.timeout_ms,
+        registry.records.get(args.user), registry.h_r, args.user, key, args.phrase,
+        provider_key, timeout_ms=args.timeout_ms,
     )
     return registry, session
 
@@ -223,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None,
         help=f"store directory (default: ${STORE_ENV_VAR})",
     )
-    common_store.add_argument(
-        "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS,
-        help="ack deadline in simulated milliseconds (default: 5000)",
-    )
 
     p = sub.add_parser("provision", parents=[common_store],
                        help="create a registry from the provider master key")
@@ -243,6 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     access_args.add_argument("--key-file", required=True)
     access_args.add_argument("--provider-key-file", required=True)
     access_args.add_argument("--phrase", required=True)
+    access_args.add_argument(
+        "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS,
+        help="ack deadline in simulated milliseconds (default: 5000)",
+    )
 
     p = sub.add_parser("access", parents=[common_store, access_args],
                        help="run a full locker access session")

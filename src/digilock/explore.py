@@ -8,14 +8,14 @@ provider key equals the genuine R, and the accepted ack was user-produced.
 The model is the logical protocol (honest provider responder, relay hops
 collapsed): a move delivers, drops, duplicates, or bit-flips a pending
 message, or injects any message the adversary has observed, including a
-full prior session it recorded (run by `protocol.run_session`). The user
-and the locker answer through `protocol.user_on_message` and
-`protocol.locker_on_message`, the same transitions `sim` drives and
-`run_session` loops over. The model differs from `sim.LockerActor` on
-purpose: it has one registered user; an auth request for an unknown id is
-refused without touching that user's session slot; and there is no
-seen-nonce cache or provider-key FIFO, since the one slot takes every
-provider key and ack.
+full prior session it recorded (run by `protocol.run_session`). Every
+reply comes from the user, provider and locker transitions in `protocol`
+that `sim` drives and `run_session` loops over; nothing comes from `sim`.
+The model differs from `sim.LockerActor` on purpose: it has one registered
+user; an auth request for an unknown id is refused with no record and the
+session that refusal returns is dropped, so that user's slot is untouched;
+and there is no provider-key FIFO, since the one slot takes every provider
+key and ack.
 
 Nonces are derived deterministically from (seed, session serial) rather
 than drawn from an RNG, so states reached by different schedules compare
@@ -33,6 +33,10 @@ from dataclasses import dataclass, replace
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
 from .protocol import (
+    ACTOR_ADVERSARY,
+    ACTOR_LOCKER,
+    ACTOR_PROVIDER,
+    ACTOR_USER,
     TO_USER,
     FailureReason,
     LockerPhase,
@@ -40,8 +44,7 @@ from .protocol import (
     LockerSession,
     UserSession,
 )
-from .sim import ACTOR_ADVERSARY, ACTOR_LOCKER, ACTOR_PROVIDER, ACTOR_USER, flip_field_bit
-from .wire import Message, MessageKind
+from .wire import Message, MessageKind, flip_field_bit
 
 MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
@@ -164,7 +167,9 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         provider_key=provider_key,
         h_r=h_r,
         record=record,
-        provider_reply=Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),)).encode(),
+        provider_reply=protocol.provider_on_message(
+            provider_key, protocol.PROVIDER_KEY_REQUEST
+        ).encode(),
     )
     # one complete prior session, recorded off the wire by the adversary
     _, sent = protocol.run_session(
@@ -230,15 +235,12 @@ def _deliver(
         if reply is None:
             return state
         return _with_outputs(state, [(reply.encode(), ACTOR_USER)])
-    if (
+    unknown = (  # the model registers one user; any other id has no record
         msg.kind is MessageKind.AUTH_REQUEST
         and msg.fields[0].decode("utf-8", errors="replace") != world.user_id
-    ):
-        # unknown user: refused, and no effect on the registered user's slot
-        reply = protocol.error_message(FailureReason.BAD_USER_KEY)
-        return _with_outputs(state, [(_FRAMES[reply], ACTOR_LOCKER)])
+    )
     locker, reply = protocol.locker_on_message(
-        world.record,
+        None if unknown else world.record,
         world.h_r,
         state.locker,
         msg,
@@ -248,6 +250,9 @@ def _deliver(
     )
     if reply is None:
         return state
+    raw_reply = _FRAMES.get(reply) or reply.encode()
+    if unknown:  # the refused session is dropped: the user's slot stays as it was
+        return _with_outputs(state, [(raw_reply, ACTOR_LOCKER)])
     # the genuine flags record who built what the locker accepted
     changes: dict = {}
     if msg.kind is MessageKind.AUTH_REQUEST:
@@ -259,7 +264,6 @@ def _deliver(
     elif locker.phase is LockerPhase.OPEN:
         changes = dict(ack_genuine=origin == ACTOR_USER)
     state = replace(state, locker=locker, **changes)
-    raw_reply = _FRAMES.get(reply) or reply.encode()
     return _with_outputs(state, [(raw_reply, ACTOR_LOCKER)])
 
 

@@ -15,17 +15,16 @@ All step functions are pure given (state, message, now); time enters only
 through an explicit clock value, and randomness through an explicit rng.
 States are immutable; transitions return new states.
 
-`locker_on_message` and `user_on_message` compose the steps into each
-actor's whole transition: one inbound message to a new session and the
-reply. Three drivers run these two functions, and none holds another copy
-of the session order: `run_session` here (one session with no adversary,
-which the CLI runs and `explore` records as the adversary's prior
-session), the simulator (`sim`) and the model checker (`explore`). So the
-search checks the code the scenarios and the CLI run. Each driver keeps
-only its bookkeeping: which session a message lands on and which user ids
-are known. The model differs from the simulated locker on purpose: it has
-one registered user, an auth request for an unknown id leaves that user's
-session untouched, and it has no seen-nonce cache or provider-key FIFO.
+`user_on_message`, `provider_on_message` and `locker_on_message` are each
+role's whole transition, and the only code that knows what a role replies
+or refuses (an id with no record is refused as a wrong key is). Three
+drivers deliver messages to them and hold no copy of the session order:
+`run_session` here (one session with no adversary, which the CLI runs and
+`explore` records as the adversary's prior session), the simulator (`sim`)
+and the model checker (`explore`). So the search checks the code the
+scenarios and the CLI run. The model differs from the simulated locker on
+purpose: it has one registered user, an auth request for an unknown id
+leaves that user's session untouched, and it has no provider-key FIFO.
 """
 
 from __future__ import annotations
@@ -54,6 +53,11 @@ USER_ID_MAX = 64
 PHRASE_MAX = 256
 SEPARATOR_BYTE = 0x1F  # reserved separator; user ids must not contain it
 DEFAULT_TIMEOUT_MS = 5000
+
+ACTOR_USER = "user"
+ACTOR_PROVIDER = "provider"
+ACTOR_LOCKER = "locker"
+ACTOR_ADVERSARY = "adversary"
 
 
 class ProtocolError(Exception):
@@ -88,7 +92,6 @@ class FailureReason(enum.Enum):
     BAD_ACK = "bad-ack"
     CHALLENGE_AUTH_FAILURE = "challenge-auth-failure"
     PHRASE_MISMATCH = "phrase-mismatch"
-    REPLAYED_NONCE = "replayed-nonce"  # only with the opt-in seen-nonce cache
 
 
 class LockerPhase(enum.Enum):
@@ -204,27 +207,21 @@ def user_begin_session(
     return msg, state
 
 
-def locker_verify_auth(record: LockerRecord, msg: Message) -> LockerSession:
-    """Check the PRF proof against the stored user digest (constant-time)."""
+def locker_verify_auth(record: LockerRecord | None, msg: Message) -> LockerSession:
+    """Check the PRF proof (constant-time); an id with no record fails alike."""
     if msg.kind is not MessageKind.AUTH_REQUEST:
         raise ValueError(f"expected auth-request, got {msg.kind.label}")
     uid_raw, proof, n_a_raw = msg.fields
     n_a = Nonce(n_a_raw)
     user_id = uid_raw.decode("utf-8", errors="replace")
-    if user_id != record.user_id:
-        return LockerSession(
-            user_id=user_id,
-            phase=LockerPhase.FAILED,
-            n_a=n_a,
-            failure=FailureReason.BAD_USER_KEY,
-        )
-    expected = prf(record.d_u, bytes(n_a))
-    if ct_equal(expected, proof):
-        return LockerSession(
-            user_id=record.user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a
-        )
+    if (
+        record is not None
+        and user_id == record.user_id
+        and ct_equal(prf(record.d_u, bytes(n_a)), proof)
+    ):
+        return LockerSession(user_id=user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a)
     return LockerSession(
-        user_id=record.user_id,
+        user_id=user_id,
         phase=LockerPhase.FAILED,
         n_a=n_a,
         failure=FailureReason.BAD_USER_KEY,
@@ -374,8 +371,15 @@ def reason_from_wire(raw: bytes) -> FailureReason | None:
         return None
 
 
+def provider_on_message(provider_key: SecretKey, msg: Message) -> Message | None:
+    """The provider's transition: it answers a key request with R, nothing else."""
+    if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
+        return Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),))
+    return None
+
+
 def locker_on_message(
-    record: LockerRecord,
+    record: LockerRecord | None,
     h_r: Digest,
     session: LockerSession | None,
     msg: Message,
@@ -387,7 +391,8 @@ def locker_on_message(
     """The locker's transition for one inbound message about `record`'s user.
 
     An auth request starts a new session (the old one is replaced) and asks
-    for the provider key; a provider key for a user-verified session yields
+    for the provider key; with `record` None (no such user) it is refused
+    as a wrong key is. A provider key for a user-verified session yields
     the challenge; an ack for a challenge-sent session opens the locker.
     Every refusal fails the session and replies with the error naming its
     reason. A message the session is not waiting for changes nothing and
@@ -467,7 +472,7 @@ TO_USER = (MessageKind.CHALLENGE, MessageKind.RESULT, MessageKind.ERROR)  # lock
 
 
 def run_session(
-    record: LockerRecord,
+    record: LockerRecord | None,
     h_r: Digest,
     user_id: str,
     key: SecretKey,
@@ -480,10 +485,11 @@ def run_session(
 ) -> tuple[LockerSession, list[Message]]:
     """Run one session of `user_id` with the provider answering `provider_key`.
 
-    Time is the simulator's hop clock: the auth request lands at 2, the
-    provider key at 4 and the ack at 8. Returns the locker's final session,
-    timed out at its deadline + 1 if the user stopped before the ack, and
-    every message sent, in order.
+    `record` is None when the locker has no record for `user_id`. Time is
+    the simulator's hop clock: the auth request lands at 2, the provider
+    key at 4 and the ack at 8. Returns the locker's final session, timed
+    out at its deadline + 1 if the user stopped before the ack, and every
+    message sent, in order.
     """
     msg, user = user_begin_session(user_id, key, rng=rng_user)
     sent = []
@@ -492,8 +498,9 @@ def run_session(
     while msg is not None:
         sent.append(msg)
         now += 2  # two 1 ms hops: across the provider seat, or to it and back
-        if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
-            msg = Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),))
+        reply = provider_on_message(provider_key, msg)
+        if reply is not None:  # the provider answers; the rest it relays
+            msg = reply
             sent.append(msg)
         if msg.kind in TO_USER:
             user, msg = user_on_message(user, user_id, key, phrase, msg)

@@ -8,11 +8,11 @@ structured outcome plus a trace. All randomness flows from a single 64-bit
 seed and time from an explicit millisecond clock, so a scenario replays
 byte for byte.
 
-The actors' transitions are `protocol.user_on_message` and
-`protocol.locker_on_message`, the same functions `explore` searches over.
+The actors only deliver: their replies come from the user, provider and
+locker transitions in `protocol`, the functions `explore` searches over.
 `LockerActor` adds what the model leaves out: any number of registered
-users (an unknown id fails that id's session), the opt-in seen-nonce cache,
-and the FIFO that matches provider keys to waiting sessions.
+users (an unknown id fails that id's session) and the FIFO that matches
+provider keys to waiting sessions.
 
 Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
 the provider seat, the channel taps, whether an adversary replays the
@@ -42,6 +42,10 @@ from .crypto import (
     unseal,
 )
 from .protocol import (
+    ACTOR_ADVERSARY,
+    ACTOR_LOCKER,
+    ACTOR_PROVIDER,
+    ACTOR_USER,
     DEFAULT_TIMEOUT_MS,
     FailureReason,
     LockerPhase,
@@ -49,12 +53,7 @@ from .protocol import (
     UserSession,
 )
 from .store import Registry
-from .wire import Message, MessageKind, encode_fields
-
-ACTOR_USER = "user"
-ACTOR_PROVIDER = "provider"
-ACTOR_LOCKER = "locker"
-ACTOR_ADVERSARY = "adversary"
+from .wire import Message, MessageKind, encode_fields, flip_field_bit
 
 HOP_MS = 1  # simulated time per channel hop
 MAX_HOPS = 200  # a run that needs more hops is looping
@@ -178,15 +177,6 @@ class Packet:
     replayed: bool = False
 
 
-def flip_field_bit(msg: Message, field_index: int, bit: int = 0) -> Message:
-    """Return a copy of msg with one bit of one field inverted."""
-    fields = list(msg.fields)
-    mutated = bytearray(fields[field_index])
-    mutated[bit // 8] ^= 1 << (bit % 8)
-    fields[field_index] = bytes(mutated)
-    return Message(msg.kind, tuple(fields))
-
-
 def adversary_try_open_challenge(
     msg: Message, user_id: str, n_a: Nonce | None
 ) -> FailureReason | None:
@@ -254,8 +244,8 @@ class ProviderActor:
     def handle(
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
-        if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
-            reply = Message(MessageKind.PROVIDER_KEY, (bytes(self.provider_key),))
+        reply = protocol.provider_on_message(self.provider_key, msg)
+        if reply is not None:
             return [(ACTOR_LOCKER, reply, ACTOR_PROVIDER)]
         if origin == ACTOR_USER:
             return [(ACTOR_LOCKER, msg, origin)]
@@ -309,11 +299,9 @@ class LockerActor:
     """The locker module: verifies both parties, then waits on consent.
 
     Each message goes to one user's session through
-    `protocol.locker_on_message`; this class picks the session, keeps the
-    registry lookup, and refuses unknown ids and (opt-in) seen nonces.
-    `reject_seen_nonces` turns on an optional replay cache that refuses an
-    auth request whose nonce was already accepted; it defaults off, where
-    the only replay defense is the ack the replayer cannot produce.
+    `protocol.locker_on_message`; this class picks the session and looks up
+    the user's record, which is None for an unknown id. The replay defence
+    is the ack a replayer cannot produce.
     """
 
     def __init__(
@@ -322,14 +310,11 @@ class LockerActor:
         *,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         rng: Rng | None = None,
-        reject_seen_nonces: bool = False,
     ) -> None:
         self.registry = registry
         self.timeout_ms = timeout_ms
         self.rng = rng
-        self.reject_seen_nonces = reject_seen_nonces
         self.sessions: dict[str, LockerSession] = {}
-        self._seen_nonces: set[bytes] = set()
         self._awaiting_provider: deque[str] = deque()
 
     def session_for(self, user_id: str) -> LockerSession | None:
@@ -340,17 +325,6 @@ class LockerActor:
     ) -> list[tuple[str, Message, str]]:
         if msg.kind is MessageKind.AUTH_REQUEST:
             user_id = msg.fields[0].decode("utf-8", errors="replace")
-            if user_id not in self.registry.records:
-                refusal = FailureReason.BAD_USER_KEY
-            elif self.reject_seen_nonces and msg.fields[2] in self._seen_nonces:
-                refusal = FailureReason.REPLAYED_NONCE
-            else:
-                refusal = None
-            if refusal is not None:
-                self.sessions[user_id] = LockerSession(
-                    user_id=user_id, phase=LockerPhase.FAILED, failure=refusal
-                )
-                return [(ACTOR_PROVIDER, protocol.error_message(refusal), ACTOR_LOCKER)]
         elif msg.kind is MessageKind.PROVIDER_KEY:
             # provider keys carry no session handle: the oldest waiting
             # user-verified session takes the key
@@ -373,7 +347,7 @@ class LockerActor:
             return []
         # one active session per user: a fresh auth request replaces it
         session, reply = protocol.locker_on_message(
-            self.registry.get_record(user_id),
+            self.registry.records.get(user_id),
             self.registry.h_r,
             self.sessions.get(user_id),
             msg,
@@ -383,7 +357,6 @@ class LockerActor:
         )
         self.sessions[user_id] = session
         if session.phase is LockerPhase.USER_VERIFIED:  # a fresh auth request passed
-            self._seen_nonces.add(msg.fields[2])
             self._awaiting_provider.append(user_id)
         return [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
 

@@ -21,8 +21,9 @@ holds only a version-1 registry.json is refused: migrating it is not
 implemented.
 Vault entries are individual JSON files with base64 bodies, sealed under a
 key derived from L so documents at rest stay bound to both parties' keys;
-the file name is the hex of the document name. Entries are written to a
-temporary file and renamed into place, without fsync.
+the file name is the hex of the document name (1-NAME_MAX = 120 bytes, so
+the temp file's name fits 255 bytes). Entries are written to a temporary
+file and renamed into place, without fsync.
 Everything here is reachable only from the locker actor; the provider seat
 gets no handle to a store.
 """
@@ -49,7 +50,9 @@ REGISTRY_VERSION = 2
 V1_REGISTRY_FILENAME = "registry.json"
 VAULT_DIRNAME = "vault"
 VAULT_KEY_LABEL = b"vault"
-NAME_MAX = 128
+# the longest name whose temp file, hex(name) + ".json." + 8 random
+# characters, fits a 255-byte file name
+NAME_MAX = (255 - len(".json.") - 8) // 2  # 120
 
 _SCHEMA = (
     "CREATE TABLE meta (version INTEGER NOT NULL, h_r BLOB NOT NULL)",
@@ -184,7 +187,7 @@ class StoredRecords(MutableMapping[str, LockerRecord]):
 class Registry:
     """The locker's registry: provider digest plus per-user records.
 
-    In memory (sim, explore) the records are a plain dict; a registry loaded
+    In memory (sim) the records are a plain dict; a registry loaded
     from or provisioned in a LockerStore holds StoredRecords.
     """
 

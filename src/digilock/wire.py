@@ -4,7 +4,8 @@ Frame layout, bit-exact: version byte 0x01, kind byte, 2-byte big-endian
 field count, then each field as a 4-byte big-endian length prefix followed
 by the field bytes. The same length-prefixed field encoding doubles as the
 canonical way to concatenate values before hashing, which keeps digests
-unambiguous for adjacent variable-length inputs.
+unambiguous for adjacent variable-length inputs. `flip_field_bit` is the
+tamper move the simulator and the model checker share.
 """
 
 from __future__ import annotations
@@ -137,3 +138,12 @@ def _check_fields(kind: MessageKind, fields: Sequence[bytes]) -> None:
             raise BadFrame(
                 f"{kind.label} field {i} length {len(field)} outside [{lo}, {hi}]"
             )
+
+
+def flip_field_bit(msg: Message, field_index: int, bit: int = 0) -> Message:
+    """Return a copy of msg with one bit of one field inverted."""
+    fields = list(msg.fields)
+    mutated = bytearray(fields[field_index])
+    mutated[bit // 8] ^= 1 << (bit % 8)
+    fields[field_index] = bytes(mutated)
+    return Message(msg.kind, tuple(fields))

@@ -490,6 +490,15 @@ def test_vault_past_the_ack_deadline_exits_8(world):
     assert main(["vault", *_vault_base(world), "--timeout-ms", "3", "list"]) == 8
 
 
+def test_timeout_ms_is_refused_where_nothing_reads_it(world):
+    # only access, vault and simulate have an ack deadline
+    _provision(world)
+    with pytest.raises(SystemExit) as exc:
+        main(["register", "--store", world["store"], "--user", "alice",
+              "--key-file", world["user_key"], "--phrase", "p", "--timeout-ms", "5"])
+    assert exc.value.code == 1
+
+
 @pytest.mark.parametrize(
     "user,error", [("u" * 65, "1-64 UTF-8 bytes"), ("al\x1fice", "byte 0x1f")]
 )

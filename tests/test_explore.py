@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,19 @@ from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
 )
+
+
+def test_explore_imports_neither_the_simulator_nor_the_store():
+    # the model checker needs only the protocol, the wire format and crypto
+    src = Path(explore.__file__).resolve().parents[1]
+    code = (
+        "import sys, digilock.explore; "
+        "print(sorted({'digilock.sim', 'digilock.store'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_depth_zero_has_no_open():

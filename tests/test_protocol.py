@@ -276,7 +276,7 @@ def test_canonical_concat_is_unambiguous():
 
 
 @pytest.mark.parametrize("timeout_ms", [1, 3, 4, 5000])
-@pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase"])
+@pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase", "user-id"])
 def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
     # the direct loop and the simulator's channel model reach the same
     # locker session, deadline and failure included, on every path
@@ -289,12 +289,14 @@ def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
             provider_key = wrong
         elif fault == "phrase":
             creds = replace(creds, phrase="not " + creds.phrase)
+        elif fault == "user-id":  # no record for this id
+            creds = replace(creds, user_id="mallory")
         run = sim.drive_session(
             registry, creds, provider_key, timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
         session, _ = protocol.run_session(
-            registry.get_record(creds.user_id), registry.h_r,
+            registry.records.get(creds.user_id), registry.h_r,
             creds.user_id, creds.key, creds.phrase, provider_key,
             timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),

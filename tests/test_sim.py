@@ -245,21 +245,6 @@ def test_replayed_auth_pair_accepted_by_default():
     assert protocol.locker_verify_auth(record, auth).phase.value == "user-verified"
 
 
-def test_optional_seen_nonce_cache_rejects_replay():
-    from digilock.sim import LockerActor
-
-    registry, creds, provider_key = seed_world(43)
-    locker = LockerActor(registry, reject_seen_nonces=True)
-    user = UserActor(creds, rng=SeededRng(43, b"u"))
-    ((_, auth, _),) = user.begin()
-    first = locker.handle(auth, "user", 0)
-    assert first and first[0][1].kind is MessageKind.PROVIDER_KEY_REQUEST
-    second = locker.handle(auth, "user", 1)
-    assert second[0][1].kind is MessageKind.ERROR
-    assert second[0][1].fields[0] == b"replayed-nonce"
-    assert locker.session_for(creds.user_id).failure.value == "replayed-nonce"
-
-
 def test_user_actor_ignores_stray_messages():
     creds = Credentials("alice", SecretKey(b"k"), "p")
     actor = UserActor(creds, rng=SeededRng(1))

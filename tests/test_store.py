@@ -195,6 +195,25 @@ def test_vault_list_names_match_entry_files(tmp_path):
     assert sorted(stored) == sorted(names)
 
 
+def test_vault_name_limit_fits_the_temp_file_name(tmp_path):
+    # the entry is written through a temp file named hex(name) + ".json." +
+    # 8 random characters, which must fit a 255-byte file name
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("alice")
+    longest = "n" * 120
+    locker_store.vault_put("alice", longest, b"doc", key_l, session)
+    assert locker_store.vault_get("alice", longest, key_l, session) == b"doc"
+    assert locker_store.vault_list("alice", session) == [longest]
+    other = LockerStore(tmp_path / "other")
+    other.provision(SecretKey(b"master"))
+    with pytest.raises(StoreError, match="1-120 UTF-8 bytes"):
+        other.vault_put("alice", "é" * 60 + "n", b"doc", key_l, session)
+    assert not (tmp_path / "other" / "vault").exists()
+
+
 def test_vault_requires_open_session(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
