@@ -22,6 +22,14 @@ than drawn from an RNG, so states reached by different schedules compare
 equal and the search space is message scheduling, not nonce entropy;
 per-session distinctness, the property the protocol actually relies on,
 is preserved.
+
+Each search memoises its delivery step, keyed on the state's `Core` (both
+sessions, the nonce index, the genuine flags) plus the frame and its
+origin. The memo is exact: the step reads nothing else, since the world is
+fixed for the search and the pending pool and the adversary's knowledge
+only grow by the frame the step sends. So each distinct step runs once per
+search (about 1,700 of the 52,000 deliveries at depth 6), and the memo is
+dropped when the search returns.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
@@ -38,7 +47,6 @@ from .protocol import (
     ACTOR_PROVIDER,
     ACTOR_USER,
     TO_USER,
-    FailureReason,
     LockerPhase,
     LockerRecord,
     LockerSession,
@@ -95,19 +103,34 @@ class _World:
     provider_key: SecretKey
     h_r: Digest
     record: LockerRecord
-    provider_reply: bytes  # the provider's answer to every key request
+
+
+@dataclass(frozen=True)
+class Core:
+    """All a delivery reads and writes: both sessions, the nonce index and
+    who built what the locker accepted."""
+
+    locker: LockerSession | None
+    user: UserSession | None
+    serial: int  # next challenge's nonce-derivation index
+    auth_genuine: bool = False
+    pk_genuine: bool = False
+    ack_genuine: bool = False
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # many states share one core: hash it once
+        return hash((self.locker, self.user, self.serial, self.auth_genuine,
+                     self.pk_genuine, self.ack_genuine))
 
 
 @dataclass(frozen=True)
 class ModelState:
-    locker: LockerSession | None
-    user: UserSession | None
-    serial: int  # next challenge's nonce-derivation index
+    core: Core
     pending: tuple[tuple[bytes, str], ...]  # sorted (raw frame, origin)
     knowledge: frozenset[tuple[bytes, str]]
-    auth_genuine: bool = False
-    pk_genuine: bool = False
-    ack_genuine: bool = False
 
 
 @dataclass(frozen=True)
@@ -125,7 +148,6 @@ class Enumeration:
     outcomes: set[OutcomeSignature]
     states_explored: int
     transitions: int
-    open_states: int
     violations: list[OutcomeSignature]
 
     @property
@@ -136,17 +158,6 @@ class Enumeration:
     @property
     def opened(self) -> set[OutcomeSignature]:
         return {o for o in self.outcomes if o.locker_opened}
-
-
-# the constant replies, encoded once
-_FRAMES = {
-    msg: msg.encode()
-    for msg in (
-        protocol.PROVIDER_KEY_REQUEST,
-        protocol.RESULT_OPEN,
-        *map(protocol.error_message, FailureReason),
-    )
-}
 
 
 def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
@@ -167,9 +178,6 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         provider_key=provider_key,
         h_r=h_r,
         record=record,
-        provider_reply=protocol.provider_on_message(
-            provider_key, protocol.PROVIDER_KEY_REQUEST
-        ).encode(),
     )
     # one complete prior session, recorded off the wire by the adversary
     _, sent = protocol.run_session(
@@ -188,53 +196,31 @@ def _initial_state(
     include_honest_user: bool,
 ) -> ModelState:
     if not include_honest_user:
-        return ModelState(
-            locker=None, user=None, serial=1, pending=(), knowledge=old_knowledge
-        )
+        return ModelState(Core(locker=None, user=None, serial=1), (), old_knowledge)
     auth, user_session = protocol.user_begin_session(
         world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
     )
     entry = (auth.encode(), ACTOR_USER)
-    return ModelState(
-        locker=None,
-        user=user_session,
-        serial=1,
-        pending=(entry,),
-        knowledge=old_knowledge | {entry},
-    )
+    core = Core(locker=None, user=user_session, serial=1)
+    return ModelState(core, (entry,), old_knowledge | {entry})
 
 
-def _with_outputs(
-    state: ModelState, outputs: list[tuple[bytes, str]]
-) -> ModelState:
-    if not outputs:
-        return state
-    pending = tuple(sorted(state.pending + tuple(outputs)))
-    return replace(
-        state, pending=pending, knowledge=state.knowledge | set(outputs)
-    )
-
-
-def _deliver(
-    state: ModelState, world: _World, raw: bytes, origin: str, cache: dict
-) -> ModelState:
-    msg = cache.get(raw)
-    if msg is None:
-        msg = Message.decode(raw)
-        cache[raw] = msg
+def _step(
+    core: Core, world: _World, raw: bytes, origin: str
+) -> tuple[Core, tuple[bytes, str] | None]:
+    """One delivery on the memo-key fields: the next core and the frame sent."""
+    msg = Message.decode(raw)
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
-        return _with_outputs(state, [(world.provider_reply, ACTOR_PROVIDER)])
+        reply = protocol.provider_on_message(world.provider_key, msg)
+        return core, (reply.encode(), ACTOR_PROVIDER)
     if msg.kind in TO_USER:
-        if state.user is None:
-            return state
+        if core.user is None:
+            return core, None
         user, reply = protocol.user_on_message(
-            state.user, world.user_id, world.user_key, world.phrase, msg
+            core.user, world.user_id, world.user_key, world.phrase, msg
         )
-        if user is not state.user:
-            state = replace(state, user=user)
-        if reply is None:
-            return state
-        return _with_outputs(state, [(reply.encode(), ACTOR_USER)])
+        sent = None if reply is None else (reply.encode(), ACTOR_USER)
+        return replace(core, user=user), sent
     unknown = (  # the model registers one user; any other id has no record
         msg.kind is MessageKind.AUTH_REQUEST
         and msg.fields[0].decode("utf-8", errors="replace") != world.user_id
@@ -242,82 +228,94 @@ def _deliver(
     locker, reply = protocol.locker_on_message(
         None if unknown else world.record,
         world.h_r,
-        state.locker,
+        core.locker,
         msg,
         now=0,
         timeout_ms=_NO_TIMEOUT_MS,
-        rng=_QueueRng(world.seed, state.serial, b"nr", b"seal"),
+        rng=_QueueRng(world.seed, core.serial, b"nr", b"seal"),
     )
     if reply is None:
-        return state
-    raw_reply = _FRAMES.get(reply) or reply.encode()
+        return core, None
+    sent = (reply.encode(), ACTOR_LOCKER)
     if unknown:  # the refused session is dropped: the user's slot stays as it was
-        return _with_outputs(state, [(raw_reply, ACTOR_LOCKER)])
+        return core, sent
     # the genuine flags record who built what the locker accepted
-    changes: dict = {}
-    if msg.kind is MessageKind.AUTH_REQUEST:
-        user_built = origin == ACTOR_USER
-        changes = dict(auth_genuine=user_built, pk_genuine=False, ack_genuine=False)
-    elif locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
+    if msg.kind is MessageKind.AUTH_REQUEST:  # a new session: the other flags reset
+        return Core(locker, core.user, core.serial, origin == ACTOR_USER), sent
+    if locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
         pk_genuine = msg.fields[0] == bytes(world.provider_key)
-        changes = dict(serial=state.serial + 1, pk_genuine=pk_genuine)
-    elif locker.phase is LockerPhase.OPEN:
-        changes = dict(ack_genuine=origin == ACTOR_USER)
-    state = replace(state, locker=locker, **changes)
-    return _with_outputs(state, [(raw_reply, ACTOR_LOCKER)])
+        return replace(
+            core, locker=locker, serial=core.serial + 1, pk_genuine=pk_genuine
+        ), sent
+    if locker.phase is LockerPhase.OPEN:
+        return replace(core, locker=locker, ack_genuine=origin == ACTOR_USER), sent
+    return replace(core, locker=locker), sent
 
 
-def _without_pending(state: ModelState, entry: tuple[bytes, str]) -> ModelState:
-    pool = list(state.pending)
-    pool.remove(entry)
-    return replace(state, pending=tuple(pool))
+def _deliver(
+    state: ModelState, world: _World, raw: bytes, origin: str, memo: dict
+) -> ModelState:
+    """`_step` once per distinct (core, frame, origin) in a search; the sent
+    frame joins the pool and the adversary's knowledge."""
+    key = (state.core, raw, origin)
+    step = memo.get(key)
+    if step is None:
+        step = memo[key] = _step(state.core, world, raw, origin)
+    core, sent = step
+    if sent is None:
+        return ModelState(core, state.pending, state.knowledge)
+    knowledge = state.knowledge
+    if sent not in knowledge:
+        knowledge = knowledge | {sent}
+    return ModelState(core, tuple(sorted(state.pending + (sent,))), knowledge)
 
 
 def _successors(
-    state: ModelState, world: _World, cache: dict
+    state: ModelState, world: _World, memo: dict, flips: dict
 ) -> list[ModelState]:
     out: list[ModelState] = []
-    distinct = sorted(set(state.pending))
-    for entry in distinct:
+    for entry in sorted(set(state.pending)):
         raw, origin = entry
-        removed = _without_pending(state, entry)
+        pool = list(state.pending)
+        pool.remove(entry)
+        removed = ModelState(state.core, tuple(pool), state.knowledge)
         # deliver
-        out.append(_deliver(removed, world, raw, origin, cache))
+        out.append(_deliver(removed, world, raw, origin, memo))
         # drop
         out.append(removed)
         # duplicate (bounded; beyond that it's indistinguishable from inject)
         if state.pending.count(entry) < _DUP_CAP:
-            out.append(
-                replace(state, pending=tuple(sorted(state.pending + (entry,))))
-            )
+            pending = tuple(sorted(state.pending + (entry,)))
+            out.append(ModelState(state.core, pending, state.knowledge))
         # tamper: flip one bit in each field, delivered as adversary material
-        msg = cache.get(raw)
-        if msg is None:
+        flipped = flips.get(raw)
+        if flipped is None:
             msg = Message.decode(raw)
-            cache[raw] = msg
-        for index in range(len(msg.fields)):
-            flipped = flip_field_bit(msg, index).encode()
-            out.append(_deliver(removed, world, flipped, ACTOR_ADVERSARY, cache))
+            flipped = flips[raw] = [
+                flip_field_bit(msg, index).encode() for index in range(len(msg.fields))
+            ]
+        for bad in flipped:
+            out.append(_deliver(removed, world, bad, ACTOR_ADVERSARY, memo))
     # inject: replay anything ever observed, to its natural destination
     for raw, origin in sorted(state.knowledge):
-        out.append(_deliver(state, world, raw, origin, cache))
+        out.append(_deliver(state, world, raw, origin, memo))
     return out
 
 
-def _signature(state: ModelState) -> OutcomeSignature:
-    locker_phase = state.locker.phase if state.locker else LockerPhase.IDLE
-    locker_failure = state.locker.failure if state.locker else None
+def _signature(core: Core) -> OutcomeSignature:
+    locker_phase = core.locker.phase if core.locker else LockerPhase.IDLE
+    locker_failure = core.locker.failure if core.locker else None
     opened = locker_phase is LockerPhase.OPEN
     return OutcomeSignature(
         locker_phase=locker_phase.value,
         locker_failure=locker_failure.value if locker_failure else None,
-        user_phase=state.user.phase.value if state.user else None,
+        user_phase=core.user.phase.value if core.user else None,
         user_failure=(
-            state.user.failure.value if state.user and state.user.failure else None
+            core.user.failure.value if core.user and core.user.failure else None
         ),
         locker_opened=opened,
         genuine=(
-            (state.auth_genuine, state.pk_genuine, state.ack_genuine)
+            (core.auth_genuine, core.pk_genuine, core.ack_genuine)
             if opened
             else None
         ),
@@ -335,31 +333,34 @@ def enumerate_small_traces(
 
     Returns the set of reachable outcome signatures plus any soundness
     violations (Open without genuine auth, provider key, and user ack).
-    Raises DepthExceeded when depth or the visited-state budget is blown.
+    Raises ValueError for a negative depth, and DepthExceeded when depth or
+    the visited-state budget is blown.
     """
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     if depth > MAX_DEPTH:
         raise DepthExceeded(f"depth {depth} exceeds bounded-search cap {MAX_DEPTH}")
     world, old_knowledge = _build_world(seed)
     initial = _initial_state(world, old_knowledge, include_honest_user)
-    cache: dict[bytes, Message] = {}
+    # per search: the step of each distinct (core, frame, origin), and the
+    # bit-flipped copies of each frame
+    memo: dict[tuple[Core, bytes, str], tuple[Core, tuple[bytes, str] | None]] = {}
+    flips: dict[bytes, list[bytes]] = {}
     visited: dict[ModelState, int] = {initial: depth}
     frontier: deque[tuple[ModelState, int]] = deque([(initial, depth)])
     outcomes: set[OutcomeSignature] = set()
     violations: list[OutcomeSignature] = []
-    open_states = 0
     transitions = 0
     while frontier:
         state, budget = frontier.popleft()
-        sig = _signature(state)
+        sig = _signature(state.core)
         if sig not in outcomes:
             outcomes.add(sig)
-            if sig.locker_opened:
-                open_states += 1
-                if sig.genuine != (True, True, True):
-                    violations.append(sig)
+            if sig.locker_opened and sig.genuine != (True, True, True):
+                violations.append(sig)
         if budget == 0:
             continue
-        for nxt in _successors(state, world, cache):
+        for nxt in _successors(state, world, memo, flips):
             transitions += 1
             prior = visited.get(nxt)
             if prior is None or prior < budget - 1:
@@ -373,6 +374,5 @@ def enumerate_small_traces(
         outcomes=outcomes,
         states_explored=len(visited),
         transitions=transitions,
-        open_states=open_states,
         violations=violations,
     )

@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import protocol
-from .crypto import DIGEST_LEN, Ciphertext, Digest, Rng, SecretKey, seal, sha256, unseal
+from .crypto import (
+    DIGEST_LEN, AuthFailure, Ciphertext, Digest, Rng, SecretKey, seal, sha256, unseal,
+)
 from .protocol import LockerPhase, LockerRecord, LockerSession
 from .wire import encode_fields
 
@@ -411,9 +413,15 @@ class LockerStore:
         path = self._entry_path(user_id, name)
         if not path.exists():
             raise UnknownDocument(f"no document {name!r} for user {user_id!r}")
-        with open(path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        return unseal(vault_key(key_l), _ct_from_json(entry["sealed"]))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                entry = json.load(handle)
+            return unseal(vault_key(key_l), _ct_from_json(entry["sealed"]))
+        except (AuthFailure, KeyError, TypeError, ValueError) as exc:
+            raise StoreError(
+                f"vault entry {name!r} of user {user_id!r} is malformed or does not "
+                f"unseal ({type(exc).__name__})"
+            ) from exc
 
     def vault_list(
         self, user_id: str, session: LockerSession | None

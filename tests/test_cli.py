@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import hashlib
 import io
@@ -175,6 +176,32 @@ def test_vault_get_to_a_text_stdout_exits_8_and_names_out(world, capsys):
     assert code == 8
     assert text_out.getvalue() == ""
     assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ["tag-altered", "sealed-removed"])
+def test_vault_get_of_a_corrupt_entry_exits_8_without_a_traceback(world, capsys, corrupt):
+    _provision(world)
+    _register(world)
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed bytes")
+    base = _vault_base(world)
+    assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
+    (path,) = (Path(world["store"]) / "vault").glob("*/*.json")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    if corrupt == "tag-altered":
+        tag = bytearray(base64.b64decode(entry["sealed"]["tag"]))
+        tag[0] ^= 1
+        entry["sealed"]["tag"] = base64.b64encode(bytes(tag)).decode("ascii")
+    else:
+        del entry["sealed"]
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    capsys.readouterr()
+    out = world["tmp"] / "restored.bin"
+    assert main(["vault", *base, "get", "--name", "deed", "--out", str(out)]) == 8
+    err = capsys.readouterr().err
+    assert "'deed'" in err and "'alice'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_vault_get_before_put_exits_7(world):

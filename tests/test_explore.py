@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
 )
+from digilock.protocol import ACTOR_ADVERSARY, ACTOR_USER
 
 
 def test_explore_imports_neither_the_simulator_nor_the_store():
@@ -36,6 +38,13 @@ def test_depth_zero_has_no_open():
 def test_depth_cap_enforced():
     with pytest.raises(DepthExceeded):
         enumerate_small_traces(depth=9)
+
+
+def test_negative_depth_is_refused():
+    # a negative depth has no bound at all; the small budget only keeps a
+    # search that does not check the depth from running for long
+    with pytest.raises(ValueError, match="depth -1"):
+        enumerate_small_traces(depth=-1, state_budget=1000)
 
 
 def test_state_budget_enforced():
@@ -90,6 +99,53 @@ def test_search_space_counts_are_pinned(depth, include_honest_user, counts):
         depth=depth, seed=0, include_honest_user=include_honest_user
     )
     assert (enum.states_explored, enum.transitions) == counts
+
+
+@pytest.mark.parametrize(
+    "include_honest_user,pinned",
+    [
+        (True, "dc31cc039b5703bc141d0d6e3c0620f6d456724317d275b56ca7ef9fea253586"),
+        (False, "06f043190b03e001777f2f8c0dfba161a1dbce613d938c70b13b4022286846de"),
+    ],
+)
+def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
+    # every distinct outcome the depth-6 search reaches, not only its size:
+    # a change that keeps the counts but reaches other outcomes shows up here
+    enum = enumerate_small_traces(depth=6, seed=0, include_honest_user=include_honest_user)
+    lines = "\n".join(sorted(repr(astuple(o)) for o in enum.outcomes))
+    assert hashlib.sha256(lines.encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
+    # the depth-5 search delivers from every state reached in four moves;
+    # each delivery through its memo must equal the same delivery made with
+    # an empty memo, or the memo hands one state another state's successor.
+    # In reachable states the origin and the genuine flags follow from the
+    # other fields, so each delivery is also checked from the other origin
+    # and with each flag flipped: a memo key that leaves any of them out
+    # then fails too
+    deliver = explore._deliver
+    calls = 0
+
+    def checked(state, world, raw, origin, memo):
+        nonlocal calls
+        calls += 1
+        other = ACTOR_ADVERSARY if origin == ACTOR_USER else ACTOR_USER
+        variants = [(state, other)]
+        for flag in ("auth_genuine", "pk_genuine", "ack_genuine"):
+            core = replace(state.core, **{flag: not getattr(state.core, flag)})
+            variants.append((replace(state, core=core), origin))
+        for variant, sender in variants:
+            got = deliver(variant, world, raw, sender, memo)
+            assert got == deliver(variant, world, raw, sender, {}), (variant, raw, sender)
+        got = deliver(state, world, raw, origin, memo)
+        assert got == deliver(state, world, raw, origin, {}), (state, raw, origin)
+        return got
+
+    monkeypatch.setattr(explore, "_deliver", checked)
+    enumerate_small_traces(depth=5, seed=seed)
+    assert calls > 10_000
 
 
 def test_enumeration_is_deterministic():

@@ -237,6 +237,39 @@ def test_vault_unknown_document(tmp_path):
         locker_store.vault_get("alice", "missing", key_l, _open_session("alice"))
 
 
+def _alter_tag(entry):
+    tag = bytearray(base64.b64decode(entry["sealed"]["tag"]))
+    tag[0] ^= 1
+    entry["sealed"]["tag"] = base64.b64encode(bytes(tag)).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _alter_tag,
+        lambda entry: entry.pop("sealed"),
+        lambda entry: entry.update(sealed=["not", "a", "ciphertext"]),
+        lambda entry: entry["sealed"].update(nonce="not base64!"),
+    ],
+    ids=["tag-altered", "sealed-removed", "sealed-not-a-mapping", "nonce-not-base64"],
+)
+def test_vault_get_of_a_corrupt_entry_is_a_store_error(tmp_path, corrupt):
+    # a failed unseal or a malformed entry is a store failure that names the
+    # document and its user, not an AuthFailure or KeyError from the inside
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("alice")
+    locker_store.vault_put("alice", "deed", b"deed bytes", key_l, session)
+    (path,) = locker_store.vault_dir("alice").glob("*.json")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(entry)
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    with pytest.raises(StoreError, match="'deed'.*'alice'"):
+        locker_store.vault_get("alice", "deed", key_l, session)
+
+
 def test_vault_file_does_not_leak_plaintext(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
