@@ -23,21 +23,24 @@ equal and the search space is message scheduling, not nonce entropy;
 per-session distinctness, the property the protocol actually relies on,
 is preserved.
 
-Each search memoises its delivery step, keyed on the state's `Core` (both
-sessions, the nonce index, the genuine flags) plus the frame and its
-origin. The memo is exact: the step reads nothing else, since the world is
-fixed for the search and the pending pool and the adversary's knowledge
-only grow by the frame the step sends. So each distinct step runs once per
-search (about 1,700 of the 52,000 deliveries at depth 6), and the memo is
-dropped when the search returns.
+Each search interns every distinct (raw frame, origin) pair and every
+distinct `Core` (both sessions, the nonce index, the genuine flags) as a
+small int, in tables that die with the search. A state is a tuple of ints:
+the core id, the pending pool as a sorted tuple of frame ids, and the
+adversary's knowledge as a bitmask of frame ids. The delivery step is
+memoised on (core id, frame id), and the memo is exact: a frame id stands
+for the bytes and the origin, a core id for every field the step reads,
+the world is fixed, and the pool and knowledge only grow by the frame
+sent. So each distinct step runs once per search (about 1,700 of the
+52,000 deliveries at depth 6).
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
@@ -117,20 +120,9 @@ class Core:
     pk_genuine: bool = False
     ack_genuine: bool = False
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    @cached_property
-    def _hash(self) -> int:  # many states share one core: hash it once
-        return hash((self.locker, self.user, self.serial, self.auth_genuine,
-                     self.pk_genuine, self.ack_genuine))
-
-
-@dataclass(frozen=True)
-class ModelState:
-    core: Core
-    pending: tuple[tuple[bytes, str], ...]  # sorted (raw frame, origin)
-    knowledge: frozenset[tuple[bytes, str]]
+# (core id, sorted pending frame ids, knowledge bitmask of frame ids)
+_State = tuple[int, tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -191,18 +183,22 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
 
 
 def _initial_state(
-    world: _World,
+    tables: _Tables,
     old_knowledge: frozenset[tuple[bytes, str]],
     include_honest_user: bool,
-) -> ModelState:
+) -> _State:
+    knowledge = 0
+    for entry in sorted(old_knowledge):  # sorted: the same ids in every process
+        knowledge |= 1 << tables.frame(entry)
     if not include_honest_user:
-        return ModelState(Core(locker=None, user=None, serial=1), (), old_knowledge)
+        return tables.core(Core(locker=None, user=None, serial=1)), (), knowledge
+    world = tables.world
     auth, user_session = protocol.user_begin_session(
         world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
     )
-    entry = (auth.encode(), ACTOR_USER)
-    core = Core(locker=None, user=user_session, serial=1)
-    return ModelState(core, (entry,), old_knowledge | {entry})
+    frame_id = tables.frame((auth.encode(), ACTOR_USER))
+    core_id = tables.core(Core(locker=None, user=user_session, serial=1))
+    return core_id, (frame_id,), knowledge | 1 << frame_id
 
 
 def _step(
@@ -252,53 +248,87 @@ def _step(
     return replace(core, locker=locker), sent
 
 
-def _deliver(
-    state: ModelState, world: _World, raw: bytes, origin: str, memo: dict
-) -> ModelState:
-    """`_step` once per distinct (core, frame, origin) in a search; the sent
-    frame joins the pool and the adversary's knowledge."""
-    key = (state.core, raw, origin)
-    step = memo.get(key)
-    if step is None:
-        step = memo[key] = _step(state.core, world, raw, origin)
-    core, sent = step
-    if sent is None:
-        return ModelState(core, state.pending, state.knowledge)
-    knowledge = state.knowledge
-    if sent not in knowledge:
-        knowledge = knowledge | {sent}
-    return ModelState(core, tuple(sorted(state.pending + (sent,))), knowledge)
+class _Tables:
+    """One search's frame and core ids and its memos, dropped when it returns."""
+
+    def __init__(self, world: _World) -> None:
+        self.world = world
+        self.frames: list[tuple[bytes, str]] = []
+        self.frame_ids: dict[tuple[bytes, str], int] = {}
+        self.cores: list[Core] = []
+        self.core_ids: dict[Core, int] = {}
+        self.steps: dict[tuple[int, int], tuple[int, int | None]] = {}
+        self.flips: dict[int, tuple[int, ...]] = {}
+
+    def frame(self, entry: tuple[bytes, str]) -> int:
+        frame_id = self.frame_ids.get(entry)
+        if frame_id is None:
+            frame_id = self.frame_ids[entry] = len(self.frames)
+            self.frames.append(entry)
+        return frame_id
+
+    def core(self, core: Core) -> int:
+        core_id = self.core_ids.get(core)
+        if core_id is None:
+            core_id = self.core_ids[core] = len(self.cores)
+            self.cores.append(core)
+        return core_id
+
+    def deliver(self, core_id: int, frame_id: int) -> tuple[int, int | None]:
+        """`_step` once per distinct (core, frame, origin) in a search: the
+        next core's id and the sent frame's id (None if nothing is sent)."""
+        key = (core_id, frame_id)
+        step = self.steps.get(key)
+        if step is None:
+            core, sent = _step(self.cores[core_id], self.world, *self.frames[frame_id])
+            step = self.steps[key] = (
+                self.core(core), None if sent is None else self.frame(sent)
+            )
+        return step
+
+    def flipped(self, frame_id: int) -> tuple[int, ...]:
+        """The frame with one bit flipped in each field, as adversary frames."""
+        flips = self.flips.get(frame_id)
+        if flips is None:
+            msg = Message.decode(self.frames[frame_id][0])
+            flips = self.flips[frame_id] = tuple(
+                self.frame((flip_field_bit(msg, index).encode(), ACTOR_ADVERSARY))
+                for index in range(len(msg.fields))
+            )
+        return flips
 
 
-def _successors(
-    state: ModelState, world: _World, memo: dict, flips: dict
-) -> list[ModelState]:
-    out: list[ModelState] = []
-    for entry in sorted(set(state.pending)):
-        raw, origin = entry
-        pool = list(state.pending)
-        pool.remove(entry)
-        removed = ModelState(state.core, tuple(pool), state.knowledge)
-        # deliver
-        out.append(_deliver(removed, world, raw, origin, memo))
+def _successors(tables: _Tables, state: _State) -> list[_State]:
+    core_id, pending, knowledge = state
+    out: list[_State] = []
+
+    def deliver(frame_id: int, pool: tuple[int, ...]) -> None:
+        next_core, sent = tables.deliver(core_id, frame_id)
+        if sent is None:
+            out.append((next_core, pool, knowledge))
+        else:
+            grown = list(pool)
+            insort(grown, sent)
+            out.append((next_core, tuple(grown), knowledge | 1 << sent))
+
+    for index, frame_id in enumerate(pending):
+        if index and pending[index - 1] == frame_id:
+            continue  # a copy: same moves as the first
+        removed = pending[:index] + pending[index + 1:]
+        deliver(frame_id, removed)
         # drop
-        out.append(removed)
+        out.append((core_id, removed, knowledge))
         # duplicate (bounded; beyond that it's indistinguishable from inject)
-        if state.pending.count(entry) < _DUP_CAP:
-            pending = tuple(sorted(state.pending + (entry,)))
-            out.append(ModelState(state.core, pending, state.knowledge))
+        if pending.count(frame_id) < _DUP_CAP:
+            doubled = pending[:index] + (frame_id,) + pending[index:]
+            out.append((core_id, doubled, knowledge))
         # tamper: flip one bit in each field, delivered as adversary material
-        flipped = flips.get(raw)
-        if flipped is None:
-            msg = Message.decode(raw)
-            flipped = flips[raw] = [
-                flip_field_bit(msg, index).encode() for index in range(len(msg.fields))
-            ]
-        for bad in flipped:
-            out.append(_deliver(removed, world, bad, ACTOR_ADVERSARY, memo))
+        for bad in tables.flipped(frame_id):
+            deliver(bad, removed)
     # inject: replay anything ever observed, to its natural destination
-    for raw, origin in sorted(state.knowledge):
-        out.append(_deliver(state, world, raw, origin, memo))
+    for frame_id in range(knowledge.bit_length()):
+        if knowledge >> frame_id & 1:
+            deliver(frame_id, pending)
     return out
 
 
@@ -341,26 +371,16 @@ def enumerate_small_traces(
     if depth > MAX_DEPTH:
         raise DepthExceeded(f"depth {depth} exceeds bounded-search cap {MAX_DEPTH}")
     world, old_knowledge = _build_world(seed)
-    initial = _initial_state(world, old_knowledge, include_honest_user)
-    # per search: the step of each distinct (core, frame, origin), and the
-    # bit-flipped copies of each frame
-    memo: dict[tuple[Core, bytes, str], tuple[Core, tuple[bytes, str] | None]] = {}
-    flips: dict[bytes, list[bytes]] = {}
-    visited: dict[ModelState, int] = {initial: depth}
-    frontier: deque[tuple[ModelState, int]] = deque([(initial, depth)])
-    outcomes: set[OutcomeSignature] = set()
-    violations: list[OutcomeSignature] = []
+    tables = _Tables(world)
+    initial = _initial_state(tables, old_knowledge, include_honest_user)
+    visited: dict[_State, int] = {initial: depth}
+    frontier: deque[tuple[_State, int]] = deque([(initial, depth)])
     transitions = 0
     while frontier:
         state, budget = frontier.popleft()
-        sig = _signature(state.core)
-        if sig not in outcomes:
-            outcomes.add(sig)
-            if sig.locker_opened and sig.genuine != (True, True, True):
-                violations.append(sig)
         if budget == 0:
             continue
-        for nxt in _successors(state, world, memo, flips):
+        for nxt in _successors(tables, state):
             transitions += 1
             prior = visited.get(nxt)
             if prior is None or prior < budget - 1:
@@ -370,9 +390,16 @@ def enumerate_small_traces(
                         f"visited states exceeded budget {state_budget}"
                     )
                 frontier.append((nxt, budget - 1))
+    # an outcome depends only on the core: one signature per visited core,
+    # in the order the search first reached it
+    cores = dict.fromkeys(core_id for core_id, _, _ in visited)
+    outcomes = dict.fromkeys(_signature(tables.cores[core_id]) for core_id in cores)
     return Enumeration(
-        outcomes=outcomes,
+        outcomes=set(outcomes),
         states_explored=len(visited),
         transitions=transitions,
-        violations=violations,
+        violations=[
+            sig for sig in outcomes
+            if sig.locker_opened and sig.genuine != (True, True, True)
+        ],
     )

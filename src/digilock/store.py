@@ -430,8 +430,17 @@ class LockerStore:
         directory = self.vault_dir(user_id)
         if not directory.exists():
             return []
+        names = []
         # the file name is hex(UTF-8 name), so hex order is byte order
-        return [
-            bytes.fromhex(path.stem).decode("utf-8")
-            for path in sorted(directory.glob("*.json"))
-        ]
+        for path in sorted(directory.glob("*.json")):
+            try:
+                name = bytes.fromhex(path.stem).decode("utf-8")
+            except ValueError:  # not hex, or not UTF-8 (UnicodeDecodeError)
+                name = ""
+            # only the file `_entry_path` writes for the name lists it
+            if name.encode("utf-8").hex() != path.stem:
+                raise StoreError(
+                    f"vault file {path.name!r} of user {user_id!r} is not a document entry"
+                )
+            names.append(name)
+        return names

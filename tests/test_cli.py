@@ -204,6 +204,23 @@ def test_vault_get_of_a_corrupt_entry_exits_8_without_a_traceback(world, capsys,
     assert not out.exists()
 
 
+def test_vault_list_with_a_stray_file_exits_8_and_names_it(world, capsys):
+    _provision(world)
+    _register(world)
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed bytes")
+    base = _vault_base(world)
+    assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
+    (path,) = (Path(world["store"]) / "vault").glob("*/*.json")
+    (path.parent / "zz.json").write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["vault", *base, "list"]) == 8
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "'zz.json'" in line and "'alice'" in line
+
+
 def test_vault_get_before_put_exits_7(world):
     _provision(world)
     _register(world)

@@ -90,7 +90,12 @@ def test_adversary_only_never_opens():
 
 @pytest.mark.parametrize(
     "depth,include_honest_user,counts",
-    [(4, True, (994, 3946)), (6, True, (13_106, 69_371)), (6, False, (393, 2408))],
+    [
+        (4, True, (994, 3946)),
+        (6, True, (13_106, 69_371)),
+        (6, False, (393, 2408)),
+        (7, True, (42_627, 267_092)),
+    ],
 )
 def test_search_space_counts_are_pinned(depth, include_honest_user, counts):
     # the exact size of the searched space: a change to the model's
@@ -119,31 +124,39 @@ def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
     # the depth-5 search delivers from every state reached in four moves;
-    # each delivery through its memo must equal the same delivery made with
-    # an empty memo, or the memo hands one state another state's successor.
+    # each delivery through its memo, read back through the interning
+    # tables, must equal a fresh `_step` on the same core and frame, or the
+    # memo or an interned id hands one state another state's successor.
     # In reachable states the origin and the genuine flags follow from the
     # other fields, so each delivery is also checked from the other origin
-    # and with each flag flipped: a memo key that leaves any of them out
-    # then fails too
-    deliver = explore._deliver
+    # and with each flag flipped: a memo, frame or core key that leaves any
+    # of them out then fails too
+    deliver = explore._Tables.deliver
     calls = 0
 
-    def checked(state, world, raw, origin, memo):
+    def check(tables, core, raw, origin, step):
+        next_core, sent = step
+        expected = explore._step(core, tables.world, raw, origin)
+        got = (tables.cores[next_core], None if sent is None else tables.frames[sent])
+        assert got == expected, (core, raw, origin)
+
+    def checked(tables, core_id, frame_id):
         nonlocal calls
         calls += 1
+        core = tables.cores[core_id]
+        raw, origin = tables.frames[frame_id]
         other = ACTOR_ADVERSARY if origin == ACTOR_USER else ACTOR_USER
-        variants = [(state, other)]
+        variants = [(core, other)]
         for flag in ("auth_genuine", "pk_genuine", "ack_genuine"):
-            core = replace(state.core, **{flag: not getattr(state.core, flag)})
-            variants.append((replace(state, core=core), origin))
+            variants.append((replace(core, **{flag: not getattr(core, flag)}), origin))
         for variant, sender in variants:
-            got = deliver(variant, world, raw, sender, memo)
-            assert got == deliver(variant, world, raw, sender, {}), (variant, raw, sender)
-        got = deliver(state, world, raw, origin, memo)
-        assert got == deliver(state, world, raw, origin, {}), (state, raw, origin)
-        return got
+            step = deliver(tables, tables.core(variant), tables.frame((raw, sender)))
+            check(tables, variant, raw, sender, step)
+        step = deliver(tables, core_id, frame_id)
+        check(tables, core, raw, origin, step)
+        return step
 
-    monkeypatch.setattr(explore, "_deliver", checked)
+    monkeypatch.setattr(explore._Tables, "deliver", checked)
     enumerate_small_traces(depth=5, seed=seed)
     assert calls > 10_000
 

@@ -270,6 +270,25 @@ def test_vault_get_of_a_corrupt_entry_is_a_store_error(tmp_path, corrupt):
         locker_store.vault_get("alice", "deed", key_l, session)
 
 
+@pytest.mark.parametrize(
+    "stem", ["zz", "ff", "4A"], ids=["not-hex", "not-utf-8", "upper-case-hex"]
+)
+def test_vault_list_of_a_stray_file_is_a_store_error(tmp_path, stem):
+    # a file whose name is not lower-case hex(UTF-8 name) cannot be listed;
+    # the error names the file and its user, not a bare fromhex or codec
+    # error. "4A" would otherwise list a document "J" that `vault_get("J")`
+    # never reads, since it opens "4a.json"
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("alice")
+    locker_store.vault_put("alice", "deed", b"deed bytes", key_l, session)
+    (locker_store.vault_dir("alice") / f"{stem}.json").write_text("{}", encoding="utf-8")
+    with pytest.raises(StoreError, match=f"'{stem}.json'.*'alice'"):
+        locker_store.vault_list("alice", session)
+
+
 def test_vault_file_does_not_leak_plaintext(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
