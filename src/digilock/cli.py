@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import protocol, sim, store
 from .crypto import SecretKey
-from .protocol import DEFAULT_TIMEOUT_MS, LockerPhase, LockerSession
+from .protocol import DEFAULT_TIMEOUT_MS, FailureReason, LockerPhase, LockerSession
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,8 +45,8 @@ EXIT_FAILURE = 8
 STORE_ENV_VAR = "DIGILOCK_STORE"
 
 _FAILURE_EXITS = {
-    "bad-user-key": EXIT_BAD_USER_KEY,
-    "bad-provider-key": EXIT_BAD_PROVIDER_KEY,
+    FailureReason.BAD_USER_KEY: EXIT_BAD_USER_KEY,
+    FailureReason.BAD_PROVIDER_KEY: EXIT_BAD_PROVIDER_KEY,
 }
 
 
@@ -126,7 +126,7 @@ def _access_exit(session: LockerSession, args: argparse.Namespace) -> int:
         f"DENIED ({reason})",
         {"locker_opened": False, "failure_reason": reason},
     )
-    return _FAILURE_EXITS.get(reason, EXIT_FAILURE)
+    return _FAILURE_EXITS.get(session.failure, EXIT_FAILURE)
 
 
 def cmd_access(args: argparse.Namespace) -> int:

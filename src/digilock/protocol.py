@@ -25,6 +25,14 @@ and the model checker (`explore`). So the search checks the code the
 scenarios and the CLI run. The model differs from the simulated locker on
 purpose: it has one registered user, an auth request for an unknown id
 leaves that user's session untouched, and it has no provider-key FIFO.
+
+A refusal is never an exception. A step that refuses returns its session
+FAILED with a `FailureReason` (and no message where it would build one),
+and each transition turns a failed session into its reply in one place.
+Exceptions are for caller errors only: `OutOfOrder` for a step called in a
+phase that does not permit it, `EncodingError` for a user id or phrase to
+register or send that the wire cannot carry, and `ValueError` for a step
+handed the wrong message kind.
 """
 
 from __future__ import annotations
@@ -70,18 +78,6 @@ class OutOfOrder(ProtocolError):
 
 class EncodingError(ProtocolError):
     """A field violates its encoding constraints (length, separator byte)."""
-
-
-class BlobAuthFailure(ProtocolError):
-    """The registration blob refused to open: the derived L is wrong."""
-
-
-class ChallengeAuthFailure(ProtocolError):
-    """The challenge refused to open: the receiver's session key is wrong."""
-
-
-class PhraseMismatch(ProtocolError):
-    """The challenge opened but the secret phrase differs from the held copy."""
 
 
 class FailureReason(enum.Enum):
@@ -137,6 +133,11 @@ class UserSession:
     n_a: Nonce | None = None
     k_s: Digest | None = None
     failure: FailureReason | None = None
+
+
+def _fail(session, reason: FailureReason):
+    """`session` (a LockerSession or UserSession) ended by `reason`."""
+    return replace(session, phase=type(session.phase).FAILED, failure=reason)
 
 
 def user_id_bytes(user_id: str) -> bytes:
@@ -236,11 +237,7 @@ def locker_verify_provider(
         raise OutOfOrder(f"provider check in phase {session.phase.value}")
     if ct_equal(sha256(bytes(provider_key)), stored_h_r):
         return replace(session, phase=LockerPhase.PROVIDER_VERIFIED)
-    return replace(
-        session,
-        phase=LockerPhase.FAILED,
-        failure=FailureReason.BAD_PROVIDER_KEY,
-    )
+    return _fail(session, FailureReason.BAD_PROVIDER_KEY)
 
 
 def locker_build_challenge(
@@ -251,28 +248,23 @@ def locker_build_challenge(
     now: int,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng: Rng | None = None,
-) -> tuple[Message, LockerSession]:
+) -> tuple[Message | None, LockerSession]:
     """Derive L, open the blob, and seal (m, N_r) under the session key.
 
     Opening the blob is the non-repudiation pivot: it succeeds only when
     both the stored user digest and the supplied provider key are genuine.
+    A blob that does not open under L to a (phrase, key, user id) triple
+    fails the session with blob-auth-failure and builds no challenge.
     """
     if session.phase is not LockerPhase.PROVIDER_VERIFIED:
         raise OutOfOrder(f"challenge build in phase {session.phase.value}")
     assert session.n_a is not None
     key_l = locker_key(record.d_u, sha256(bytes(provider_key)))
     try:
-        plain = unseal(key_l, record.sealed)
-    except AuthFailure as exc:
-        raise BlobAuthFailure("registration blob did not open under L") from exc
-    try:
-        parts = decode_fields(plain)
-    except WireError as exc:
-        raise EncodingError("registration blob decoded to malformed fields") from exc
-    if len(parts) != 3:
-        raise EncodingError(f"registration blob held {len(parts)} fields, wanted 3")
-    m, key_raw, uid = parts
-    k_s = session_key(uid.decode("utf-8"), SecretKey(key_raw), session.n_a)
+        m, key_raw, uid = decode_fields(unseal(key_l, record.sealed))
+        k_s = session_key(uid.decode("utf-8"), SecretKey(key_raw), session.n_a)
+    except (AuthFailure, WireError, ValueError, EncodingError):
+        return None, _fail(session, FailureReason.BLOB_AUTH_FAILURE)
     n_r = fresh_nonce(rng)
     body = seal(k_s, encode_fields([m, bytes(n_r)]), rng)
     msg = Message(MessageKind.CHALLENGE, (body.to_bytes(),))
@@ -292,33 +284,31 @@ def user_process_challenge(
     key: SecretKey,
     held_phrase: str,
     msg: Message,
-) -> tuple[Message, UserSession]:
+) -> tuple[Message | None, UserSession]:
     """Open the challenge, verify the phrase, and emit the consent digest.
 
-    Raises ChallengeAuthFailure when the challenge was sealed under a
-    different session key (stale nonce, impersonator) and PhraseMismatch
-    when it opens but the phrase is not the one this user registered.
+    A challenge sealed under another session key (stale nonce,
+    impersonator) fails the session with challenge-auth-failure; one that
+    opens to anything but this user's phrase and a nonce fails it with
+    phrase-mismatch. A failed session gets no ack.
     """
     if msg.kind is not MessageKind.CHALLENGE:
         raise ValueError(f"expected challenge, got {msg.kind.label}")
     if session.phase is not UserPhase.AWAITING_CHALLENGE or session.n_a is None:
         raise OutOfOrder(f"challenge received in phase {session.phase.value}")
     k_s = session_key(user_id, key, session.n_a)
-    ct = Ciphertext.from_bytes(msg.fields[0])
     try:
-        plain = unseal(k_s, ct)
-    except AuthFailure as exc:
-        raise ChallengeAuthFailure("challenge did not open under K_s") from exc
-    try:
-        parts = decode_fields(plain)
-    except WireError as exc:
-        raise EncodingError("challenge decoded to malformed fields") from exc
-    if len(parts) != 2:
-        raise EncodingError(f"challenge held {len(parts)} fields, wanted 2")
-    m, n_r_raw = parts
-    if m != phrase_bytes(held_phrase):
-        raise PhraseMismatch("decrypted phrase differs from the held copy")
-    n_r = Nonce(n_r_raw)
+        plain = unseal(k_s, Ciphertext.from_bytes(msg.fields[0]))
+    except AuthFailure:
+        return None, _fail(session, FailureReason.CHALLENGE_AUTH_FAILURE)
+    try:  # a held phrase no registration could hold matches nothing
+        m, n_r_raw = decode_fields(plain)
+        matched = m == phrase_bytes(held_phrase)
+        n_r = Nonce(n_r_raw)
+    except (WireError, ValueError, EncodingError):
+        matched = False
+    if not matched:
+        return None, _fail(session, FailureReason.PHRASE_MISMATCH)
     ack = Message(MessageKind.ACK, (bytes(ack_digest(session.n_a, n_r)),))
     state = replace(session, phase=UserPhase.ACK_SENT, k_s=k_s)
     return ack, state
@@ -335,12 +325,10 @@ def locker_verify_ack(
     assert session.n_a is not None and session.n_r is not None
     assert session.deadline is not None
     if now > session.deadline:
-        return replace(
-            session, phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
-        )
+        return _fail(session, FailureReason.TIMEOUT)
     if ct_equal(msg.fields[0], ack_digest(session.n_a, session.n_r)):
         return replace(session, phase=LockerPhase.OPEN)
-    return replace(session, phase=LockerPhase.FAILED, failure=FailureReason.BAD_ACK)
+    return _fail(session, FailureReason.BAD_ACK)
 
 
 def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
@@ -350,9 +338,7 @@ def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
         and session.deadline is not None
         and now > session.deadline
     ):
-        return replace(
-            session, phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
-        )
+        return _fail(session, FailureReason.TIMEOUT)
     return session
 
 
@@ -400,35 +386,29 @@ def locker_on_message(
     """
     if msg.kind is MessageKind.AUTH_REQUEST:
         session = locker_verify_auth(record, msg)
-        if session.phase is LockerPhase.USER_VERIFIED:
-            return session, PROVIDER_KEY_REQUEST
-        return session, error_message(FailureReason.BAD_USER_KEY)
-    if session is None:
+        reply = PROVIDER_KEY_REQUEST
+    elif session is None:
         return session, None
-    if (
+    elif (
         msg.kind is MessageKind.PROVIDER_KEY
         and session.phase is LockerPhase.USER_VERIFIED
     ):
         provider_key = SecretKey(msg.fields[0])
         session = locker_verify_provider(h_r, provider_key, session)
-        if session.phase is LockerPhase.FAILED:
-            return session, error_message(FailureReason.BAD_PROVIDER_KEY)
-        try:
-            challenge, session = locker_build_challenge(
+        reply = None
+        if session.phase is LockerPhase.PROVIDER_VERIFIED:
+            reply, session = locker_build_challenge(
                 record, provider_key, session, now=now, timeout_ms=timeout_ms, rng=rng
             )
-        except BlobAuthFailure:
-            failure = FailureReason.BLOB_AUTH_FAILURE
-            session = replace(session, phase=LockerPhase.FAILED, failure=failure)
-            return session, error_message(failure)
-        return session, challenge
-    if msg.kind is MessageKind.ACK and session.phase is LockerPhase.CHALLENGE_SENT:
+    elif msg.kind is MessageKind.ACK and session.phase is LockerPhase.CHALLENGE_SENT:
         session = locker_verify_ack(session, msg, now)
-        if session.phase is LockerPhase.OPEN:
-            return session, RESULT_OPEN
+        reply = RESULT_OPEN
+    else:
+        return session, None
+    if session.phase is LockerPhase.FAILED:
         assert session.failure is not None
         return session, error_message(session.failure)
-    return session, None
+    return session, reply
 
 
 def user_on_message(
@@ -445,26 +425,19 @@ def user_on_message(
     the session; an error ends an unfinished session with its reason.
     Anything else changes nothing and gets no reply.
     """
-    if msg.kind is MessageKind.CHALLENGE:
-        if session.phase is not UserPhase.AWAITING_CHALLENGE:
-            return session, None
-        try:
-            ack, session = user_process_challenge(session, user_id, key, phrase, msg)
-        except ChallengeAuthFailure:
-            failure = FailureReason.CHALLENGE_AUTH_FAILURE
-        except (PhraseMismatch, EncodingError):
-            failure = FailureReason.PHRASE_MISMATCH
-        else:
-            return session, ack
-        return replace(session, phase=UserPhase.FAILED, failure=failure), None
+    if (
+        msg.kind is MessageKind.CHALLENGE
+        and session.phase is UserPhase.AWAITING_CHALLENGE
+    ):
+        ack, session = user_process_challenge(session, user_id, key, phrase, msg)
+        return session, ack
     if msg.kind is MessageKind.RESULT and session.phase is UserPhase.ACK_SENT:
         return replace(session, phase=UserPhase.DONE), None
     if msg.kind is MessageKind.ERROR and session.phase not in (
         UserPhase.DONE,
         UserPhase.FAILED,
     ):
-        failure = reason_from_wire(msg.fields[0])
-        return replace(session, phase=UserPhase.FAILED, failure=failure), None
+        return _fail(session, reason_from_wire(msg.fields[0])), None
     return session, None
 
 

@@ -95,8 +95,8 @@ SCENARIO_NAMES = tuple(dict.fromkeys(name for name, _ in _PLANS))
 class SimClock:
     """Integer-millisecond clock advanced explicitly by the driver."""
 
-    def __init__(self, start: int = 0) -> None:
-        self.now = start
+    def __init__(self) -> None:
+        self.now = 0
 
     def advance(self, ms: int) -> None:
         self.now += ms
@@ -515,14 +515,12 @@ class ScenarioSpec:
         )
 
 
-def seed_world(
-    seed: int, *, user_id: str = "alice"
-) -> tuple[Registry, Credentials, SecretKey]:
-    """Provision a registry and register one user, all from the seed."""
+def seed_world(seed: int) -> tuple[Registry, Credentials, SecretKey]:
+    """Provision a registry and register "alice", all from the seed."""
     setup = SeededRng(seed, b"setup")
     provider_key = SecretKey(setup.take(16))
     creds = Credentials(
-        user_id=user_id,
+        user_id="alice",
         key=SecretKey(setup.take(16)),
         phrase=setup.take(8).hex(),
     )

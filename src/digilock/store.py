@@ -317,14 +317,6 @@ class LockerStore:
             raise StoreError("corrupt registry meta row: h_r is not a digest")
         return Digest(h_r)
 
-    def is_provisioned(self) -> bool:
-        """True once the meta row exists, not merely the file."""
-        try:
-            with self._connect() as con:
-                return _meta_row(con) is not None
-        except NotProvisioned:
-            return False
-
     def provision(self, provider_key: SecretKey) -> Registry:
         self._refuse_v1()
         self.root.mkdir(parents=True, exist_ok=True)

@@ -128,6 +128,29 @@ def test_access_wrong_phrase_exits_8(world):
     assert _access(world, phrase="red tricycle") == 8
 
 
+def test_access_on_a_resealed_two_field_blob_is_denied(world, capsys):
+    # whoever holds registry.db can reseal a blob under L = d_u xor h(R);
+    # one that opens to two fields is a denied session, not a crash
+    from digilock import protocol
+    from digilock.crypto import sha256, seal
+    from digilock.wire import encode_fields
+
+    _provision(world)
+    _register(world)
+    key = Path(world["user_key"]).read_bytes()
+    d_u = protocol.user_digest("alice", SecretKey(key))
+    h_r = sha256(Path(world["provider"]).read_bytes())
+    sealed = seal(protocol.locker_key(d_u, h_r), encode_fields([b"blue bicycle", key]))
+    db = LockerStore(world["store"]).registry_path
+    with closing(sqlite3.connect(db)) as con, con:
+        con.execute(
+            "UPDATE records SET sealed = ? WHERE user_id = 'alice'", (sealed.to_bytes(),)
+        )
+    capsys.readouterr()
+    assert _access(world) == 8
+    assert capsys.readouterr().out.strip() == "DENIED (blob-auth-failure)"
+
+
 def test_access_unknown_user_maps_to_bad_user_key(world):
     # an unregistered id is indistinguishable from a wrong key on purpose
     _provision(world)

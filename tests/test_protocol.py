@@ -5,19 +5,19 @@ from dataclasses import replace
 import pytest
 
 from digilock import protocol, sim
-from digilock.crypto import Digest, Nonce, SecretKey, SeededRng, sha256, unseal
+from digilock.crypto import Digest, Nonce, SecretKey, SeededRng, seal, sha256, unseal
 from digilock.protocol import (
-    BlobAuthFailure,
-    ChallengeAuthFailure,
     EncodingError,
     FailureReason,
     LockerPhase,
     OutOfOrder,
-    PhraseMismatch,
     UserPhase,
     ack_digest,
+    error_message,
     locker_build_challenge,
     locker_check_timeout,
+    locker_key,
+    locker_on_message,
     locker_verify_ack,
     locker_verify_auth,
     locker_verify_provider,
@@ -25,9 +25,10 @@ from digilock.protocol import (
     session_key,
     user_begin_session,
     user_digest,
+    user_on_message,
     user_process_challenge,
 )
-from digilock.wire import Message, MessageKind, decode_fields
+from digilock.wire import Message, MessageKind, decode_fields, encode_fields
 
 # SHA-256 of the canonical length-prefixed ("alice", "k1") concatenation,
 # computed with openssl and frozen.
@@ -168,8 +169,12 @@ def test_build_challenge_forged_state_hits_blob_auth_failure():
     # a provider key that skipped the hash check must still die on the blob
     record, _, _, h_r, _, locker_state = _run_to_provider_verified()
     forged = replace(locker_state)  # already PROVIDER_VERIFIED
-    with pytest.raises(BlobAuthFailure):
-        locker_build_challenge(record, SecretKey(b"wrong-master"), forged, now=0)
+    challenge, failed = locker_build_challenge(
+        record, SecretKey(b"wrong-master"), forged, now=0
+    )
+    assert challenge is None
+    assert failed.phase is LockerPhase.FAILED
+    assert failed.failure is FailureReason.BLOB_AUTH_FAILURE
 
 
 def test_build_challenge_out_of_order():
@@ -203,21 +208,22 @@ def test_user_process_challenge_stale_nonce_replay():
     )
     stale = replace(locker_state, n_a=Nonce(b"\x11" * 16))
     challenge, _ = locker_build_challenge(record, provider_key, stale, now=0)
-    with pytest.raises(ChallengeAuthFailure):
-        user_process_challenge(user_state, user_id, key, phrase, challenge)
+    ack, failed = user_process_challenge(user_state, user_id, key, phrase, challenge)
+    assert ack is None
+    assert failed.phase is UserPhase.FAILED
+    assert failed.failure is FailureReason.CHALLENGE_AUTH_FAILURE
 
 
 def test_user_process_challenge_phrase_mismatch():
     # a key-holding double re-seals a wrong phrase; the user must refuse
-    from digilock.crypto import seal
-    from digilock.wire import encode_fields
-
     _, (user_id, key, phrase), _, _, user_state, _ = _run_to_provider_verified()
     k_s = session_key(user_id, key, user_state.n_a)
     forged = seal(k_s, encode_fields([b"not the phrase", b"\x22" * 16]))
     msg = Message(MessageKind.CHALLENGE, (forged.to_bytes(),))
-    with pytest.raises(PhraseMismatch):
-        user_process_challenge(user_state, user_id, key, phrase, msg)
+    ack, failed = user_process_challenge(user_state, user_id, key, phrase, msg)
+    assert ack is None
+    assert failed.phase is UserPhase.FAILED
+    assert failed.failure is FailureReason.PHRASE_MISMATCH
 
 
 def test_locker_verify_ack_paths():
@@ -312,3 +318,139 @@ def test_run_session_honest_transcript():
     )
     assert session.phase is LockerPhase.OPEN
     assert [msg.kind.label for msg in sent] == sim.HONEST_KIND_SEQUENCE
+
+
+def _provider_key_msg(provider_key):
+    return Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),))
+
+
+def _locker_after_auth(record, h_r, user_id, key):
+    # the locker's session after a genuine auth request, and the user's
+    auth, user = user_begin_session(user_id, key, rng=SeededRng(1, b"u"))
+    locker, _ = locker_on_message(record, h_r, None, auth, now=2)
+    return locker, user
+
+
+def _refuse_wrong_user_key(record, creds, provider_key, h_r):
+    auth, _ = user_begin_session(creds[0], SecretKey(b"not-alices-key"))
+    return locker_on_message(record, h_r, None, auth, now=2)
+
+
+def _refuse_unknown_id(record, creds, provider_key, h_r):
+    auth, _ = user_begin_session("mallory", creds[1])
+    return locker_on_message(None, h_r, None, auth, now=2)
+
+
+def _refuse_wrong_provider_key(record, creds, provider_key, h_r):
+    locker, _ = _locker_after_auth(record, h_r, creds[0], creds[1])
+    wrong = _provider_key_msg(SecretKey(b"interloper"))
+    return locker_on_message(record, h_r, locker, wrong, now=4)
+
+
+def _refuse_wrong_r_past_the_provider_check(record, creds, provider_key, h_r):
+    # a stored h(R) swapped for h(R') lets R' through the provider check,
+    # so the session reaches the blob as a forged provider-verified one
+    wrong = SecretKey(b"wrong-master")
+    forged_h_r = sha256(bytes(wrong))
+    locker, _ = _locker_after_auth(record, forged_h_r, creds[0], creds[1])
+    msg = _provider_key_msg(wrong)
+    return locker_on_message(record, forged_h_r, locker, msg, now=4)
+
+
+def _refuse_two_field_blob(record, creds, provider_key, h_r):
+    # anyone holding the registry can reseal a blob under L = d_u xor h(R);
+    # one that opens to two fields must be refused, not raise
+    user_id, key, phrase = creds
+    sealed = seal(
+        locker_key(record.d_u, h_r), encode_fields([phrase.encode(), bytes(key)])
+    )
+    two_fields = replace(record, sealed=sealed)
+    session, sent = protocol.run_session(
+        two_fields, h_r, user_id, key, phrase, provider_key
+    )
+    return session, sent[-1]
+
+
+def _refuse_bad_ack(record, creds, provider_key, h_r):
+    locker, _ = _locker_after_auth(record, h_r, creds[0], creds[1])
+    locker, _ = locker_on_message(
+        record, h_r, locker, _provider_key_msg(provider_key), now=4
+    )
+    forged = Message(MessageKind.ACK, (b"\x00" * 32,))
+    return locker_on_message(record, h_r, locker, forged, now=8)
+
+
+def _refuse_late_ack(record, creds, provider_key, h_r):
+    locker, user = _locker_after_auth(record, h_r, creds[0], creds[1])
+    locker, challenge = locker_on_message(
+        record, h_r, locker, _provider_key_msg(provider_key), now=4
+    )
+    _, ack = user_on_message(user, *creds, challenge)
+    return locker_on_message(record, h_r, locker, ack, now=locker.deadline + 1)
+
+
+def _user_refuses(fields_under, n_a_for_key=None):
+    # the user's session fed a challenge sealed under the K_s of
+    # `n_a_for_key` (default: the user's own N_a) around `fields_under`
+    def refuse(record, creds, provider_key, h_r):
+        user_id, key, phrase = creds
+        _, user = _locker_after_auth(record, h_r, user_id, key)
+        k_s = session_key(user_id, key, n_a_for_key or user.n_a)
+        body = seal(k_s, encode_fields(fields_under(phrase.encode())))
+        return user_on_message(
+            user, *creds, Message(MessageKind.CHALLENGE, (body.to_bytes(),))
+        )
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "reason,refuse",
+    [
+        pytest.param("bad-user-key", _refuse_wrong_user_key, id="locker-wrong-key"),
+        pytest.param("bad-user-key", _refuse_unknown_id, id="locker-unknown-id"),
+        pytest.param(
+            "bad-provider-key", _refuse_wrong_provider_key, id="locker-wrong-r"
+        ),
+        pytest.param(
+            "blob-auth-failure",
+            _refuse_wrong_r_past_the_provider_check,
+            id="locker-forged-provider-verified",
+        ),
+        pytest.param(
+            "blob-auth-failure", _refuse_two_field_blob, id="locker-two-field-blob"
+        ),
+        pytest.param("bad-ack", _refuse_bad_ack, id="locker-forged-ack"),
+        pytest.param("timeout", _refuse_late_ack, id="locker-late-ack"),
+        pytest.param(
+            "challenge-auth-failure",
+            _user_refuses(lambda m: [m, b"\x22" * 16], Nonce(b"\x11" * 16)),
+            id="user-stale-session-key",
+        ),
+        pytest.param(
+            "phrase-mismatch",
+            _user_refuses(lambda m: [b"not the phrase", b"\x22" * 16]),
+            id="user-other-phrase",
+        ),
+        pytest.param(
+            "phrase-mismatch",
+            _user_refuses(lambda m: [m, b"\x22" * 15]),
+            id="user-15-byte-nonce",
+        ),
+        pytest.param(
+            "phrase-mismatch", _user_refuses(lambda m: [m]), id="user-one-field"
+        ),
+    ],
+)
+def test_every_refusal_fails_the_session_and_names_its_reason(reason, refuse):
+    # a locker refusal replies with the error naming the reason; the user
+    # agent refuses by failing its session and sending nothing
+    record, creds, provider_key, h_r = _world()
+    session, reply = refuse(record, creds, provider_key, h_r)
+    reason = FailureReason(reason)
+    assert session.phase.value == "failed"
+    assert session.failure is reason
+    if isinstance(session, protocol.UserSession):
+        assert reply is None
+    else:
+        assert reply == error_message(reason)

@@ -245,6 +245,29 @@ def test_replayed_auth_pair_accepted_by_default():
     assert protocol.locker_verify_auth(record, auth).phase.value == "user-verified"
 
 
+def test_locker_refuses_a_blob_resealed_with_two_fields():
+    # anyone holding the registry can reseal alice's blob under
+    # L = d_u xor h(R); one that opens to two fields is a refused session
+    from dataclasses import replace
+
+    from digilock import protocol
+    from digilock.crypto import seal
+    from digilock.sim import drive_session
+    from digilock.wire import encode_fields
+
+    registry, creds, provider_key = seed_world(43)
+    record = registry.records[creds.user_id]
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    fields = encode_fields([creds.phrase.encode(), bytes(creds.key)])
+    registry.records[creds.user_id] = replace(record, sealed=seal(key_l, fields))
+    run = drive_session(registry, creds, provider_key)
+    session = run.locker.session_for(creds.user_id)
+    assert session.phase is protocol.LockerPhase.FAILED
+    assert session.failure is protocol.FailureReason.BLOB_AUTH_FAILURE
+    assert run.user.session.failure is protocol.FailureReason.BLOB_AUTH_FAILURE
+    assert run.trace.kind_sequence()[-1] == "error"
+
+
 def test_user_actor_ignores_stray_messages():
     creds = Credentials("alice", SecretKey(b"k"), "p")
     actor = UserActor(creds, rng=SeededRng(1))

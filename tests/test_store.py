@@ -70,11 +70,10 @@ def test_load_before_provision_creates_no_file(tmp_path):
     # a file without the meta row (say, an interrupted provision) is not a registry
     locker_store = LockerStore(tmp_path)
     locker_store.registry_path.touch()
-    assert not locker_store.is_provisioned()
     with pytest.raises(NotProvisioned):
         locker_store.load_registry()
     locker_store.provision(SecretKey(b"master"))
-    assert locker_store.is_provisioned()
+    assert locker_store.load_registry().h_r == sha256(b"master")
 
 
 def test_register_and_get_record():
