@@ -6,7 +6,8 @@ Secrets travel via files, never argv; the secret phrase is the exception
 
 `access` and `vault` open the locker with `protocol.run_session`, the
 direct loop over the user and locker transitions; the simulator (`sim`)
-serves only `simulate`.
+serves only `simulate`. `register`, `access` and `vault` each run in one
+`with LockerStore` block: one SQLite connection, closed when the command ends.
 
 Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import protocol, sim, store
-from .crypto import SecretKey
+from .crypto import Digest, SecretKey
 from .protocol import DEFAULT_TIMEOUT_MS, FailureReason, LockerPhase, LockerSession
 
 EXIT_OK = 0
@@ -92,7 +93,8 @@ def cmd_register(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     key = _read_key_file(args.key_file)
     try:
-        locker_store.register(args.user, key, args.phrase)
+        with locker_store:
+            locker_store.register(args.user, key, args.phrase)
     except store.DuplicateUser as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DUPLICATE_USER
@@ -102,45 +104,46 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 def _run_local_access(
     args: argparse.Namespace, locker_store: store.LockerStore
-) -> tuple[store.Registry, LockerSession]:
-    """Run a full access session against the on-disk registry."""
+) -> tuple[Digest | None, LockerSession, protocol.UserSession]:
+    """Run one access session; returns L (None without a record) and both sessions."""
     registry = locker_store.load_registry()
     key = _read_key_file(args.key_file)
     provider_key = _read_key_file(args.provider_key_file)
     # an unknown id is refused as a wrong key is (exit 4), so ids cannot be
     # probed; an id the wire cannot carry raises EncodingError (exit 8)
-    session, _ = protocol.run_session(
-        registry.records.get(args.user), registry.h_r, args.user, key, args.phrase,
-        provider_key, timeout_ms=args.timeout_ms,
+    record = registry.records.get(args.user)
+    locker, user, _ = protocol.run_session(
+        record, registry.h_r, args.user, key, args.phrase, provider_key,
+        timeout_ms=args.timeout_ms,
     )
-    return registry, session
+    key_l = None if record is None else protocol.locker_key(record.d_u, registry.h_r)
+    return key_l, locker, user
 
 
-def _access_exit(session: LockerSession, args: argparse.Namespace) -> int:
-    if session.phase is LockerPhase.OPEN:
+def _access_exit(
+    locker: LockerSession, user: protocol.UserSession, args: argparse.Namespace
+) -> int:
+    if locker.phase is LockerPhase.OPEN:
         _emit(args, "OPEN", {"locker_opened": True, "failure_reason": None})
         return EXIT_OK
-    reason = session.failure.value
-    _emit(
-        args,
-        f"DENIED ({reason})",
-        {"locker_opened": False, "failure_reason": reason},
-    )
-    return _FAILURE_EXITS.get(session.failure, EXIT_FAILURE)
+    # the user agent's reason names a wrong phrase the locker sees as a timeout
+    reason = (user.failure or locker.failure).value
+    payload = {"locker_opened": False, "failure_reason": reason}
+    _emit(args, f"DENIED ({reason})", payload)
+    return _FAILURE_EXITS.get(locker.failure, EXIT_FAILURE)
 
 
 def cmd_access(args: argparse.Namespace) -> int:
-    _, session = _run_local_access(args, store.LockerStore(_store_path(args)))
-    return _access_exit(session, args)
+    with store.LockerStore(_store_path(args)) as locker_store:
+        _, locker, user = _run_local_access(args, locker_store)
+    return _access_exit(locker, user, args)
 
 
 def cmd_vault(args: argparse.Namespace) -> int:
-    locker_store = store.LockerStore(_store_path(args))
-    registry, session = _run_local_access(args, locker_store)
+    with store.LockerStore(_store_path(args)) as locker_store:
+        key_l, session, user = _run_local_access(args, locker_store)
     if session.phase is not LockerPhase.OPEN:
-        return _access_exit(session, args)
-    record = registry.get_record(args.user)
-    key_l = protocol.locker_key(record.d_u, registry.h_r)
+        return _access_exit(session, user, args)
     try:
         if args.vault_op == "put":
             doc = Path(args.file).read_bytes()

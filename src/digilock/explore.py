@@ -172,7 +172,7 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         record=record,
     )
     # one complete prior session, recorded off the wire by the adversary
-    _, sent = protocol.run_session(
+    _, _, sent = protocol.run_session(
         record, h_r, user_id, user_key, phrase, provider_key,
         rng_user=_QueueRng(seed, 0, b"na"), rng_locker=_QueueRng(seed, 0, b"nr", b"seal"),
     )

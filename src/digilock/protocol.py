@@ -455,14 +455,14 @@ def run_session(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng_user: Rng | None = None,
     rng_locker: Rng | None = None,
-) -> tuple[LockerSession, list[Message]]:
+) -> tuple[LockerSession, UserSession, list[Message]]:
     """Run one session of `user_id` with the provider answering `provider_key`.
 
     `record` is None when the locker has no record for `user_id`. Time is
     the simulator's hop clock: the auth request lands at 2, the provider
     key at 4 and the ack at 8. Returns the locker's final session, timed
-    out at its deadline + 1 if the user stopped before the ack, and every
-    message sent, in order.
+    out at its deadline + 1 if the user stopped before the ack, the user
+    agent's final session, and every message sent, in order.
     """
     msg, user = user_begin_session(user_id, key, rng=rng_user)
     sent = []
@@ -485,4 +485,4 @@ def run_session(
     if locker.phase is LockerPhase.CHALLENGE_SENT:
         assert locker.deadline is not None
         locker = locker_check_timeout(locker, locker.deadline + 1)
-    return locker, sent
+    return locker, user, sent

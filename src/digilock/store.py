@@ -16,9 +16,12 @@ is that one INSERT. Locking and atomicity are SQLite's: every write is a
 BEGIN IMMEDIATE transaction, the journal is SQLite's default rollback journal
 and synchronous its default FULL, so concurrent writers queue on the lock and
 a crash mid-write leaves the previous state readable. Reads open the file
-with mode=rw, so an unprovisioned store gets no empty database. A store that
-holds only a version-1 registry.json is refused: migrating it is not
-implemented.
+with mode=rw, so an unprovisioned store gets no empty database. A CLI
+command is one `with LockerStore` block, whose calls share one connection,
+closed when the block ends; outside a block each call opens its own. A
+store in a block belongs to one thread (SQLite's check_same_thread). A
+store that holds only a version-1 registry.json is refused: migrating it is
+not implemented.
 Vault entries are individual JSON files with base64 bodies, sealed under a
 key derived from L so documents at rest stay bound to both parties' keys;
 the file name is the hex of the document name (1-NAME_MAX = 120 bytes, so
@@ -256,6 +259,7 @@ class LockerStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._con: sqlite3.Connection | None = None  # held by a `with` block
 
     @property
     def registry_path(self) -> Path:
@@ -273,24 +277,37 @@ class LockerStore:
                 "migrate it"
             )
 
-    @contextmanager
-    def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
-        """One autocommit connection, closed on exit; SQLite errors become
-        StoreError. mode=rw never creates the file; only provision asks rwc."""
+    def __enter__(self) -> LockerStore:
+        self._con = self._open("rw")
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        con, self._con = self._con, None
+        con.close()
+
+    def _open(self, mode: str) -> sqlite3.Connection:
+        """One autocommit connection; mode=rw never creates the file."""
         uri = f"{self.registry_path.absolute().as_uri()}?mode={mode}"
         try:
-            con = sqlite3.connect(uri, uri=True, isolation_level=None)
+            return sqlite3.connect(uri, uri=True, isolation_level=None)
         except sqlite3.Error as exc:
             if self.registry_path.exists():
                 raise StoreError(f"cannot open {self.registry_path}: {exc}") from None
             self._refuse_v1()
             raise NotProvisioned(f"no registry at {self.registry_path}") from None
+
+    @contextmanager
+    def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
+        """The `with` block's connection, or else one closed on exit; SQLite
+        errors become StoreError."""
+        con = self._con or self._open(mode)
         try:
             yield con
         except sqlite3.Error as exc:
             raise StoreError(f"registry {self.registry_path}: {exc}") from exc
         finally:
-            con.close()
+            if con is not self._con:
+                con.close()
 
     @contextmanager
     def _write(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:

@@ -122,10 +122,19 @@ def test_access_wrong_provider_key_exits_5(world, capsys):
     assert "bad-provider-key" in capsys.readouterr().out
 
 
-def test_access_wrong_phrase_exits_8(world):
+def test_access_wrong_phrase_exits_8(world, capsys):
+    # the locker only sees no ack by its deadline; the user agent knows why
     _provision(world)
     _register(world)
+    capsys.readouterr()
     assert _access(world, phrase="red tricycle") == 8
+    assert capsys.readouterr().out.strip() == "DENIED (phrase-mismatch)"
+    argv = _vault_base(world)
+    argv[argv.index("--phrase") + 1] = "red tricycle"
+    assert main(["--output", "json", "access", *argv]) == 8
+    assert json.loads(capsys.readouterr().out) == {
+        "locker_opened": False, "failure_reason": "phrase-mismatch",
+    }
 
 
 def test_access_on_a_resealed_two_field_blob_is_denied(world, capsys):
@@ -410,6 +419,65 @@ def _corrupt_bob(world):
     with closing(sqlite3.connect(path)) as con, con:
         con.execute("UPDATE records SET d_u = x'0bad' WHERE user_id = 'bob'")
     return path
+
+
+def _count_connections(monkeypatch):
+    opened = []
+    real_connect = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        opened.append(None)  # counted even when the connect fails
+        opened[-1] = real_connect(*args, **kwargs)
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    return opened
+
+
+def _closed(con):
+    try:
+        con.total_changes
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case,code", [
+    ("access", 0), ("vault-put", 0), ("vault-get", 0), ("vault-list", 0),
+    ("register", 0), ("vault-get-missing", 7), ("wrong-key", 4), ("unknown-user", 4),
+    ("duplicate-user", 3), ("corrupt-record", 8), ("unprovisioned-access", 8),
+    ("unprovisioned-register", 8),
+])
+def test_each_store_command_opens_one_connection_and_closes_it(
+    world, monkeypatch, capsys, case, code
+):
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed")
+
+    def vault(*op):
+        return main(["vault", *_vault_base(world), *op])
+
+    commands = {
+        "access": lambda: _access(world),
+        "vault-put": lambda: vault("put", "--name", "deed", "--file", str(doc)),
+        "vault-get": lambda: vault("get", "--name", "deed", "--out", str(doc)),
+        "vault-list": lambda: vault("list"),
+        "register": lambda: _register(world, user="carol"),
+        "vault-get-missing": lambda: vault("get", "--name", "none", "--out", str(doc)),
+        "wrong-key": lambda: _access(world, key=world["wrong_key"]),
+        "unknown-user": lambda: _access(world, user="mallory"),
+        "duplicate-user": lambda: _register(world),
+        "corrupt-record": lambda: _access(world, user="bob", phrase="bob phrase"),
+        "unprovisioned-access": lambda: _access(world),
+        "unprovisioned-register": lambda: _register(world),
+    }
+    if not case.startswith("unprovisioned"):
+        _corrupt_bob(world)  # provisions, then registers alice and bob
+        assert vault("put", "--name", "deed", "--file", str(doc)) == 0
+    opened = _count_connections(monkeypatch)
+    assert commands[case]() == code
+    assert len(opened) == 1
+    assert opened[0] is None or _closed(opened[0])
 
 
 def test_corrupt_record_fails_only_its_own_user(world, capsys):

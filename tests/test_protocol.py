@@ -285,7 +285,8 @@ def test_canonical_concat_is_unambiguous():
 @pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase", "user-id"])
 def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
     # the direct loop and the simulator's channel model reach the same
-    # locker session, deadline and failure included, on every path
+    # locker session, deadline and failure included, and the same user
+    # session, on every path
     for seed in range(50):
         registry, creds, provider_key = sim.seed_world(seed)
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -301,18 +302,19 @@ def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
             registry, creds, provider_key, timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
-        session, _ = protocol.run_session(
+        session, user, _ = protocol.run_session(
             registry.records.get(creds.user_id), registry.h_r,
             creds.user_id, creds.key, creds.phrase, provider_key,
             timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
         assert session == run.locker.session_for(creds.user_id), seed
+        assert user == run.user.session, seed
 
 
 def test_run_session_honest_transcript():
     registry, creds, provider_key = sim.seed_world(3)
-    session, sent = protocol.run_session(
+    session, _, sent = protocol.run_session(
         registry.get_record(creds.user_id), registry.h_r,
         creds.user_id, creds.key, creds.phrase, provider_key,
     )
@@ -365,7 +367,7 @@ def _refuse_two_field_blob(record, creds, provider_key, h_r):
         locker_key(record.d_u, h_r), encode_fields([phrase.encode(), bytes(key)])
     )
     two_fields = replace(record, sealed=sealed)
-    session, sent = protocol.run_session(
+    session, _, sent = protocol.run_session(
         two_fields, h_r, user_id, key, phrase, provider_key
     )
     return session, sent[-1]

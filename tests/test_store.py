@@ -379,6 +379,40 @@ def test_lookups_read_one_row_and_registers_read_none(tmp_path, monkeypatch):
     assert len(queries) == 1 and len(locker_store.load_registry().records) == 70
 
 
+def test_a_with_block_shares_one_connection_and_closes_it(tmp_path, monkeypatch):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    alice = registry.register("alice", SecretKey(b"ka"), "phrase")
+    bob = registry.register("bob", SecretKey(b"kb"), "phrase")
+    locker_store.save_registry(registry)
+    opened = []
+    real_connect = sqlite3.connect
+
+    def connect(*args, **kwargs):
+        opened.append(real_connect(*args, **kwargs))
+        return opened[-1]
+
+    def closed(con):
+        with pytest.raises(sqlite3.ProgrammingError):
+            con.total_changes
+        return True
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    with locker_store as held:
+        assert held is locker_store
+        loaded = locker_store.load_registry()
+        assert loaded.get_record("alice") == alice
+        locker_store.register("carol", SecretKey(b"kc"), "phrase")
+    assert len(opened) == 1 and closed(opened[0])
+    # a registry loaded in the block reads on a fresh connection after it
+    assert loaded.get_record("bob") == bob
+    assert len(opened) == 2 and closed(opened[1])
+    with pytest.raises(DuplicateUser), locker_store:
+        locker_store.register("alice", SecretKey(b"kx"), "other")
+    assert len(opened) == 3 and closed(opened[2])
+    assert sorted(locker_store.load_registry().records) == ["alice", "bob", "carol"]
+
+
 def test_duplicate_of_a_stored_user_fails_at_save_and_writes_nothing(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
