@@ -159,7 +159,7 @@ def prf(key: bytes, data: bytes) -> Digest:
     """Keyed pseudo-random function: HMAC-SHA-256 under a 32-byte key."""
     if len(key) != DIGEST_LEN:
         raise ValueError(f"prf key must be {DIGEST_LEN} bytes, got {len(key)}")
-    return Digest(hmac.new(bytes(key), data, hashlib.sha256).digest())
+    return Digest(hmac.digest(bytes(key), data, "sha256"))
 
 
 def xor_digests(a: bytes, b: bytes) -> Digest:

@@ -13,7 +13,9 @@ the user's and the provider's secrets were supplied. A session then runs:
 
 All step functions are pure given (state, message, now); time enters only
 through an explicit clock value, and randomness through an explicit rng.
-States are immutable; transitions return new states.
+States are immutable; transitions return new states. Only a FAILED
+state carries a failure, so an honest-path step builds the next state
+with its constructor from the fields it keeps.
 
 `user_on_message`, `provider_on_message` and `locker_on_message` are each
 role's whole transition, and the only code that knows what a role replies
@@ -236,7 +238,7 @@ def locker_verify_provider(
     if session.phase is not LockerPhase.USER_VERIFIED:
         raise OutOfOrder(f"provider check in phase {session.phase.value}")
     if ct_equal(sha256(bytes(provider_key)), stored_h_r):
-        return replace(session, phase=LockerPhase.PROVIDER_VERIFIED)
+        return LockerSession(session.user_id, LockerPhase.PROVIDER_VERIFIED, session.n_a)
     return _fail(session, FailureReason.BAD_PROVIDER_KEY)
 
 
@@ -268,12 +270,8 @@ def locker_build_challenge(
     n_r = fresh_nonce(rng)
     body = seal(k_s, encode_fields([m, bytes(n_r)]), rng)
     msg = Message(MessageKind.CHALLENGE, (body.to_bytes(),))
-    state = replace(
-        session,
-        phase=LockerPhase.CHALLENGE_SENT,
-        n_r=n_r,
-        k_s=k_s,
-        deadline=now + timeout_ms,
+    state = LockerSession(
+        session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, k_s, now + timeout_ms
     )
     return msg, state
 
@@ -310,7 +308,7 @@ def user_process_challenge(
     if not matched:
         return None, _fail(session, FailureReason.PHRASE_MISMATCH)
     ack = Message(MessageKind.ACK, (bytes(ack_digest(session.n_a, n_r)),))
-    state = replace(session, phase=UserPhase.ACK_SENT, k_s=k_s)
+    state = UserSession(session.user_id, UserPhase.ACK_SENT, session.n_a, k_s)
     return ack, state
 
 
@@ -327,7 +325,10 @@ def locker_verify_ack(
     if now > session.deadline:
         return _fail(session, FailureReason.TIMEOUT)
     if ct_equal(msg.fields[0], ack_digest(session.n_a, session.n_r)):
-        return replace(session, phase=LockerPhase.OPEN)
+        return LockerSession(
+            session.user_id, LockerPhase.OPEN, session.n_a, session.n_r, session.k_s,
+            session.deadline,
+        )
     return _fail(session, FailureReason.BAD_ACK)
 
 
@@ -344,6 +345,7 @@ def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
 
 PROVIDER_KEY_REQUEST = Message(MessageKind.PROVIDER_KEY_REQUEST, ())
 RESULT_OPEN = Message(MessageKind.RESULT, (b"open",))
+PROVIDER_KEY_REQUEST.encode(), RESULT_OPEN.encode()  # framed at import, in no session
 
 
 def error_message(reason: FailureReason) -> Message:
@@ -432,7 +434,7 @@ def user_on_message(
         ack, session = user_process_challenge(session, user_id, key, phrase, msg)
         return session, ack
     if msg.kind is MessageKind.RESULT and session.phase is UserPhase.ACK_SENT:
-        return replace(session, phase=UserPhase.DONE), None
+        return UserSession(session.user_id, UserPhase.DONE, session.n_a, session.k_s), None
     if msg.kind is MessageKind.ERROR and session.phase not in (
         UserPhase.DONE,
         UserPhase.FAILED,

@@ -6,7 +6,8 @@ A scenario wires the actors, optionally replaces a seat with an adversary
 or installs a channel tap, pumps the queue to quiescence, and returns a
 structured outcome plus a trace. All randomness flows from a single 64-bit
 seed and time from an explicit millisecond clock, so a scenario replays
-byte for byte.
+byte for byte. The trace records each hop's payload digest; a message is
+framed once, and a relayed one reuses the frame of the hop before.
 
 The actors only deliver: their replies come from the user, provider and
 locker transitions in `protocol`, the functions `explore` searches over.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import protocol
 from .crypto import (
@@ -102,8 +103,7 @@ class SimClock:
         self.now += ms
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     t: int
     sender: str
     receiver: str
@@ -113,7 +113,7 @@ class TraceStep:
     verdict: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class Trace:
@@ -133,13 +133,8 @@ class Trace:
     ) -> None:
         self.steps.append(
             TraceStep(
-                t=t,
-                sender=sender,
-                receiver=receiver,
-                origin=origin,
-                kind=msg.kind.label,
-                payload_sha256=sha256(msg.encode()).hex(),
-                verdict=verdict,
+                t, sender, receiver, origin, msg.kind.label,
+                sha256(msg.encode()).hex(), verdict,
             )
         )
 
@@ -168,7 +163,7 @@ HONEST_KIND_SEQUENCE = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     src: str
     dst: str
@@ -392,6 +387,9 @@ class TamperTap:
         return packet.msg, "delivered"
 
 
+_DIRECT_EDGES = {(ACTOR_USER, ACTOR_LOCKER), (ACTOR_LOCKER, ACTOR_USER)}
+
+
 class Simulation:
     """Single-threaded event loop over FIFO channels with optional taps."""
 
@@ -410,9 +408,9 @@ class Simulation:
         self.queue: deque[Packet] = deque()
 
     def post(self, src: str, dst: str, msg: Message, origin: str) -> None:
-        if {src, dst} == {ACTOR_USER, ACTOR_LOCKER}:
+        if (src, dst) in _DIRECT_EDGES:
             raise ValueError("user<->locker traffic must cross the provider seat")
-        self.queue.append(Packet(src=src, dst=dst, origin=origin, msg=msg))
+        self.queue.append(Packet(src, dst, origin, msg))
 
     def inject(
         self, dst: str, msg: Message, origin: str, src: str = ACTOR_ADVERSARY

@@ -4,8 +4,11 @@ Frame layout, bit-exact: version byte 0x01, kind byte, 2-byte big-endian
 field count, then each field as a 4-byte big-endian length prefix followed
 by the field bytes. The same length-prefixed field encoding doubles as the
 canonical way to concatenate values before hashing, which keeps digests
-unambiguous for adjacent variable-length inputs. `flip_field_bit` is the
-tamper move the simulator and the model checker share.
+unambiguous for adjacent variable-length inputs. A message is framed
+once: `encode` keeps its frame, and a decoded message keeps the bytes it
+came from, so a relay hop reuses the frame of the message it forwards.
+`flip_field_bit` is the tamper move the simulator and the model checker
+share.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ class MessageKind(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower().replace("_", "-")
+        return _LABELS[self]
 
+
+_LABELS = {kind: kind.name.lower().replace("_", "-") for kind in MessageKind}
 
 # (min, max) length per field, by kind. AuthRequest carries
 # [user id, 32-byte PRF proof, 16-byte nonce]; Challenge carries one
@@ -99,15 +104,20 @@ class Message:
 
     kind: MessageKind
     fields: tuple[bytes, ...]
+    _frame = None  # set by the first encode; not a field, so not in ==, hash or repr
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(bytes(f) for f in self.fields))
         _check_fields(self.kind, self.fields)
 
     def encode(self) -> bytes:
-        head = bytes((VERSION, self.kind))
-        count = len(self.fields).to_bytes(_COUNT_PREFIX, "big")
-        return head + count + encode_fields(self.fields)
+        frame = self._frame
+        if frame is None:
+            head = bytes((VERSION, self.kind))
+            count = len(self.fields).to_bytes(_COUNT_PREFIX, "big")
+            frame = head + count + encode_fields(self.fields)
+            object.__setattr__(self, "_frame", frame)
+        return frame
 
     @classmethod
     def decode(cls, raw: bytes) -> "Message":
@@ -124,7 +134,9 @@ class Message:
         fields = decode_fields(body)
         if len(fields) != count:
             raise BadFrame(f"declared {count} fields, found {len(fields)}")
-        return cls(kind=kind, fields=tuple(fields))
+        msg = cls(kind, tuple(fields))
+        object.__setattr__(msg, "_frame", bytes(raw))  # the only frame of these fields
+        return msg
 
 
 def _check_fields(kind: MessageKind, fields: Sequence[bytes]) -> None:

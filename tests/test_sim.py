@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from digilock import sim
+from digilock import protocol, sim, wire
 from digilock.crypto import SecretKey, SeededRng
 from digilock.sim import (
     HONEST_KIND_SEQUENCE,
@@ -59,12 +59,53 @@ def test_trace_jsonl_shape():
     _, trace = run_honest_session(seed=3)
     lines = trace.to_jsonl().splitlines()
     assert len(lines) == len(trace.steps)
-    for line in lines:
+    keys = ["t", "sender", "receiver", "origin", "kind", "payload_sha256", "verdict"]
+    for line, record in zip(lines, trace.steps):
         step = json.loads(line)
-        assert list(step) == [
-            "t", "sender", "receiver", "origin", "kind", "payload_sha256", "verdict",
-        ]
+        assert list(step) == list(record.to_json()) == keys
+        assert record.to_json() == {key: getattr(record, key) for key in keys}
         assert step["verdict"] in ("delivered", "dropped", "modified", "replayed")
+
+
+def test_honest_session_frames_each_message_once(monkeypatch):
+    # Message.encode is the only caller of wire.encode_fields, so counting the
+    # calls through that module name counts frames built
+    framed, encoded = [], []
+    real_fields, real_encode = wire.encode_fields, Message.encode
+
+    def counting_fields(fields):
+        framed.append(tuple(fields))
+        return real_fields(fields)
+
+    def recording_encode(msg):
+        encoded.append(msg)
+        return real_encode(msg)
+
+    monkeypatch.setattr(wire, "encode_fields", counting_fields)
+    monkeypatch.setattr(Message, "encode", recording_encode)
+    registry, creds, provider_key = seed_world(5)
+    run = sim.drive_session(
+        registry, creds, provider_key,
+        rng_user=SeededRng(5, b"user"), rng_locker=SeededRng(5, b"locker"),
+    )
+    assert run.trace.kind_sequence() == HONEST_KIND_SEQUENCE
+    assert len(run.trace.steps) == 10
+    digests = [s.payload_sha256 for s in run.trace.steps]
+    assert len(digests) == 10 and all(len(d) == 64 for d in digests)
+    # one encode per hop; the four relay hops reuse the frame of the hop before
+    assert len(encoded) == 10
+    distinct = list({id(m): m for m in encoded}.values())
+    assert len(distinct) == 6 and len(set(digests)) == 6
+    # the two constant replies were framed when protocol was imported; each
+    # of the four messages built in the session is framed once, here
+    constants = (protocol.PROVIDER_KEY_REQUEST, protocol.RESULT_OPEN)
+    built = [m for m in distinct if not any(m is c for c in constants)]
+    assert len(built) == 4
+    assert sorted(framed) == sorted(m.fields for m in built)
+    for msg in constants:
+        before = len(framed)
+        msg.encode()
+        assert len(framed) == before
 
 
 def test_trace_contains_no_secret_bytes():

@@ -10,7 +10,18 @@ from digilock.wire import (
     TruncatedEncoding,
     decode_fields,
     encode_fields,
+    flip_field_bit,
 )
+
+SAMPLES = {
+    MessageKind.AUTH_REQUEST: (b"alice", b"\x01" * 32, b"\x02" * 16),
+    MessageKind.PROVIDER_KEY_REQUEST: (),
+    MessageKind.PROVIDER_KEY: (b"master-key",),
+    MessageKind.CHALLENGE: (b"\x03" * 64,),
+    MessageKind.ACK: (b"\x04" * 32,),
+    MessageKind.RESULT: (b"open",),
+    MessageKind.ERROR: (b"bad-user-key",),
+}
 
 
 def test_encode_empty():
@@ -43,27 +54,43 @@ def test_decode_truncated_field():
 
 def test_message_encode_layout():
     msg = Message(MessageKind.ACK, (b"\x07" * 32,))
-    raw = msg.encode()
-    assert raw[0] == 0x01  # version
-    assert raw[1] == 0x05  # ack kind tag
-    assert raw[2:4] == b"\x00\x01"  # field count
-    assert raw[4:8] == b"\x00\x00\x00\x20"  # field length
-    assert raw[8:] == b"\x07" * 32
+    for raw in (msg.encode(), msg.encode()):  # the second call returns the kept frame
+        assert raw[0] == 0x01  # version
+        assert raw[1] == 0x05  # ack kind tag
+        assert raw[2:4] == b"\x00\x01"  # field count
+        assert raw[4:8] == b"\x00\x00\x00\x20"  # field length
+        assert raw[8:] == b"\x07" * 32
 
 
 def test_message_round_trip_all_kinds():
-    samples = {
-        MessageKind.AUTH_REQUEST: (b"alice", b"\x01" * 32, b"\x02" * 16),
-        MessageKind.PROVIDER_KEY_REQUEST: (),
-        MessageKind.PROVIDER_KEY: (b"master-key",),
-        MessageKind.CHALLENGE: (b"\x03" * 64,),
-        MessageKind.ACK: (b"\x04" * 32,),
-        MessageKind.RESULT: (b"open",),
-        MessageKind.ERROR: (b"bad-user-key",),
-    }
-    for kind, fields in samples.items():
+    for kind, fields in SAMPLES.items():
         msg = Message(kind, fields)
-        assert Message.decode(msg.encode()) == msg
+        raw = msg.encode()
+        decoded = Message.decode(raw)
+        assert decoded == msg
+        assert decoded.encode() == raw
+
+
+def test_flipped_copy_encodes_its_own_bytes():
+    raw = b"\x01\x05\x00\x01\x00\x00\x00\x20" + b"\x07" * 32
+    for msg in (Message(MessageKind.ACK, (b"\x07" * 32,)), Message.decode(raw)):
+        assert msg.encode() == raw  # framed before the copy is made
+        flipped = flip_field_bit(msg, 0, 3)
+        assert flipped.encode() == raw[:8] + b"\x0f" + b"\x07" * 31
+        assert Message.decode(flipped.encode()) == flipped
+        assert msg.encode() == raw
+
+
+def test_frame_memo_takes_no_part_in_equality_hash_or_repr():
+    framed = Message(MessageKind.RESULT, (b"open",))
+    raw = framed.encode()
+    plain = Message(MessageKind.RESULT, (b"open",))
+    decoded = Message.decode(raw)
+    assert framed == plain == decoded
+    assert hash(framed) == hash(plain) == hash(decoded)
+    assert len({framed, plain, decoded}) == 1
+    assert repr(framed) == repr(plain) == repr(decoded)
+    assert "frame" not in repr(framed) and repr(raw) not in repr(framed)
 
 
 def test_message_round_trip_random_auth_requests():
