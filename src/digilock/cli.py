@@ -6,8 +6,9 @@ Secrets travel via files, never argv; the secret phrase is the exception
 
 `access` and `vault` open the locker with `protocol.run_session`, the
 direct loop over the user and locker transitions; the simulator (`sim`)
-serves only `simulate`. `register`, `access` and `vault` each run in one
-`with LockerStore` block: one SQLite connection, closed when the command ends.
+serves only `simulate`. `register`, `access` and `vault` each make one
+registry call (`LockerStore.register` or `LockerStore.lookup`), so a
+command opens one SQLite connection and closes it.
 
 Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
@@ -93,8 +94,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     key = _read_key_file(args.key_file)
     try:
-        with locker_store:
-            locker_store.register(args.user, key, args.phrase)
+        locker_store.register(args.user, key, args.phrase)
     except store.DuplicateUser as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DUPLICATE_USER
@@ -106,17 +106,16 @@ def _run_local_access(
     args: argparse.Namespace, locker_store: store.LockerStore
 ) -> tuple[Digest | None, LockerSession, protocol.UserSession]:
     """Run one access session; returns L (None without a record) and both sessions."""
-    registry = locker_store.load_registry()
-    key = _read_key_file(args.key_file)
-    provider_key = _read_key_file(args.provider_key_file)
     # an unknown id is refused as a wrong key is (exit 4), so ids cannot be
     # probed; an id the wire cannot carry raises EncodingError (exit 8)
-    record = registry.records.get(args.user)
+    h_r, record = locker_store.lookup(args.user)
+    key = _read_key_file(args.key_file)
+    provider_key = _read_key_file(args.provider_key_file)
     locker, user, _ = protocol.run_session(
-        record, registry.h_r, args.user, key, args.phrase, provider_key,
+        record, h_r, args.user, key, args.phrase, provider_key,
         timeout_ms=args.timeout_ms,
     )
-    key_l = None if record is None else protocol.locker_key(record.d_u, registry.h_r)
+    key_l = None if record is None else protocol.locker_key(record.d_u, h_r)
     return key_l, locker, user
 
 
@@ -134,14 +133,13 @@ def _access_exit(
 
 
 def cmd_access(args: argparse.Namespace) -> int:
-    with store.LockerStore(_store_path(args)) as locker_store:
-        _, locker, user = _run_local_access(args, locker_store)
+    _, locker, user = _run_local_access(args, store.LockerStore(_store_path(args)))
     return _access_exit(locker, user, args)
 
 
 def cmd_vault(args: argparse.Namespace) -> int:
-    with store.LockerStore(_store_path(args)) as locker_store:
-        key_l, session, user = _run_local_access(args, locker_store)
+    locker_store = store.LockerStore(_store_path(args))
+    key_l, session, user = _run_local_access(args, locker_store)
     if session.phase is not LockerPhase.OPEN:
         return _access_exit(session, user, args)
     try:

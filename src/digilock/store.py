@@ -6,22 +6,20 @@ The registry is one SQLite database, <store>/registry.db, format version 2:
     records(user_id TEXT PRIMARY KEY, d_u BLOB, sealed BLOB)  WITHOUT ROWID
 
 where sealed is the record's Ciphertext as nonce || body || tag (12 and 16
-bytes at the ends). Loading reads only the meta row. Registry.records is then
-a StoredRecords mapping that answers a lookup with one indexed SELECT and
-decodes only that row, so a session touches one record however many users
-exist, and a row that fails to decode fails only its own user.
-save_registry inserts the records added since load or provision in one
-transaction, and the PRIMARY KEY turns a clash into DuplicateUser; register
-is that one INSERT. Locking and atomicity are SQLite's: every write is a
+bytes at the ends). Each call opens its own connection and closes it, and
+a CLI command makes one registry call. lookup is one SELECT, meta LEFT JOIN
+records, that decodes only the row asked for, so a session touches one
+record however many users exist, and a row that fails to decode fails only
+its own user. register is one transaction that reads h_r and INSERTs the
+record; the PRIMARY KEY turns a clash into DuplicateUser. load_registry and
+save_registry move a whole in-memory Registry to and from disk, for bulk
+set-up and tests. Locking and atomicity are SQLite's: every write is a
 BEGIN IMMEDIATE transaction, the journal is SQLite's default rollback journal
 and synchronous its default FULL, so concurrent writers queue on the lock and
 a crash mid-write leaves the previous state readable. Reads open the file
-with mode=rw, so an unprovisioned store gets no empty database. A CLI
-command is one `with LockerStore` block, whose calls share one connection,
-closed when the block ends; outside a block each call opens its own. A
-store in a block belongs to one thread (SQLite's check_same_thread). A
-store that holds only a version-1 registry.json is refused: migrating it is
-not implemented.
+with mode=rw, so an unprovisioned store gets no empty database. A store that
+holds only a version-1 registry.json is refused: migrating it is not
+implemented.
 Vault entries are individual JSON files with base64 bodies, sealed under a
 key derived from L so documents at rest stay bound to both parties' keys;
 the file name is the hex of the document name (1-NAME_MAX = 120 bytes, so
@@ -38,7 +36,7 @@ import json
 import os
 import sqlite3
 import tempfile
-from collections.abc import Iterator, MutableMapping
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,78 +124,17 @@ def _decode_record(user_id: str, d_u: object, sealed: object) -> LockerRecord:
         raise StoreError(f"corrupt registry record for user {user_id!r}: {exc!r}") from None
 
 
-class StoredRecords(MutableMapping[str, LockerRecord]):
-    """User id -> LockerRecord over the records table of one store.
-
-    A lookup is one indexed SELECT; a row found is kept, since records are
-    never changed or deleted, and decoded when first read. Records set here
-    are kept in `added` until LockerStore.save_registry inserts them.
-    """
-
-    def __init__(self, locker_store: LockerStore) -> None:
-        self._store = locker_store
-        self._held: dict[str, LockerRecord | tuple] = {}
-        self.added: dict[str, LockerRecord] = {}
-
-    def _row(self, user_id: str) -> LockerRecord | tuple | None:
-        held = self._held.get(user_id)
-        if held is None:
-            rows = self._store._query(
-                "SELECT d_u, sealed FROM records WHERE user_id = ?", (user_id,)
-            )
-            if rows:
-                held = self._held[user_id] = rows[0]
-        return held
-
-    def __getitem__(self, user_id: str) -> LockerRecord:
-        held = self._row(user_id)
-        if held is None:
-            raise KeyError(user_id)
-        if not isinstance(held, LockerRecord):
-            held = self._held[user_id] = _decode_record(user_id, *held)
-        return held
-
-    def __contains__(self, user_id: object) -> bool:
-        return isinstance(user_id, str) and self._row(user_id) is not None
-
-    def __setitem__(self, user_id: str, record: LockerRecord) -> None:
-        self._held[user_id] = self.added[user_id] = record
-
-    def __delitem__(self, user_id: str) -> None:
-        raise StoreError("registry records are never deleted")
-
-    def setdefault(self, user_id: str, record: LockerRecord) -> object:
-        """Keep `record` unless one is already held for `user_id`.
-
-        Unlike a lookup this runs no SELECT, so registering N users reads
-        nothing; a clash with a stored row raises DuplicateUser at save.
-        """
-        held = self._held.get(user_id)
-        if held is None:
-            self[user_id] = held = record
-        return held
-
-    def __iter__(self) -> Iterator[str]:
-        rows = self._store._query("SELECT user_id, d_u, sealed FROM records")
-        for user_id, *row in rows:
-            self._held.setdefault(user_id, tuple(row))
-        return iter([row[0] for row in rows] + list(self.added))
-
-    def __len__(self) -> int:
-        ((count,),) = self._store._query("SELECT count(*) FROM records")
-        return count + len(self.added)
-
-
 @dataclass
 class Registry:
-    """The locker's registry: provider digest plus per-user records.
+    """The locker's registry in memory: h(R) plus a dict of user records.
 
-    In memory (sim) the records are a plain dict; a registry loaded
-    from or provisioned in a LockerStore holds StoredRecords.
+    The simulator runs on one. LockerStore.load_registry and save_registry
+    move a whole one to and from disk, for bulk set-up and tests; the CLI
+    uses LockerStore.lookup and LockerStore.register instead.
     """
 
     h_r: Digest
-    records: MutableMapping[str, LockerRecord] = field(default_factory=dict)
+    records: dict[str, LockerRecord] = field(default_factory=dict)
 
     @classmethod
     def provision(cls, provider_key: SecretKey) -> "Registry":
@@ -245,13 +182,21 @@ def _require_open(session: LockerSession | None, user_id: str) -> None:
         raise SessionNotOpen(f"no open session for user {user_id!r}")
 
 
-def _meta_row(con: sqlite3.Connection) -> tuple | None:
+def _meta_row(
+    con: sqlite3.Connection, sql: str = "SELECT version, h_r FROM meta", params: tuple = ()
+) -> tuple | None:
+    """The first row of `sql`, a query on the meta table; None when the
+    database has no meta table or no meta row, that is, is not provisioned."""
     try:
-        return con.execute("SELECT version, h_r FROM meta").fetchone()
+        return con.execute(sql, params).fetchone()
     except sqlite3.OperationalError as exc:
         if "no such table" in str(exc):
             return None
         raise
+
+
+def _record_row(record: LockerRecord) -> tuple[str, bytes, bytes]:
+    return record.user_id, bytes(record.d_u), record.sealed.to_bytes()
 
 
 class LockerStore:
@@ -259,7 +204,6 @@ class LockerStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self._con: sqlite3.Connection | None = None  # held by a `with` block
 
     @property
     def registry_path(self) -> Path:
@@ -277,37 +221,24 @@ class LockerStore:
                 "migrate it"
             )
 
-    def __enter__(self) -> LockerStore:
-        self._con = self._open("rw")
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        con, self._con = self._con, None
-        con.close()
-
-    def _open(self, mode: str) -> sqlite3.Connection:
-        """One autocommit connection; mode=rw never creates the file."""
+    @contextmanager
+    def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
+        """One autocommit connection, closed on exit; mode=rw never creates
+        the file. SQLite errors become StoreError."""
         uri = f"{self.registry_path.absolute().as_uri()}?mode={mode}"
         try:
-            return sqlite3.connect(uri, uri=True, isolation_level=None)
+            con = sqlite3.connect(uri, uri=True, isolation_level=None)
         except sqlite3.Error as exc:
             if self.registry_path.exists():
                 raise StoreError(f"cannot open {self.registry_path}: {exc}") from None
             self._refuse_v1()
             raise NotProvisioned(f"no registry at {self.registry_path}") from None
-
-    @contextmanager
-    def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
-        """The `with` block's connection, or else one closed on exit; SQLite
-        errors become StoreError."""
-        con = self._con or self._open(mode)
         try:
             yield con
         except sqlite3.Error as exc:
             raise StoreError(f"registry {self.registry_path}: {exc}") from exc
         finally:
-            if con is not self._con:
-                con.close()
+            con.close()
 
     @contextmanager
     def _write(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
@@ -319,15 +250,12 @@ class LockerStore:
             with con:
                 yield con
 
-    def _query(self, sql: str, params: tuple = ()) -> list:
-        with self._connect() as con:
-            return con.execute(sql, params).fetchall()
-
-    def _h_r(self, con: sqlite3.Connection) -> Digest:
-        row = _meta_row(con)
-        if row is None:
+    def _h_r(self, meta: tuple | None) -> Digest:
+        """h(R) from a meta row that starts (version, h_r); an unprovisioned
+        store, another version or a malformed h_r is refused."""
+        if meta is None:
             raise NotProvisioned(f"no registry at {self.registry_path}")
-        version, h_r = row
+        version, h_r = meta[:2]
         if version != REGISTRY_VERSION:
             raise StoreError(f"unsupported registry version {version!r}")
         if not isinstance(h_r, bytes) or len(h_r) != DIGEST_LEN:
@@ -346,42 +274,57 @@ class LockerStore:
             con.execute(
                 "INSERT INTO meta VALUES (?, ?)", (REGISTRY_VERSION, bytes(registry.h_r))
             )
-        return Registry(h_r=registry.h_r, records=StoredRecords(self))
+        return registry
+
+    def lookup(self, user_id: str) -> tuple[Digest, LockerRecord | None]:
+        """h(R) and the record of `user_id`, or None if it has none.
+
+        One SELECT on one connection; only that user's row is decoded, so a
+        corrupt row fails only its own user.
+        """
+        with self._connect() as con:
+            row = _meta_row(
+                con,
+                "SELECT version, h_r, user_id, d_u, sealed FROM meta"
+                " LEFT JOIN records ON user_id = ?",
+                (user_id,),
+            )
+        h_r = self._h_r(row)
+        return h_r, None if row[2] is None else _decode_record(*row[2:])
 
     def register(self, user_id: str, key: SecretKey, phrase: str) -> LockerRecord:
-        """Add one user to the on-disk registry: one INSERT, one transaction."""
-        registry = self.load_registry()
-        record = registry.register(user_id, key, phrase)
-        self.save_registry(registry)
+        """Add one user in one transaction: read h(R), then INSERT the record."""
+        with self._write() as con:
+            h_r = self._h_r(_meta_row(con))
+            record = protocol.register_user(user_id, key, phrase, h_r)
+            try:
+                con.execute("INSERT INTO records VALUES (?, ?, ?)", _record_row(record))
+            except sqlite3.IntegrityError:
+                raise DuplicateUser(f"user {user_id!r} already registered") from None
         return record
 
     def load_registry(self) -> Registry:
+        """The whole registry, every record decoded; a corrupt row fails the load."""
         with self._connect() as con:
-            h_r = self._h_r(con)
-        return Registry(h_r=h_r, records=StoredRecords(self))
+            h_r = self._h_r(_meta_row(con))
+            rows = con.execute("SELECT user_id, d_u, sealed FROM records").fetchall()
+        return Registry(h_r, {row[0]: _decode_record(*row) for row in rows})
 
     def save_registry(self, registry: Registry) -> None:
-        """Insert the records added since load or provision in one transaction.
+        """Insert, in one transaction, the records of `registry` not yet stored.
 
-        If any of them is already stored, DuplicateUser is raised and nothing
-        is written.
+        If a stored row under one of its ids differs, DuplicateUser is raised
+        and nothing is written.
         """
-        added = registry.records.added
-        if not added:
-            return
         with self._write() as con:
-            try:
-                con.executemany(
-                    "INSERT INTO records VALUES (?, ?, ?)",
-                    (
-                        (user_id, bytes(record.d_u), record.sealed.to_bytes())
-                        for user_id, record in added.items()
-                    ),
-                )
-            except sqlite3.IntegrityError:
-                who = f"user {next(iter(added))!r}" if len(added) == 1 else "a user"
-                raise DuplicateUser(f"{who} already registered") from None
-        added.clear()
+            stored = {row[0]: row for row in con.execute("SELECT * FROM records")}
+            for user_id, record in registry.records.items():
+                if user_id in stored and stored[user_id] != _record_row(record):
+                    raise DuplicateUser(f"user {user_id!r} already registered")
+            con.executemany(
+                "INSERT INTO records VALUES (?, ?, ?)",
+                (_record_row(r) for u, r in registry.records.items() if u not in stored),
+            )
 
     def _entry_path(self, user_id: str, name: str) -> Path:
         raw = name.encode("utf-8")

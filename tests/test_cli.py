@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -421,13 +422,17 @@ def _corrupt_bob(world):
     return path
 
 
-def _count_connections(monkeypatch):
+def _count_connections(monkeypatch, statements=None):
+    """Record every SQLite connection opened; with `statements`, also every
+    SQL statement that they run."""
     opened = []
     real_connect = sqlite3.connect
 
     def connect(*args, **kwargs):
         opened.append(None)  # counted even when the connect fails
         opened[-1] = real_connect(*args, **kwargs)
+        if statements is not None:
+            opened[-1].set_trace_callback(statements.append)
         return opened[-1]
 
     monkeypatch.setattr(sqlite3, "connect", connect)
@@ -478,6 +483,33 @@ def test_each_store_command_opens_one_connection_and_closes_it(
     assert commands[case]() == code
     assert len(opened) == 1
     assert opened[0] is None or _closed(opened[0])
+
+
+@pytest.mark.parametrize("case,expected", [
+    ("access", ["SELECT"]),
+    ("vault-get", ["SELECT"]),
+    ("register", ["BEGIN IMMEDIATE", "SELECT", "INSERT", "COMMIT"]),
+])
+def test_each_store_command_runs_one_registry_query_or_transaction(
+    world, monkeypatch, capsys, case, expected
+):
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed")
+    _provision(world)
+    assert _register(world) == 0
+    vault = ["vault", *_vault_base(world)]
+    assert main([*vault, "put", "--name", "deed", "--file", str(doc)]) == 0
+    commands = {
+        "access": lambda: _access(world),
+        "vault-get": lambda: main([*vault, "get", "--name", "deed", "--out", str(doc)]),
+        "register": lambda: _register(world, user="carol"),
+    }
+    statements = []
+    opened = _count_connections(monkeypatch, statements)
+    assert commands[case]() == 0
+    assert len(opened) == 1  # registry.db's; the vault is plain files
+    kinds = [re.match(r"BEGIN IMMEDIATE|[A-Z]+", sql).group() for sql in statements]
+    assert kinds == expected, statements
 
 
 def test_corrupt_record_fails_only_its_own_user(world, capsys):

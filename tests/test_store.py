@@ -125,27 +125,53 @@ def test_registry_db_schema(tmp_path):
     ]
 
 
-def test_registry_unknown_version_fails_at_load(tmp_path):
+_REGISTRY_CALLS = {
+    "load_registry": lambda locker_store: locker_store.load_registry(),
+    "lookup": lambda locker_store: locker_store.lookup("alice"),
+    "register": lambda locker_store: locker_store.register("carol", SecretKey(b"kc"), "p"),
+}
+
+
+@pytest.mark.parametrize("call", list(_REGISTRY_CALLS))
+@pytest.mark.parametrize("damage,error,match", [
+    pytest.param("UPDATE meta SET version = 3", StoreError, "version 3", id="unknown-version"),
+    pytest.param(
+        "UPDATE meta SET h_r = substr(h_r, 1, 31)", StoreError, "not a digest", id="short-h_r"
+    ),
+    pytest.param("DROP TABLE meta", NotProvisioned, "no registry", id="no-meta-table"),
+    pytest.param(None, StoreError, "version-1 registry", id="v1-json"),
+])
+def test_registry_refusals_fail_load_lookup_and_register(tmp_path, call, damage, error, match):
     locker_store = LockerStore(tmp_path)
-    locker_store.provision(SecretKey(b"master"))
-    _sql(locker_store, "UPDATE meta SET version = 3")
-    with pytest.raises(StoreError, match="version 3"):
-        locker_store.load_registry()
+    if damage is None:
+        (tmp_path / "registry.json").write_text('{"version":1,"records":{}}')
+    else:
+        registry = locker_store.provision(SecretKey(b"master"))
+        registry.register("alice", SecretKey(b"ka"), "phrase")
+        locker_store.save_registry(registry)
+        _sql(locker_store, damage)
+    with pytest.raises(error, match=match) as caught:
+        _REGISTRY_CALLS[call](locker_store)
+    assert type(caught.value) is error
+    if damage is None:
+        assert not locker_store.registry_path.exists()
+    else:
+        assert _sql(locker_store, "SELECT user_id FROM records") == [("alice",)]
 
 
-def test_registry_decodes_a_record_on_first_lookup(tmp_path):
+def test_lookup_decodes_only_its_own_row(tmp_path):
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
     record = registry.register("alice", SecretKey(b"ka"), "phrase")
     registry.register("bob", SecretKey(b"kb"), "phrase")
     locker_store.save_registry(registry)
     _sql(locker_store, "UPDATE records SET sealed = x'0bad' WHERE user_id = 'bob'")
-    loaded = locker_store.load_registry()  # bob's bad row is not decoded here
-    assert len(loaded.records) == 2 and "bob" in loaded.records
-    assert loaded.get_record("alice") == record
+    assert locker_store.lookup("alice") == (registry.h_r, record)
     with pytest.raises(StoreError, match="bob") as caught:
-        loaded.get_record("bob")
+        locker_store.lookup("bob")
     assert not isinstance(caught.value, UnknownUser)
+    with pytest.raises(StoreError, match="bob"):
+        locker_store.load_registry()  # the whole-registry form decodes every row
     assert _sql(locker_store, "SELECT sealed FROM records WHERE user_id = 'bob'") == [(b"\x0b\xad",)]
 
 
@@ -359,71 +385,38 @@ def test_lookups_read_one_row_and_registers_read_none(tmp_path, monkeypatch):
     for i in range(20):
         registry.register(f"user-{i}", SecretKey(b"k%d" % i), "p")
     locker_store.save_registry(registry)
-    queries = []
-    real_query = LockerStore._query
-
-    def counting_query(self, sql, params=()):
-        queries.append(sql)
-        return real_query(self, sql, params)
-
-    monkeypatch.setattr(LockerStore, "_query", counting_query)
     loaded = locker_store.load_registry()
-    assert queries == []  # load reads the meta row only
-    assert "user-7" in loaded.records
-    assert loaded.get_record("user-7").user_id == "user-7"
-    assert queries == ["SELECT d_u, sealed FROM records WHERE user_id = ?"]
-    for i in range(50):
-        loaded.register(f"new-{i}", SecretKey(b"n%d" % i), "p")
-    assert len(queries) == 1  # the PRIMARY KEY checks duplicates at save
-    locker_store.save_registry(loaded)
-    assert len(queries) == 1 and len(locker_store.load_registry().records) == 70
-
-
-def test_a_with_block_shares_one_connection_and_closes_it(tmp_path, monkeypatch):
-    locker_store = LockerStore(tmp_path)
-    registry = locker_store.provision(SecretKey(b"master"))
-    alice = registry.register("alice", SecretKey(b"ka"), "phrase")
-    bob = registry.register("bob", SecretKey(b"kb"), "phrase")
-    locker_store.save_registry(registry)
-    opened = []
+    statements = []
     real_connect = sqlite3.connect
 
     def connect(*args, **kwargs):
-        opened.append(real_connect(*args, **kwargs))
-        return opened[-1]
-
-    def closed(con):
-        with pytest.raises(sqlite3.ProgrammingError):
-            con.total_changes
-        return True
+        con = real_connect(*args, **kwargs)
+        con.set_trace_callback(statements.append)
+        return con
 
     monkeypatch.setattr(sqlite3, "connect", connect)
-    with locker_store as held:
-        assert held is locker_store
-        loaded = locker_store.load_registry()
-        assert loaded.get_record("alice") == alice
-        locker_store.register("carol", SecretKey(b"kc"), "phrase")
-    assert len(opened) == 1 and closed(opened[0])
-    # a registry loaded in the block reads on a fresh connection after it
-    assert loaded.get_record("bob") == bob
-    assert len(opened) == 2 and closed(opened[1])
-    with pytest.raises(DuplicateUser), locker_store:
-        locker_store.register("alice", SecretKey(b"kx"), "other")
-    assert len(opened) == 3 and closed(opened[2])
-    assert sorted(locker_store.load_registry().records) == ["alice", "bob", "carol"]
+    assert locker_store.lookup("user-7") == (registry.h_r, registry.records["user-7"])
+    assert locker_store.lookup("nobody") == (registry.h_r, None)
+    assert [sql.split()[0] for sql in statements] == ["SELECT", "SELECT"]
+    for i in range(50):
+        loaded.register(f"new-{i}", SecretKey(b"n%d" % i), "p")
+    assert len(statements) == 2  # a loaded registry registers in memory
+    locker_store.save_registry(loaded)
+    saved = statements[2:]
+    assert [sql.split()[0] for sql in saved if not sql.startswith("INSERT")] == [
+        "BEGIN", "SELECT", "COMMIT"
+    ]
+    assert len(locker_store.load_registry().records) == 70
 
 
 def test_duplicate_of_a_stored_user_fails_at_save_and_writes_nothing(tmp_path):
     locker_store = LockerStore(tmp_path)
-    registry = locker_store.provision(SecretKey(b"master"))
-    registry.register("alice", SecretKey(b"ka"), "phrase")
-    locker_store.save_registry(registry)
-    with pytest.raises(DuplicateUser):
-        registry.register("alice", SecretKey(b"kb"), "other")  # held since save
+    locker_store.provision(SecretKey(b"master"))
     stale = locker_store.load_registry()
+    locker_store.register("alice", SecretKey(b"ka"), "phrase")  # a second writer
     stale.register("carol", SecretKey(b"kc"), "phrase")
-    stale.register("alice", SecretKey(b"kb"), "other")  # not held: no SELECT
-    with pytest.raises(DuplicateUser):
+    stale.register("alice", SecretKey(b"kb"), "other")  # stale: alice is not in it
+    with pytest.raises(DuplicateUser, match="'alice'"):
         locker_store.save_registry(stale)
     assert sorted(locker_store.load_registry().records) == ["alice"]
     with pytest.raises(DuplicateUser, match="'alice'"):
