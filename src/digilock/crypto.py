@@ -3,8 +3,10 @@
 Deliberately narrow: SHA-256 hashing, HMAC-SHA-256 as the keyed PRF,
 ChaCha20-Poly1305 for authenticated encryption, bytewise digest XOR,
 constant-time comparison, and a seedable nonce source so simulations can
-be replayed bit for bit. No custom cryptography lives here; everything
-is a thin wrapper over stdlib ``hashlib``/``hmac`` and ``cryptography``.
+be replayed bit for bit. A sealed value is plain bytes: its 12-byte nonce,
+then the AEAD output, ciphertext then 16-byte tag (RFC 8439). No custom
+cryptography lives here; everything is a thin wrapper over stdlib
+``hashlib``/``hmac`` and ``cryptography``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass
 from typing import Protocol
 
 from cryptography.exceptions import InvalidTag
@@ -22,6 +23,7 @@ DIGEST_LEN = 32
 NONCE_LEN = 16
 SEAL_NONCE_LEN = 12
 TAG_LEN = 16
+SEALED_MIN_LEN = SEAL_NONCE_LEN + TAG_LEN  # an empty plaintext's blob
 MAX_KEY_LEN = 64
 
 
@@ -30,7 +32,7 @@ class CryptoError(Exception):
 
 
 class AuthFailure(CryptoError):
-    """Ciphertext failed authentication: wrong key or tampered bytes."""
+    """A sealed blob failed to open: wrong key, tampered bytes or too short."""
 
 
 class EntropyUnavailable(CryptoError):
@@ -79,34 +81,6 @@ class SecretKey(bytes):
 
     def __repr__(self) -> str:
         return f"SecretKey(<redacted, {len(self)} bytes>)"
-
-
-@dataclass(frozen=True)
-class Ciphertext:
-    """Authenticated ciphertext: 12-byte nonce, opaque body, 16-byte tag."""
-
-    nonce: bytes
-    body: bytes
-    tag: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.nonce) != SEAL_NONCE_LEN:
-            raise ValueError(f"seal nonce must be {SEAL_NONCE_LEN} bytes")
-        if len(self.tag) != TAG_LEN:
-            raise ValueError(f"tag must be {TAG_LEN} bytes")
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.body + self.tag
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) < SEAL_NONCE_LEN + TAG_LEN:
-            raise ValueError("ciphertext too short")
-        return cls(
-            nonce=raw[:SEAL_NONCE_LEN],
-            body=raw[SEAL_NONCE_LEN:-TAG_LEN],
-            tag=raw[-TAG_LEN:],
-        )
 
 
 class Rng(Protocol):
@@ -175,21 +149,26 @@ def fresh_nonce(rng: Rng | None = None) -> Nonce:
     return Nonce((rng or _system_rng).take(NONCE_LEN))
 
 
-def seal(key: bytes, plaintext: bytes, rng: Rng | None = None) -> Ciphertext:
-    """Encrypt and authenticate under a 32-byte key with a fresh nonce."""
+def seal(key: bytes, plaintext: bytes, rng: Rng | None = None) -> bytes:
+    """Encrypt and authenticate under a 32-byte key with a fresh nonce;
+    returns nonce || ciphertext || tag."""
     if len(key) != DIGEST_LEN:
         raise ValueError(f"seal key must be {DIGEST_LEN} bytes, got {len(key)}")
     nonce = (rng or _system_rng).take(SEAL_NONCE_LEN)
-    sealed = ChaCha20Poly1305(bytes(key)).encrypt(nonce, plaintext, None)
-    return Ciphertext(nonce=nonce, body=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
+    return nonce + ChaCha20Poly1305(bytes(key)).encrypt(nonce, plaintext, None)
 
 
-def unseal(key: bytes, ct: Ciphertext) -> bytes:
-    """Decrypt a sealed blob; raises AuthFailure on wrong key or tampering."""
+def unseal(key: bytes, sealed: bytes) -> bytes:
+    """Open a sealed blob; raises AuthFailure on wrong key, tampering or a
+    blob too short to hold a nonce and a tag."""
     if len(key) != DIGEST_LEN:
         raise ValueError(f"unseal key must be {DIGEST_LEN} bytes, got {len(key)}")
+    if len(sealed) < SEALED_MIN_LEN:
+        raise AuthFailure(f"sealed blob is {len(sealed)} bytes, under {SEALED_MIN_LEN}")
     try:
-        return ChaCha20Poly1305(bytes(key)).decrypt(ct.nonce, ct.body + ct.tag, None)
+        return ChaCha20Poly1305(bytes(key)).decrypt(
+            sealed[:SEAL_NONCE_LEN], sealed[SEAL_NONCE_LEN:], None
+        )
     except InvalidTag as exc:
         raise AuthFailure("ciphertext did not authenticate under this key") from exc
 

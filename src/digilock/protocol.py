@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 
 from .crypto import (
     AuthFailure,
-    Ciphertext,
     Digest,
     Nonce,
     Rng,
@@ -114,7 +113,7 @@ class LockerRecord:
 
     user_id: str
     d_u: Digest
-    sealed: Ciphertext
+    sealed: bytes
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def locker_build_challenge(
         return None, _fail(session, FailureReason.BLOB_AUTH_FAILURE)
     n_r = fresh_nonce(rng)
     body = seal(k_s, encode_fields([m, bytes(n_r)]), rng)
-    msg = Message(MessageKind.CHALLENGE, (body.to_bytes(),))
+    msg = Message(MessageKind.CHALLENGE, (body,))
     state = LockerSession(
         session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, k_s, now + timeout_ms
     )
@@ -296,7 +295,7 @@ def user_process_challenge(
         raise OutOfOrder(f"challenge received in phase {session.phase.value}")
     k_s = session_key(user_id, key, session.n_a)
     try:
-        plain = unseal(k_s, Ciphertext.from_bytes(msg.fields[0]))
+        plain = unseal(k_s, msg.fields[0])
     except AuthFailure:
         return None, _fail(session, FailureReason.CHALLENGE_AUTH_FAILURE)
     try:  # a held phrase no registration could hold matches nothing

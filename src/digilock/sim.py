@@ -34,7 +34,6 @@ from typing import Iterable, NamedTuple
 from . import protocol
 from .crypto import (
     AuthFailure,
-    Ciphertext,
     Nonce,
     Rng,
     SecretKey,
@@ -139,12 +138,8 @@ class Trace:
         )
 
     def kind_sequence(self) -> list[str]:
-        """Kinds of origin sends (relay hops collapsed), delivered only."""
-        return [
-            s.kind
-            for s in self.steps
-            if s.sender == s.origin and s.verdict != "dropped"
-        ]
+        """Kinds of origin sends (relay hops collapsed)."""
+        return [s.kind for s in self.steps if s.sender == s.origin]
 
     def to_jsonl(self) -> str:
         return "".join(
@@ -180,7 +175,6 @@ def adversary_try_open_challenge(
     Returns the failure reason, or None if some guess opened it (which
     would mean the session-key derivation is broken).
     """
-    ct = Ciphertext.from_bytes(msg.fields[0])
     guesses = [sha256(b"")]
     if n_a is not None:
         # the wire reveals the user id and N_a but never K_i
@@ -190,7 +184,7 @@ def adversary_try_open_challenge(
         guesses.append(protocol.session_key(user_id, SecretKey(b"\x00"), n_a))
     for key in guesses:
         try:
-            unseal(key, ct)
+            unseal(key, msg.fields[0])
             return None
         except AuthFailure:
             continue
@@ -366,7 +360,7 @@ class RecordingTap:
     def __init__(self, knowledge: list[Message]) -> None:
         self.knowledge = knowledge
 
-    def intercept(self, packet: Packet) -> tuple[Message | None, str]:
+    def intercept(self, packet: Packet) -> tuple[Message, str]:
         self.knowledge.append(packet.msg)
         return packet.msg, "delivered"
 
@@ -380,7 +374,7 @@ class TamperTap:
         self.bit = bit
         self.done = False
 
-    def intercept(self, packet: Packet) -> tuple[Message | None, str]:
+    def intercept(self, packet: Packet) -> tuple[Message, str]:
         if not self.done and packet.msg.kind is self.kind:
             self.done = True
             return flip_field_bit(packet.msg, self.field_index, self.bit), "modified"
@@ -438,16 +432,6 @@ class Simulation:
                 delivered, verdict = tap.intercept(packet)
             else:
                 delivered, verdict = packet.msg, "delivered"
-            if delivered is None:
-                self.trace.record(
-                    self.clock.now,
-                    packet.src,
-                    packet.dst,
-                    packet.origin,
-                    packet.msg,
-                    "dropped",
-                )
-                continue
             if packet.replayed and verdict == "delivered":
                 verdict = "replayed"
             self.trace.record(
@@ -494,7 +478,9 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
+            )
         if _plan_key(self.scenario, self.variant) not in _PLANS:
             raise ValueError(f"unknown {self.scenario} variant {self.variant!r}")
         if self.timeout_ms < 1:

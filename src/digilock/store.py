@@ -5,26 +5,28 @@ The registry is one SQLite database, <store>/registry.db, format version 2:
     meta(version INTEGER, h_r BLOB)                          one row
     records(user_id TEXT PRIMARY KEY, d_u BLOB, sealed BLOB)  WITHOUT ROWID
 
-where sealed is the record's Ciphertext as nonce || body || tag (12 and 16
-bytes at the ends). Each call opens its own connection and closes it, and
-a CLI command makes one registry call. lookup is one SELECT, meta LEFT JOIN
-records, that decodes only the row asked for, so a session touches one
-record however many users exist, and a row that fails to decode fails only
-its own user. register is one transaction that reads h_r and INSERTs the
-record; the PRIMARY KEY turns a clash into DuplicateUser. load_registry and
-save_registry move a whole in-memory Registry to and from disk, for bulk
-set-up and tests. Locking and atomicity are SQLite's: every write is a
-BEGIN IMMEDIATE transaction, the journal is SQLite's default rollback journal
-and synchronous its default FULL, so concurrent writers queue on the lock and
-a crash mid-write leaves the previous state readable. Reads open the file
+where sealed is the record's blob exactly as crypto.seal returned it; a row
+whose blob is shorter than any seal output fails to decode. Each call opens
+its own connection and closes it, and a CLI command makes one registry
+call. lookup is one SELECT, meta LEFT JOIN records, that decodes only the
+row asked for, so a session touches one record however many users exist,
+and a row that fails to decode fails only its own user. register is one
+transaction that reads h_r and INSERTs the record; the PRIMARY KEY turns a
+clash into DuplicateUser. load_registry and save_registry move a whole
+in-memory Registry to and from disk, for bulk set-up and tests. Locking
+and atomicity are SQLite's: every write is a BEGIN IMMEDIATE transaction,
+the journal is SQLite's default rollback journal and synchronous its
+default FULL, so concurrent writers queue on the lock and a crash
+mid-write leaves the previous state readable. Reads open the file
 with mode=rw, so an unprovisioned store gets no empty database. A store that
 holds only a version-1 registry.json is refused: migrating it is not
 implemented.
-Vault entries are individual JSON files with base64 bodies, sealed under a
-key derived from L so documents at rest stay bound to both parties' keys;
-the file name is the hex of the document name (1-NAME_MAX = 120 bytes, so
-the temp file's name fits 255 bytes). Entries are written to a temporary
-file and renamed into place, without fsync.
+Vault entries are individual JSON files, sealed under a key derived from L
+so documents at rest stay bound to both parties' keys; an entry keeps the
+sealed blob as its nonce, body and tag, each in base64. The file name is
+the hex of the document name (1-NAME_MAX = 120 bytes, so the temp file's
+name fits 255 bytes). Entries are written to a temporary file and renamed
+into place, without fsync.
 Everything here is reachable only from the locker actor; the provider seat
 gets no handle to a store.
 """
@@ -43,7 +45,8 @@ from pathlib import Path
 
 from . import protocol
 from .crypto import (
-    DIGEST_LEN, AuthFailure, Ciphertext, Digest, Rng, SecretKey, seal, sha256, unseal,
+    DIGEST_LEN, SEAL_NONCE_LEN, SEALED_MIN_LEN, TAG_LEN, AuthFailure, Digest, Rng,
+    SecretKey, seal, sha256, unseal,
 )
 from .protocol import LockerPhase, LockerRecord, LockerSession
 from .wire import encode_fields
@@ -97,29 +100,29 @@ def vault_key(key_l: Digest) -> Digest:
     return sha256(encode_fields([bytes(key_l), VAULT_KEY_LABEL]))
 
 
-def _ct_to_json(ct: Ciphertext) -> dict:
-    return {
-        "nonce": base64.b64encode(ct.nonce).decode("ascii"),
-        "body": base64.b64encode(ct.body).decode("ascii"),
-        "tag": base64.b64encode(ct.tag).decode("ascii"),
+def _ct_to_json(sealed: bytes) -> dict:
+    parts = {
+        "nonce": sealed[:SEAL_NONCE_LEN],
+        "body": sealed[SEAL_NONCE_LEN:-TAG_LEN],
+        "tag": sealed[-TAG_LEN:],
     }
+    return {key: base64.b64encode(part).decode("ascii") for key, part in parts.items()}
 
 
-def _ct_from_json(obj: dict) -> Ciphertext:
-    return Ciphertext(
-        nonce=base64.b64decode(obj["nonce"]),
-        body=base64.b64decode(obj["body"]),
-        tag=base64.b64decode(obj["tag"]),
-    )
+def _ct_from_json(obj: dict) -> bytes:
+    nonce, body, tag = (base64.b64decode(obj[key]) for key in ("nonce", "body", "tag"))
+    if len(nonce) != SEAL_NONCE_LEN or len(tag) != TAG_LEN:
+        raise ValueError("sealed nonce or tag has the wrong length")
+    return nonce + body + tag
 
 
 def _decode_record(user_id: str, d_u: object, sealed: object) -> LockerRecord:
     try:
         if not isinstance(d_u, bytes) or not isinstance(sealed, bytes):
             raise TypeError("d_u and sealed must be BLOBs")
-        return LockerRecord(
-            user_id=user_id, d_u=Digest(d_u), sealed=Ciphertext.from_bytes(sealed)
-        )
+        if len(sealed) < SEALED_MIN_LEN:
+            raise ValueError(f"sealed is {len(sealed)} bytes, under {SEALED_MIN_LEN}")
+        return LockerRecord(user_id=user_id, d_u=Digest(d_u), sealed=sealed)
     except (TypeError, ValueError) as exc:
         raise StoreError(f"corrupt registry record for user {user_id!r}: {exc!r}") from None
 
@@ -196,7 +199,7 @@ def _meta_row(
 
 
 def _record_row(record: LockerRecord) -> tuple[str, bytes, bytes]:
-    return record.user_id, bytes(record.d_u), record.sealed.to_bytes()
+    return record.user_id, bytes(record.d_u), record.sealed
 
 
 class LockerStore:

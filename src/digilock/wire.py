@@ -17,6 +17,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .crypto import SEALED_MIN_LEN
+
 VERSION = 0x01
 
 _LEN_PREFIX = 4
@@ -58,12 +60,12 @@ _LABELS = {kind: kind.name.lower().replace("_", "-") for kind in MessageKind}
 
 # (min, max) length per field, by kind. AuthRequest carries
 # [user id, 32-byte PRF proof, 16-byte nonce]; Challenge carries one
-# opaque sealed blob (>= 28 bytes: 12-byte nonce + 16-byte tag).
+# opaque sealed blob, at least as long as crypto.seal's shortest output.
 _FIELD_LIMITS: dict[MessageKind, tuple[tuple[int, int], ...]] = {
     MessageKind.AUTH_REQUEST: ((1, 64), (32, 32), (16, 16)),
     MessageKind.PROVIDER_KEY_REQUEST: (),
     MessageKind.PROVIDER_KEY: ((1, 64),),
-    MessageKind.CHALLENGE: ((28, 1 << 20),),
+    MessageKind.CHALLENGE: ((SEALED_MIN_LEN, 1 << 20),),
     MessageKind.ACK: ((32, 32),),
     MessageKind.RESULT: ((1, 64),),
     MessageKind.ERROR: ((1, 64),),

@@ -154,7 +154,7 @@ def test_access_on_a_resealed_two_field_blob_is_denied(world, capsys):
     db = LockerStore(world["store"]).registry_path
     with closing(sqlite3.connect(db)) as con, con:
         con.execute(
-            "UPDATE records SET sealed = ? WHERE user_id = 'alice'", (sealed.to_bytes(),)
+            "UPDATE records SET sealed = ? WHERE user_id = 'alice'", (sealed,)
         )
     capsys.readouterr()
     assert _access(world) == 8
@@ -701,3 +701,37 @@ def test_access_and_vault_run_without_the_simulator(world, monkeypatch, capsys):
     assert main(["vault", *base, "list"]) == 0
     assert out.read_bytes() == b"deed bytes"
     assert capsys.readouterr().out.split() == ["OPEN", "stored", "deed", "deed"]
+
+
+def test_store_commands_never_import_the_simulator(world):
+    # a fresh interpreter, so no earlier test has imported digilock.sim
+    env = dict(os.environ, PYTHONPATH=str(Path(digilock.__file__).parent.parent))
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed bytes")
+    runs = [
+        ["provision", "--store", world["store"], "--provider-key-file", world["provider"]],
+        ["register", "--store", world["store"], "--user", "alice",
+         "--key-file", world["user_key"], "--phrase", "blue bicycle"],
+        ["access", *_vault_base(world)],
+        ["vault", *_vault_base(world), "put", "--name", "deed", "--file", str(doc)],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from digilock import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'digilock.sim' in sys.modules]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]
+
+
+def test_simulate_unknown_scenario_exits_1_and_names_every_scenario(capsys):
+    from digilock import sim
+
+    assert main(["simulate", "--scenario", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown scenario 'nope'" in err
+    for name in sim.SCENARIO_NAMES:
+        assert name in err

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from digilock import crypto
 from digilock.crypto import (
+    SEAL_NONCE_LEN,
+    TAG_LEN,
     AuthFailure,
-    Ciphertext,
     Digest,
     SecretKey,
     SeededRng,
@@ -119,7 +121,7 @@ def test_seal_unseal_round_trip():
 
 def test_seal_twice_differs():
     key = sha256(b"k")
-    assert seal(key, b"p").to_bytes() != seal(key, b"p").to_bytes()
+    assert seal(key, b"p") != seal(key, b"p")
 
 
 def test_unseal_wrong_key_fails():
@@ -145,21 +147,26 @@ def test_unseal_flipped_key_byte_fails():
 
 def test_unseal_bitflip_in_body_fails():
     key = sha256(b"k2")
-    ct = seal(key, b"some plaintext of fair length")
-    for pos in range(len(ct.body)):
-        mutated = bytearray(ct.body)
+    sealed = seal(key, b"some plaintext of fair length")
+    for pos in range(SEAL_NONCE_LEN, len(sealed) - TAG_LEN):
+        mutated = bytearray(sealed)
         mutated[pos] ^= 0x80
-        bad = Ciphertext(nonce=ct.nonce, body=bytes(mutated), tag=ct.tag)
         with pytest.raises(AuthFailure):
-            unseal(key, bad)
+            unseal(key, bytes(mutated))
 
 
-def test_ciphertext_round_trips_through_bytes():
+def test_sealed_blob_layout():
     key = sha256(b"k3")
-    ct = seal(key, b"doc")
-    again = Ciphertext.from_bytes(ct.to_bytes())
-    assert again == ct
-    assert unseal(key, again) == b"doc"
+    for plaintext in (b"", b"doc", bytes(range(256))):
+        sealed = seal(key, plaintext, SeededRng(9, b"layout"))
+        nonce = SeededRng(9, b"layout").take(SEAL_NONCE_LEN)
+        assert len(sealed) == SEAL_NONCE_LEN + TAG_LEN + len(plaintext) == 28 + len(plaintext)
+        assert sealed[:SEAL_NONCE_LEN] == nonce
+        assert sealed == nonce + ChaCha20Poly1305(bytes(key)).encrypt(nonce, plaintext, None)
+        assert unseal(key, sealed) == plaintext
+    for short in range(SEAL_NONCE_LEN + TAG_LEN):
+        with pytest.raises(AuthFailure):
+            unseal(key, bytes(short))
 
 
 def test_fresh_nonce_shape_and_freshness():

@@ -156,10 +156,8 @@ def test_build_challenge_honest_round_trip():
     assert locker_state.deadline == protocol.DEFAULT_TIMEOUT_MS
     assert locker_state.k_s == session_key(user_id, key, locker_state.n_a)
     # the challenge opens under the user's independently derived key
-    from digilock.crypto import Ciphertext
-
     k_s = session_key(user_id, key, user_state.n_a)
-    plain = unseal(k_s, Ciphertext.from_bytes(challenge.fields[0]))
+    plain = unseal(k_s, challenge.fields[0])
     m, n_r = decode_fields(plain)
     assert m == phrase.encode()
     assert n_r == bytes(locker_state.n_r)
@@ -219,7 +217,7 @@ def test_user_process_challenge_phrase_mismatch():
     _, (user_id, key, phrase), _, _, user_state, _ = _run_to_provider_verified()
     k_s = session_key(user_id, key, user_state.n_a)
     forged = seal(k_s, encode_fields([b"not the phrase", b"\x22" * 16]))
-    msg = Message(MessageKind.CHALLENGE, (forged.to_bytes(),))
+    msg = Message(MessageKind.CHALLENGE, (forged,))
     ack, failed = user_process_challenge(user_state, user_id, key, phrase, msg)
     assert ack is None
     assert failed.phase is UserPhase.FAILED
@@ -400,7 +398,7 @@ def _user_refuses(fields_under, n_a_for_key=None):
         k_s = session_key(user_id, key, n_a_for_key or user.n_a)
         body = seal(k_s, encode_fields(fields_under(phrase.encode())))
         return user_on_message(
-            user, *creds, Message(MessageKind.CHALLENGE, (body.to_bytes(),))
+            user, *creds, Message(MessageKind.CHALLENGE, (body,))
         )
 
     return refuse

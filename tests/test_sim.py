@@ -64,7 +64,7 @@ def test_trace_jsonl_shape():
         step = json.loads(line)
         assert list(step) == list(record.to_json()) == keys
         assert record.to_json() == {key: getattr(record, key) for key in keys}
-        assert step["verdict"] in ("delivered", "dropped", "modified", "replayed")
+        assert step["verdict"] in ("delivered", "modified", "replayed")
 
 
 def test_honest_session_frames_each_message_once(monkeypatch):

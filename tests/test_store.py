@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import random
@@ -119,10 +120,31 @@ def test_registry_db_schema(tmp_path):
         "records": [("user_id", "TEXT", 1), ("d_u", "BLOB", 0), ("sealed", "BLOB", 0)],
     }
     assert _sql(locker_store, "SELECT version, h_r FROM meta") == [(2, bytes(sha256(b"master")))]
-    sealed = record.sealed
     assert _sql(locker_store, "SELECT * FROM records") == [
-        ("alice", bytes(record.d_u), sealed.nonce + sealed.body + sealed.tag)
+        ("alice", bytes(record.d_u), record.sealed)
     ]
+
+
+_PINNED_ROW_SHA256 = "3dc1d88ae8216afe223f43635f4a641c88e0442443a24699206e8d575d1134d1"
+_PINNED_ENTRY_SHA256 = "f5a9d5d1a8b1644f243c37c447f4c4533fb10738f34f647e692e52597a892c41"
+
+
+def test_sealed_formats_are_pinned(tmp_path):
+    # a seeded registry row and vault entry file, byte for byte: a change to
+    # how a sealed blob is built, stored or encoded changes these digests
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase", rng=SeededRng(3, b"reg"))
+    locker_store.save_registry(registry)
+    (row,) = _sql(locker_store, "SELECT * FROM records")
+    assert hashlib.sha256(repr(row).encode()).hexdigest() == _PINNED_ROW_SHA256
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    locker_store.vault_put(
+        "alice", "deed", b"deed of the house", key_l, _open_session("alice"),
+        rng=SeededRng(3, b"vault"),
+    )
+    entry = locker_store.vault_dir("alice") / (b"deed".hex() + ".json")
+    assert hashlib.sha256(entry.read_bytes()).hexdigest() == _PINNED_ENTRY_SHA256
 
 
 _REGISTRY_CALLS = {
@@ -356,14 +378,10 @@ def test_save_is_atomic_against_partial_writes(tmp_path):
     before = locker_store.registry_path.read_bytes()
     record = registry.register("alice", SecretKey(b"ka"), "phrase")
 
-    # a record that fails to serialize after alice's INSERT ran must roll
-    # the whole transaction back
-    class Boom:
-        def to_bytes(self):
-            raise RuntimeError("boom")
-
-    registry.records["boom"] = LockerRecord(user_id="boom", d_u=record.d_u, sealed=Boom())
-    with pytest.raises(RuntimeError):
+    # a record SQLite cannot bind, after alice's INSERT ran, must roll the
+    # whole transaction back
+    registry.records["boom"] = LockerRecord(user_id="boom", d_u=record.d_u, sealed=object())
+    with pytest.raises(StoreError):
         locker_store.save_registry(registry)
     assert locker_store.registry_path.read_bytes() == before
     assert "alice" not in locker_store.load_registry().records
