@@ -52,6 +52,19 @@ _FAILURE_EXITS = {
     FailureReason.BAD_PROVIDER_KEY: EXIT_BAD_PROVIDER_KEY,
 }
 
+# (exception, exit code) for an error a command raises; the first row
+# the error is an instance of names the code
+_ERROR_EXITS = (
+    (store.AlreadyProvisioned, EXIT_ALREADY_PROVISIONED),
+    (store.DuplicateUser, EXIT_DUPLICATE_USER),
+    (store.SessionNotOpen, EXIT_SESSION_NOT_OPEN),
+    (store.UnknownDocument, EXIT_UNKNOWN_DOCUMENT),
+    (store.StoreError, EXIT_FAILURE),
+    (protocol.ProtocolError, EXIT_FAILURE),
+    (OSError, EXIT_FAILURE),
+    (ValueError, EXIT_FAILURE),
+)
+
 
 def _read_key_file(path: str) -> SecretKey:
     raw = Path(path).read_bytes()
@@ -78,11 +91,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 def cmd_provision(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     provider_key = _read_key_file(args.provider_key_file)
-    try:
-        registry = locker_store.provision(provider_key)
-    except store.AlreadyProvisioned as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALREADY_PROVISIONED
+    registry = locker_store.provision(provider_key)
     _emit(
         args,
         registry.h_r.hex(),
@@ -94,11 +103,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
 def cmd_register(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     key = _read_key_file(args.key_file)
-    try:
-        locker_store.register(args.user, key, args.phrase)
-    except store.DuplicateUser as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DUPLICATE_USER
+    locker_store.register(args.user, key, args.phrase)
     _emit(args, f"registered {args.user}", {"registered": args.user})
     return EXIT_OK
 
@@ -143,32 +148,25 @@ def cmd_vault(args: argparse.Namespace) -> int:
     key_l, session, user = _run_local_access(args, locker_store)
     if session.phase is not LockerPhase.OPEN:
         return _access_exit(session, user, args)
-    try:
-        if args.vault_op == "put":
-            doc = Path(args.file).read_bytes()
-            locker_store.vault_put(args.user, args.name, doc, key_l, session)
-            _emit(args, f"stored {args.name}", {"stored": args.name})
-        elif args.vault_op == "get":
-            doc = locker_store.vault_get(args.user, args.name, key_l, session)
-            if args.out:
-                Path(args.out).write_bytes(doc)
-            else:
-                buffer = getattr(sys.stdout, "buffer", None)
-                if buffer is None:
-                    print("error: stdout takes no bytes here; write the document "
-                          "with --out FILE", file=sys.stderr)
-                    return EXIT_FAILURE
-                buffer.write(doc)
-                buffer.flush()
+    if args.vault_op == "put":
+        doc = Path(args.file).read_bytes()
+        locker_store.vault_put(args.user, args.name, doc, key_l, session)
+        _emit(args, f"stored {args.name}", {"stored": args.name})
+    elif args.vault_op == "get":
+        doc = locker_store.vault_get(args.user, args.name, key_l, session)
+        if args.out:
+            Path(args.out).write_bytes(doc)
         else:
-            names = locker_store.vault_list(args.user, session)
-            _emit(args, "\n".join(names), {"documents": names})
-    except store.SessionNotOpen as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SESSION_NOT_OPEN
-    except store.UnknownDocument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_DOCUMENT
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:
+                print("error: stdout takes no bytes here; write the document "
+                      "with --out FILE", file=sys.stderr)
+                return EXIT_FAILURE
+            buffer.write(doc)
+            buffer.flush()
+    else:
+        names = locker_store.vault_list(args.user, session)
+        _emit(args, "\n".join(names), {"documents": names})
     return EXIT_OK
 
 
@@ -178,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         spec = sim.ScenarioSpec(
             scenario=args.scenario,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             variant=args.variant,
             timeout_ms=args.timeout_ms,
         )
@@ -272,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "timeout_ms", 1) < 1:
         parser.error("--timeout-ms must be >= 1")
-    if getattr(args, "command", None) == "vault":
+    if args.command == "vault":
         if args.vault_op in ("put", "get") and not args.name:
             parser.error("vault put/get requires --name")
         if args.vault_op == "put" and not args.file:
@@ -285,11 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return command(args)
-    except SystemExit:
-        raise
-    except (store.StoreError, protocol.ProtocolError, OSError, ValueError) as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ message, or injects any message the adversary has observed, including a
 full prior session it recorded (run by `protocol.run_session`). Every
 reply comes from the user, provider and locker transitions in `protocol`
 that `sim` drives and `run_session` loops over; nothing comes from `sim`.
-The model differs from `sim.LockerActor` on purpose: it has one registered
-user; an auth request for an unknown id is refused with no record and the
-session that refusal returns is dropped, so that user's slot is untouched;
-and there is no provider-key FIFO, since the one slot takes every provider
-key and ack.
+The locker has one session slot, as in `sim.LockerActor` and `run_session`.
+The model differs from `sim.LockerActor` in one way, on purpose: it has one
+registered user, and an auth request for an unknown id is refused with no
+record and the session that refusal returns is dropped, so that user's
+slot is untouched.
 
 Nonces are derived deterministically from (seed, session serial) rather
 than drawn from an RNG, so states reached by different schedules compare
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, replace
 
 from . import protocol
@@ -373,23 +372,24 @@ def enumerate_small_traces(
     world, old_knowledge = _build_world(seed)
     tables = _Tables(world)
     initial = _initial_state(tables, old_knowledge, include_honest_user)
-    visited: dict[_State, int] = {initial: depth}
-    frontier: deque[tuple[_State, int]] = deque([(initial, depth)])
+    # one level per move, so a state is first reached at its least depth; a
+    # dict, not a set, so outcomes and violations keep first-visit order
+    visited: dict[_State, None] = {initial: None}
+    frontier = [initial]
     transitions = 0
-    while frontier:
-        state, budget = frontier.popleft()
-        if budget == 0:
-            continue
-        for nxt in _successors(tables, state):
-            transitions += 1
-            prior = visited.get(nxt)
-            if prior is None or prior < budget - 1:
-                visited[nxt] = budget - 1
-                if len(visited) > state_budget:
-                    raise DepthExceeded(
-                        f"visited states exceeded budget {state_budget}"
-                    )
-                frontier.append((nxt, budget - 1))
+    for _ in range(depth):
+        level: list[_State] = []
+        for state in frontier:
+            for nxt in _successors(tables, state):
+                transitions += 1
+                if nxt not in visited:
+                    visited[nxt] = None
+                    if len(visited) > state_budget:
+                        raise DepthExceeded(
+                            f"visited states exceeded budget {state_budget}"
+                        )
+                    level.append(nxt)
+        frontier = level
     # an outcome depends only on the core: one signature per visited core,
     # in the order the search first reached it
     cores = dict.fromkeys(core_id for core_id, _, _ in visited)

@@ -24,9 +24,10 @@ drivers deliver messages to them and hold no copy of the session order:
 `run_session` here (one session with no adversary, which the CLI runs and
 `explore` records as the adversary's prior session), the simulator (`sim`)
 and the model checker (`explore`). So the search checks the code the
-scenarios and the CLI run. The model differs from the simulated locker on
-purpose: it has one registered user, an auth request for an unknown id
-leaves that user's session untouched, and it has no provider-key FIFO.
+scenarios and the CLI run. Each driver gives the locker one session slot.
+The model differs from the simulated locker in one way, on purpose: it has
+one registered user, and it drops the refused session for an unknown id,
+so that user's slot is untouched.
 
 A refusal is never an exception. A step that refuses returns its session
 FAILED with a `FailureReason` (and no message where it would build one),
@@ -122,7 +123,6 @@ class LockerSession:
     phase: LockerPhase
     n_a: Nonce | None = None
     n_r: Nonce | None = None
-    k_s: Digest | None = None
     deadline: int | None = None
     failure: FailureReason | None = None
 
@@ -132,7 +132,6 @@ class UserSession:
     user_id: str
     phase: UserPhase
     n_a: Nonce | None = None
-    k_s: Digest | None = None
     failure: FailureReason | None = None
 
 
@@ -270,7 +269,7 @@ def locker_build_challenge(
     body = seal(k_s, encode_fields([m, bytes(n_r)]), rng)
     msg = Message(MessageKind.CHALLENGE, (body,))
     state = LockerSession(
-        session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, k_s, now + timeout_ms
+        session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, now + timeout_ms
     )
     return msg, state
 
@@ -307,7 +306,7 @@ def user_process_challenge(
     if not matched:
         return None, _fail(session, FailureReason.PHRASE_MISMATCH)
     ack = Message(MessageKind.ACK, (bytes(ack_digest(session.n_a, n_r)),))
-    state = UserSession(session.user_id, UserPhase.ACK_SENT, session.n_a, k_s)
+    state = UserSession(session.user_id, UserPhase.ACK_SENT, session.n_a)
     return ack, state
 
 
@@ -325,8 +324,7 @@ def locker_verify_ack(
         return _fail(session, FailureReason.TIMEOUT)
     if ct_equal(msg.fields[0], ack_digest(session.n_a, session.n_r)):
         return LockerSession(
-            session.user_id, LockerPhase.OPEN, session.n_a, session.n_r, session.k_s,
-            session.deadline,
+            session.user_id, LockerPhase.OPEN, session.n_a, session.n_r, session.deadline
         )
     return _fail(session, FailureReason.BAD_ACK)
 
@@ -433,7 +431,7 @@ def user_on_message(
         ack, session = user_process_challenge(session, user_id, key, phrase, msg)
         return session, ack
     if msg.kind is MessageKind.RESULT and session.phase is UserPhase.ACK_SENT:
-        return UserSession(session.user_id, UserPhase.DONE, session.n_a, session.k_s), None
+        return UserSession(session.user_id, UserPhase.DONE, session.n_a), None
     if msg.kind is MessageKind.ERROR and session.phase not in (
         UserPhase.DONE,
         UserPhase.FAILED,

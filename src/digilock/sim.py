@@ -11,9 +11,10 @@ framed once, and a relayed one reuses the frame of the hop before.
 
 The actors only deliver: their replies come from the user, provider and
 locker transitions in `protocol`, the functions `explore` searches over.
-`LockerActor` adds what the model leaves out: any number of registered
-users (an unknown id fails that id's session) and the FIFO that matches
-provider keys to waiting sessions.
+`LockerActor` holds one session, as `protocol.run_session` and the model
+do. The one difference from the model is the registry: the model has one
+registered user and drops the refused session for an unknown id, where
+`LockerActor` looks up any registered user and keeps that refused session.
 
 Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
 the provider seat, the channel taps, whether an adversary replays the
@@ -49,6 +50,7 @@ from .protocol import (
     DEFAULT_TIMEOUT_MS,
     FailureReason,
     LockerPhase,
+    LockerRecord,
     LockerSession,
     UserSession,
 )
@@ -272,7 +274,6 @@ class ReplaySeat:
 
     def __init__(self, user_id: str, recorded_auth: Message) -> None:
         self.user_id = user_id
-        self.recorded_auth = recorded_auth
         self.n_a = Nonce(recorded_auth.fields[2])
         self.failure: FailureReason | None = None
 
@@ -287,9 +288,10 @@ class ReplaySeat:
 class LockerActor:
     """The locker module: verifies both parties, then waits on consent.
 
-    Each message goes to one user's session through
-    `protocol.locker_on_message`; this class picks the session and looks up
-    the user's record, which is None for an unknown id. The replay defence
+    It holds one session, as `protocol.run_session` and the model do, and
+    the record the latest auth request named (None for an unknown id).
+    Every message goes to that session through `protocol.locker_on_message`,
+    so a fresh auth request from any user replaces it. The replay defence
     is the ack a replayer cannot produce.
     """
 
@@ -303,55 +305,35 @@ class LockerActor:
         self.registry = registry
         self.timeout_ms = timeout_ms
         self.rng = rng
-        self.sessions: dict[str, LockerSession] = {}
-        self._awaiting_provider: deque[str] = deque()
+        self.session: LockerSession | None = None
+        self.record: LockerRecord | None = None
 
     def session_for(self, user_id: str) -> LockerSession | None:
-        return self.sessions.get(user_id)
+        """The session, when it belongs to `user_id`."""
+        if self.session is not None and self.session.user_id == user_id:
+            return self.session
+        return None
 
     def handle(
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
         if msg.kind is MessageKind.AUTH_REQUEST:
             user_id = msg.fields[0].decode("utf-8", errors="replace")
-        elif msg.kind is MessageKind.PROVIDER_KEY:
-            # provider keys carry no session handle: the oldest waiting
-            # user-verified session takes the key
-            while self._awaiting_provider:
-                user_id = self._awaiting_provider.popleft()
-                session = self.sessions.get(user_id)
-                if session is not None and session.phase is LockerPhase.USER_VERIFIED:
-                    break
-            else:
-                return []  # unsolicited provider key
-        elif msg.kind is MessageKind.ACK:
-            # acks carry no session handle either: the first challenge-sent
-            # session takes the ack
-            for user_id, session in self.sessions.items():
-                if session.phase is LockerPhase.CHALLENGE_SENT:
-                    break
-            else:
-                return []  # no session awaiting consent
-        else:
-            return []
-        # one active session per user: a fresh auth request replaces it
-        session, reply = protocol.locker_on_message(
-            self.registry.records.get(user_id),
+            self.record = self.registry.records.get(user_id)
+        self.session, reply = protocol.locker_on_message(
+            self.record,
             self.registry.h_r,
-            self.sessions.get(user_id),
+            self.session,
             msg,
             now=now,
             timeout_ms=self.timeout_ms,
             rng=self.rng,
         )
-        self.sessions[user_id] = session
-        if session.phase is LockerPhase.USER_VERIFIED:  # a fresh auth request passed
-            self._awaiting_provider.append(user_id)
-        return [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
+        return [] if reply is None else [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
 
     def check_timeouts(self, now: int) -> None:
-        for user_id, session in self.sessions.items():
-            self.sessions[user_id] = protocol.locker_check_timeout(session, now)
+        if self.session is not None:
+            self.session = protocol.locker_check_timeout(self.session, now)
 
 
 class RecordingTap:
@@ -550,14 +532,14 @@ def drive_session(
         taps=taps,
     )
     sim.send_all(ACTOR_USER, user.begin())
-    _pump_to_deadline(sim, locker, creds.user_id)
+    _pump_to_deadline(sim, locker)
     return SessionRun(user=user, locker=locker, clock=clock, trace=trace)
 
 
-def _pump_to_deadline(sim: Simulation, locker: LockerActor, user_id: str) -> None:
+def _pump_to_deadline(sim: Simulation, locker: LockerActor) -> None:
     """Pump to quiescence; a session still awaiting its ack then times out."""
     sim.pump()
-    session = locker.session_for(user_id)
+    session = locker.session
     if session is not None and session.phase is LockerPhase.CHALLENGE_SENT:
         assert session.deadline is not None
         sim.clock.advance(session.deadline - sim.clock.now + 1)
@@ -616,7 +598,7 @@ def _run_plan(
             trace=run.trace,
         )
         sim.inject(ACTOR_PROVIDER, recorded_auth, origin=ACTOR_USER)
-        _pump_to_deadline(sim, run.locker, creds.user_id)
+        _pump_to_deadline(sim, run.locker)
         user_session = None
     locker_session = run.locker.session_for(creds.user_id)
     locker_phase = locker_session.phase if locker_session else LockerPhase.IDLE

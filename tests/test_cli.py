@@ -18,7 +18,7 @@ import digilock
 from digilock import cli
 from digilock.cli import main
 from digilock.crypto import SecretKey
-from digilock.store import LockerStore
+from digilock.store import LockerStore, SessionNotOpen
 
 
 @pytest.fixture
@@ -268,6 +268,18 @@ def test_vault_get_before_put_exits_7(world):
             "get", "--name", "never-stored",
         ]
     ) == 7
+
+
+def test_vault_op_refused_for_a_session_not_open_exits_6(world, monkeypatch, capsys):
+    _provision(world)
+    _register(world)
+
+    def refuse(self, user_id, session):
+        raise SessionNotOpen(f"no open session for user {user_id!r}")
+
+    monkeypatch.setattr(LockerStore, "vault_list", refuse)
+    assert main(["vault", *_vault_base(world), "list"]) == 6
+    assert capsys.readouterr().err == "error: no open session for user 'alice'\n"
 
 
 def test_vault_with_wrong_user_key_exits_4(world):

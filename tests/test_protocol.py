@@ -154,7 +154,6 @@ def test_build_challenge_honest_round_trip():
     )
     assert locker_state.phase is LockerPhase.CHALLENGE_SENT
     assert locker_state.deadline == protocol.DEFAULT_TIMEOUT_MS
-    assert locker_state.k_s == session_key(user_id, key, locker_state.n_a)
     # the challenge opens under the user's independently derived key
     k_s = session_key(user_id, key, user_state.n_a)
     plain = unseal(k_s, challenge.fields[0])
@@ -318,6 +317,20 @@ def test_run_session_honest_transcript():
     )
     assert session.phase is LockerPhase.OPEN
     assert [msg.kind.label for msg in sent] == sim.HONEST_KIND_SEQUENCE
+
+
+def test_no_session_keeps_the_session_key():
+    # K_s is derived where the challenge is sealed and opened, and held by
+    # neither session afterwards
+    registry, creds, provider_key = sim.seed_world(3)
+    locker, user, _ = protocol.run_session(
+        registry.get_record(creds.user_id), registry.h_r,
+        creds.user_id, creds.key, creds.phrase, provider_key,
+    )
+    assert locker.phase is LockerPhase.OPEN and user.phase is UserPhase.DONE
+    k_s = session_key(creds.user_id, creds.key, user.n_a)
+    assert k_s not in vars(locker).values()
+    assert k_s not in vars(user).values()
 
 
 def _provider_key_msg(provider_key):

@@ -349,3 +349,43 @@ def test_seeded_runs_are_pinned(scenario, variant, seed):
     blob = trace.to_jsonl() + json.dumps(outcome.to_json(), sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == PINNED_RUNS[scenario, variant, seed]
+
+
+def _alice_open_and_bob_registered(seed):
+    registry, creds, provider_key = seed_world(seed)
+    bob = Credentials("bob", SecretKey(b"bob key material"), "bob phrase")
+    registry.register(bob.user_id, bob.key, bob.phrase, rng=SeededRng(seed, b"bob"))
+    run = sim.drive_session(registry, creds, provider_key)
+    assert run.locker.session_for("alice").phase is protocol.LockerPhase.OPEN
+    return run, bob, provider_key
+
+
+def test_a_second_users_auth_request_replaces_the_one_session():
+    # the locker holds one session, as run_session and the model do
+    run, bob, _ = _alice_open_and_bob_registered(5)
+    auth, _ = protocol.user_begin_session(bob.user_id, bob.key)
+    out = run.locker.handle(auth, protocol.ACTOR_USER, run.clock.now + 1)
+    assert [msg.kind for _, msg, _ in out] == [MessageKind.PROVIDER_KEY_REQUEST]
+    assert run.locker.session_for("alice") is None
+    assert run.locker.session_for("bob").phase is protocol.LockerPhase.USER_VERIFIED
+
+
+def test_one_locker_runs_sequential_sessions_of_two_users():
+    # after alice's session, bob's opens on the same locker under his record
+    run, bob, provider_key = _alice_open_and_bob_registered(6)
+    user = UserActor(bob, rng=SeededRng(6, b"bob-user"))
+    trace = Trace()
+    network = Simulation(
+        {
+            protocol.ACTOR_USER: user,
+            protocol.ACTOR_PROVIDER: sim.ProviderActor(provider_key),
+            protocol.ACTOR_LOCKER: run.locker,
+        },
+        clock=run.clock,
+        trace=trace,
+    )
+    network.send_all(protocol.ACTOR_USER, user.begin())
+    network.pump()
+    assert run.locker.session_for("bob").phase is protocol.LockerPhase.OPEN
+    assert user.session.phase is protocol.UserPhase.DONE
+    assert trace.kind_sequence() == HONEST_KIND_SEQUENCE
