@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from digilock import explore
+from digilock import explore, protocol
 from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
 )
 from digilock.protocol import ACTOR_ADVERSARY, ACTOR_USER
+from digilock.wire import Message, flip_field_bit
 
 
 def test_explore_imports_neither_the_simulator_nor_the_store():
@@ -123,22 +124,31 @@ def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
-    # the depth-5 search delivers from every state reached in four moves;
-    # each delivery through its memo, read back through the interning
-    # tables, must equal a fresh `_step` on the same core and frame, or the
-    # memo or an interned id hands one state another state's successor.
-    # In reachable states the origin and the genuine flags follow from the
-    # other fields, so each delivery is also checked from the other origin
-    # and with each flag flipped: a memo, frame or core key that leaves any
-    # of them out then fails too
-    deliver = explore._Tables.deliver
+    # the depth-6 search delivers from every state reached in five moves;
+    # each delivery through its memos, read back through the interning
+    # tables, must equal the same delivery on fresh tables with empty memos,
+    # or a step, party or inject memo or an interned id hands one state
+    # another state's successor. In reachable states the origin and the
+    # genuine flags follow from the other fields, so each delivery is also
+    # checked from the other origin and with each flag flipped: a memo,
+    # frame or core key that leaves any of them out then fails too
+    deliver, inject = explore._Tables.deliver, explore._Tables.inject
+    fresh_steps = {}  # by content: each reference step runs once
     calls = 0
 
-    def check(tables, core, raw, origin, step):
+    def fresh(tables, core, entry):
+        key = (core, entry)
+        if key not in fresh_steps:
+            empty = explore._Tables(tables.world)
+            next_core, sent = deliver(empty, empty.core(core), empty.frame(entry))
+            fresh_steps[key] = (
+                empty.cores[next_core], None if sent is None else empty.frames[sent]
+            )
+        return fresh_steps[key]
+
+    def read(tables, step):
         next_core, sent = step
-        expected = explore._step(core, tables.world, raw, origin)
-        got = (tables.cores[next_core], None if sent is None else tables.frames[sent])
-        assert got == expected, (core, raw, origin)
+        return tables.cores[next_core], None if sent is None else tables.frames[sent]
 
     def checked(tables, core_id, frame_id):
         nonlocal calls
@@ -151,14 +161,169 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
             variants.append((replace(core, **{flag: not getattr(core, flag)}), origin))
         for variant, sender in variants:
             step = deliver(tables, tables.core(variant), tables.frame((raw, sender)))
-            check(tables, variant, raw, sender, step)
+            assert read(tables, step) == fresh(tables, variant, (raw, sender))
         step = deliver(tables, core_id, frame_id)
-        check(tables, core, raw, origin, step)
+        assert read(tables, step) == fresh(tables, core, (raw, origin)), (core, raw)
         return step
 
+    def checked_inject(tables, core_id, knowledge):
+        nonlocal calls
+        calls += 1
+        moves, changes = inject(tables, core_id, knowledge)
+        core = tables.cores[core_id]
+        known = [f for f in range(knowledge.bit_length()) if knowledge >> f & 1]
+        expected = [fresh(tables, core, tables.frames[f]) for f in known]
+        assert moves == len(known)
+        assert [read(tables, step) for step in changes] == [
+            step for step in expected if step != (core, None)
+        ]
+        return moves, changes
+
     monkeypatch.setattr(explore._Tables, "deliver", checked)
-    enumerate_small_traces(depth=5, seed=seed)
+    monkeypatch.setattr(explore._Tables, "inject", checked_inject)
+    enumerate_small_traces(depth=6, seed=seed)
     assert calls > 10_000
+
+
+def test_search_shape_does_not_depend_on_the_seed():
+    # the seed changes the bytes in the messages, not which moves exist:
+    # the benchmark checks every seed's search against one pinned pair
+    counts = set()
+    for seed in (0, 1, 1000, 3000):
+        enum = enumerate_small_traces(depth=5, seed=seed)
+        counts.add((enum.states_explored, enum.transitions))
+    assert len(counts) == 1, counts
+
+
+def _reference_search(seed, depth):
+    """The search with a sorted tuple of frame ids as the pending pool and
+    every move spelled out, one level at a time. Each delivery runs `_step`
+    on fresh tables, once per (core, frame) interned here. Returns each
+    depth's (states, transitions, outcomes, violations) and the states in
+    first-visit order, by content."""
+    world, old_knowledge = explore._build_world(seed)
+    frames, frame_ids, cores, core_ids, steps = [], {}, [], {}, {}
+
+    def intern(ids, values, value):
+        if value not in ids:
+            ids[value] = len(values)
+            values.append(value)
+        return ids[value]
+
+    def deliver(core_id, frame_id):
+        if (core_id, frame_id) not in steps:
+            empty = explore._Tables(world)
+            next_core, sent = empty.deliver(
+                empty.core(cores[core_id]), empty.frame(frames[frame_id])
+            )
+            steps[core_id, frame_id] = (
+                intern(core_ids, cores, empty.cores[next_core]),
+                None if sent is None else intern(frame_ids, frames, empty.frames[sent]),
+            )
+        return steps[core_id, frame_id]
+
+    def successors(core_id, pending, knowledge):
+        out = []
+
+        def land(frame_id, pool):
+            next_core, sent = deliver(core_id, frame_id)
+            if sent is None:
+                out.append((next_core, pool, knowledge))
+            else:
+                grown = tuple(sorted(pool + (sent,)))
+                out.append((next_core, grown, knowledge | 1 << sent))
+
+        for index, frame_id in enumerate(pending):
+            if index and pending[index - 1] == frame_id:
+                continue
+            removed = pending[:index] + pending[index + 1:]
+            land(frame_id, removed)
+            out.append((core_id, removed, knowledge))
+            if pending.count(frame_id) < explore._DUP_CAP:
+                doubled = pending[:index] + (frame_id,) + pending[index:]
+                out.append((core_id, doubled, knowledge))
+            msg = Message.decode(frames[frame_id][0])
+            flips = [  # all interned before any is delivered
+                intern(frame_ids, frames, (flip_field_bit(msg, i).encode(), ACTOR_ADVERSARY))
+                for i in range(len(msg.fields))
+            ]
+            for bad in flips:
+                land(bad, removed)
+        for frame_id in range(knowledge.bit_length()):
+            if knowledge >> frame_id & 1:
+                land(frame_id, pending)
+        return out
+
+    knowledge = 0
+    for entry in sorted(old_knowledge):
+        knowledge |= 1 << intern(frame_ids, frames, entry)
+    auth, user = protocol.user_begin_session(
+        world.user_id, world.user_key, rng=explore._QueueRng(seed, 1, b"na")
+    )
+    auth_id = intern(frame_ids, frames, (auth.encode(), ACTOR_USER))
+    initial = (
+        intern(core_ids, cores, explore.Core(locker=None, user=user, serial=1)),
+        (auth_id,),
+        knowledge | 1 << auth_id,
+    )
+    visited, frontier, transitions, levels = {initial: None}, [initial], 0, []
+    for level in range(depth + 1):
+        outcomes = dict.fromkeys(explore._signature(cores[c]) for c, _, _ in visited)
+        violations = [
+            o for o in outcomes if o.locker_opened and o.genuine != (True, True, True)
+        ]
+        levels.append((len(visited), transitions, set(outcomes), violations))
+        if level == depth:
+            break
+        next_frontier = []
+        for state in frontier:
+            for nxt in successors(*state):
+                transitions += 1
+                if nxt not in visited:
+                    visited[nxt] = None
+                    next_frontier.append(nxt)
+        frontier = next_frontier
+
+    def content(state):
+        core_id, pending, known = state
+        return _content(cores[core_id], [frames[f] for f in pending], frames, known)
+
+    return levels, [content(state) for state in visited]
+
+
+def _content(core, pending, frames, knowledge):
+    bits = range(knowledge.bit_length())
+    return core, tuple(sorted(pending)), frozenset(frames[f] for f in bits if knowledge >> f & 1)
+
+
+@pytest.mark.parametrize("seed,depth", [(0, 5), (3, 5), (7, 5), (11, 5), (0, 6)])
+def test_search_equals_the_tuple_pool_reference(monkeypatch, seed, depth):
+    # the same counts, outcomes and violations at every depth up to `depth`,
+    # and the same states in the same first-visit order, compared by
+    # content since the two searches number frames and cores apart
+    levels, reference_order = _reference_search(seed, depth)
+    successors = explore._successors
+    expanded = []
+
+    def recorded(tables, state):
+        core_id, pool, knowledge = state
+        if isinstance(pool, int):  # an interned pool id
+            pool = tables.pools[pool]
+        pending = [tables.frames[f] for f in pool]
+        expanded.append(_content(tables.cores[core_id], pending, tables.frames, knowledge))
+        return successors(tables, state)
+
+    monkeypatch.setattr(explore, "_successors", recorded)
+    for d, (states, transitions, outcomes, violations) in enumerate(levels):
+        enum = enumerate_small_traces(depth=d, seed=seed)
+        assert (enum.states_explored, enum.transitions) == (states, transitions), d
+        assert enum.outcomes == outcomes, d
+        assert enum.violations == violations, d
+        # a search one move deeper expands, in first-visit order, exactly
+        # the states this one visits
+        expanded.clear()
+        enumerate_small_traces(depth=d + 1, seed=seed)
+        assert expanded == reference_order[:states], d
 
 
 def test_enumeration_is_deterministic():
