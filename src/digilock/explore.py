@@ -12,10 +12,9 @@ full prior session it recorded (run by `protocol.run_session`). Every
 reply comes from the user, provider and locker transitions in `protocol`
 that `sim` drives and `run_session` loops over; nothing comes from `sim`.
 The locker has one session slot, as in `sim.LockerActor` and `run_session`.
-The model differs from `sim.LockerActor` in one way, on purpose: it has one
-registered user, and an auth request for an unknown id is refused with no
-record and the session that refusal returns is dropped, so that user's
-slot is untouched.
+The model registers one user; an auth request for any other id is refused
+with no record and the refused session is dropped, so that user's slot is
+untouched, as in `sim.LockerActor`.
 
 Nonces are derived deterministically from (seed, session serial) rather
 than drawn from an RNG, so states reached by different schedules compare
@@ -23,15 +22,15 @@ equal and the search space is message scheduling, not nonce entropy;
 per-session distinctness, the property the protocol actually relies on,
 is preserved.
 
-Each search interns every distinct (raw frame, origin) pair, `Core` (both
-sessions, the nonce index, the genuine flags) and pending pool (a sorted
-tuple of frame ids) as a small int, in tables that die with the search. A
-state is three ints: core id, pool id, and the adversary's knowledge as a
+Each search interns every distinct (raw frame, origin) pair and `Core` (both
+sessions, the nonce index, the genuine flags) as a small int, in tables that
+die with the search. A state is three ints: core id, the pending pool as
+copy counts (`_SLOT` bits per frame id), and the adversary's knowledge as a
 bitmask of frame ids. The memos are exact, as the world is fixed, a frame id
 stands for the bytes and the origin, a core id for all a delivery reads, and
 pool and knowledge only grow by the frame sent. Each party's transition is
 memoised on what it reads, a delivery on (core id, frame id), a pool's moves
-on its id, and the inject moves on (core id, knowledge): how many, and those
+on the pool, and the inject moves on (core id, knowledge): how many, and those
 that change the core or send a frame. The rest lead back to the state itself
 and skip the visited lookup. At depth 6, 311 party transitions and 1,608
 deliveries run for 22,651 delivery calls, and 13,881 of the 69,371
@@ -41,7 +40,6 @@ transitions lead back to their own state.
 from __future__ import annotations
 
 import hashlib
-from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -64,6 +62,12 @@ MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
 _NO_TIMEOUT_MS = 1 << 40
 _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
+# a pending pool is one int: bits [f * _SLOT, (f + 1) * _SLOT) count the copies
+# of frame id f. A search of d moves holds at most d + 1 pending frames, as it
+# starts with at most one and each move adds at most one, so no count carries
+# into the next slot and equal multisets give equal ints
+_SLOT = (MAX_DEPTH + 1).bit_length()
+_COUNT = (1 << _SLOT) - 1
 # who sends each kind in a session; the locker sends the rest
 _SENDERS = {
     MessageKind.AUTH_REQUEST: ACTOR_USER,
@@ -124,7 +128,7 @@ class Core:
     ack_genuine: bool = False
 
 
-# (core id, pending pool id, knowledge bitmask of frame ids)
+# (core id, pending pool as copy counts, knowledge bitmask of frame ids)
 _State = tuple[int, int, int]
 
 
@@ -195,14 +199,14 @@ def _initial_state(
         knowledge |= 1 << tables.frame(entry)
     if not include_honest_user:
         core_id = tables.core(Core(locker=None, user=None, serial=1))
-        return core_id, tables.pool(()), knowledge
+        return core_id, 0, knowledge
     world = tables.world
     auth, user_session = protocol.user_begin_session(
         world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
     )
     frame_id = tables.frame((auth.encode(), ACTOR_USER))
     core_id = tables.core(Core(locker=None, user=user_session, serial=1))
-    return core_id, tables.pool((frame_id,)), knowledge | 1 << frame_id
+    return core_id, 1 << _SLOT * frame_id, knowledge | 1 << frame_id
 
 
 def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]:
@@ -263,8 +267,7 @@ def _intern(ids: dict, values: list, value) -> int:
 
 
 class _Tables:
-    """One search's frame, core and pool ids and its memos, dropped when it
-    returns."""
+    """One search's frame and core ids and its memos, dropped when it returns."""
 
     def __init__(self, world: _World) -> None:
         self.world = world
@@ -273,13 +276,10 @@ class _Tables:
         self.frame_ids: dict[tuple[bytes, str], int] = {}
         self.cores: list[Core] = []
         self.core_ids: dict[Core, int] = {}
-        self.pools: list[tuple[int, ...]] = []  # sorted pending frame ids
-        self.pool_ids: dict[tuple[int, ...], int] = {}
         self.transitions: dict[tuple, tuple] = {}
         self.steps: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.flips: dict[int, tuple[int, ...]] = {}
         self.pool_moves: dict[int, tuple[tuple[int, int, int | None], ...]] = {}
-        self.grown: dict[tuple[int, int], int] = {}
         self.injects: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def frame(self, entry: tuple[bytes, str]) -> int:
@@ -290,9 +290,6 @@ class _Tables:
 
     def core(self, core: Core) -> int:
         return _intern(self.core_ids, self.cores, core)
-
-    def pool(self, pending: tuple[int, ...]) -> int:
-        return _intern(self.pool_ids, self.pools, pending)
 
     def transition(self, key: tuple, run: Callable[[], tuple]) -> tuple:
         """`run`, a party's transition, once per distinct `key` in a search:
@@ -326,34 +323,22 @@ class _Tables:
             )
         return flips
 
-    def moves(self, pool_id: int) -> tuple[tuple[int, int, int | None], ...]:
-        """Per distinct pending frame: its id, the pool without it, and the
-        pool with a second copy (None at `_DUP_CAP`)."""
-        moves = self.pool_moves.get(pool_id)
+    def moves(self, pool: int) -> tuple[tuple[int, int, int | None], ...]:
+        """Per distinct pending frame, in frame-id order: its id, the pool
+        without it, and the pool with a second copy (None at `_DUP_CAP`)."""
+        moves = self.pool_moves.get(pool)
         if moves is None:
-            pending = self.pools[pool_id]
-            moves = self.pool_moves[pool_id] = tuple(
-                (
-                    frame_id,
-                    self.pool(pending[:index] + pending[index + 1:]),
-                    self.pool(pending[:index] + (frame_id,) + pending[index:])
-                    if pending.count(frame_id) < _DUP_CAP
-                    else None,
+            found, rest = [], pool
+            while rest:
+                shift = (rest & -rest).bit_length() - 1
+                shift -= shift % _SLOT  # the lowest pending frame's slot
+                count, copy = rest >> shift & _COUNT, 1 << shift
+                rest -= count << shift
+                found.append(
+                    (shift // _SLOT, pool - copy, pool + copy if count < _DUP_CAP else None)
                 )
-                for index, frame_id in enumerate(pending)
-                if not index or pending[index - 1] != frame_id  # a copy: same moves
-            )
+            moves = self.pool_moves[pool] = tuple(found)
         return moves
-
-    def grow(self, pool_id: int, frame_id: int) -> int:
-        """The pool with `frame_id` added."""
-        key = (pool_id, frame_id)
-        grown = self.grown.get(key)
-        if grown is None:
-            pending = list(self.pools[pool_id])
-            insort(pending, frame_id)
-            grown = self.grown[key] = self.pool(tuple(pending))
-        return grown
 
     def inject(self, core_id: int, knowledge: int) -> tuple[int, tuple]:
         """Delivering each known frame: how many moves, and those among them
@@ -374,18 +359,18 @@ class _Tables:
 
 def _successors(tables: _Tables, state: _State) -> tuple[list[_State], int]:
     """The states one move away, and how many more moves lead back to `state`."""
-    core_id, pool_id, knowledge = state
-    deliver, grow = tables.deliver, tables.grow
+    core_id, pool, knowledge = state
+    deliver = tables.deliver
     out: list[_State] = []
     append = out.append
     # a delivery lands as (next core, pool grown by the frame sent, knowledge
     # with it); spelled out at each move, as a call per successor made the
     # depth-6 search about a third slower (2-core host)
-    for frame_id, removed, doubled in tables.moves(pool_id):
+    for frame_id, removed, doubled in tables.moves(pool):
         next_core, sent = deliver(core_id, frame_id)
         append(
             (next_core, removed, knowledge) if sent is None
-            else (next_core, grow(removed, sent), knowledge | 1 << sent)
+            else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
         )
         # drop
         append((core_id, removed, knowledge))
@@ -397,14 +382,14 @@ def _successors(tables: _Tables, state: _State) -> tuple[list[_State], int]:
             next_core, sent = deliver(core_id, bad)
             append(
                 (next_core, removed, knowledge) if sent is None
-                else (next_core, grow(removed, sent), knowledge | 1 << sent)
+                else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
             )
     # inject: replay anything ever observed, to its natural destination
     moves, changes = tables.inject(core_id, knowledge)
     for next_core, sent in changes:
         append(
-            (next_core, pool_id, knowledge) if sent is None
-            else (next_core, grow(pool_id, sent), knowledge | 1 << sent)
+            (next_core, pool, knowledge) if sent is None
+            else (next_core, pool + (1 << _SLOT * sent), knowledge | 1 << sent)
         )
     return out, moves - len(changes)
 

@@ -25,9 +25,8 @@ drivers deliver messages to them and hold no copy of the session order:
 `explore` records as the adversary's prior session), the simulator (`sim`)
 and the model checker (`explore`). So the search checks the code the
 scenarios and the CLI run. Each driver gives the locker one session slot.
-The model differs from the simulated locker in one way, on purpose: it has
-one registered user, and it drops the refused session for an unknown id,
-so that user's slot is untouched.
+The model registers one user. The simulated locker and the model drop the
+refused session for an id with no record, so the slot stays as it was.
 
 A refusal is never an exception. A step that refuses returns its session
 FAILED with a `FailureReason` (and no message where it would build one),
@@ -57,9 +56,8 @@ from .crypto import (
     unseal,
     xor_digests,
 )
-from .wire import Message, MessageKind, WireError, decode_fields, encode_fields
+from .wire import USER_ID_MAX, Message, MessageKind, WireError, decode_fields, encode_fields
 
-USER_ID_MAX = 64
 PHRASE_MAX = 256
 SEPARATOR_BYTE = 0x1F  # reserved separator; user ids must not contain it
 DEFAULT_TIMEOUT_MS = 5000

@@ -5,16 +5,16 @@ over FIFO channels; user<->locker traffic always crosses the provider seat.
 A scenario wires the actors, optionally replaces a seat with an adversary
 or installs a channel tap, pumps the queue to quiescence, and returns a
 structured outcome plus a trace. All randomness flows from a single 64-bit
-seed and time from an explicit millisecond clock, so a scenario replays
+seed and time is an int of simulated milliseconds, so a scenario replays
 byte for byte. The trace records each hop's payload digest; a message is
 framed once, and a relayed one reuses the frame of the hop before.
 
 The actors only deliver: their replies come from the user, provider and
 locker transitions in `protocol`, the functions `explore` searches over.
 `LockerActor` holds one session, as `protocol.run_session` and the model
-do. The one difference from the model is the registry: the model has one
-registered user and drops the refused session for an unknown id, where
-`LockerActor` looks up any registered user and keeps that refused session.
+do. It looks up any registered user, where the model registers one; like
+the model, it refuses an auth request for an id with no record and drops
+the refused session, so the slot stays as it was.
 
 Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
 the provider seat, the channel taps, whether an adversary replays the
@@ -48,6 +48,7 @@ from .protocol import (
     ACTOR_PROVIDER,
     ACTOR_USER,
     DEFAULT_TIMEOUT_MS,
+    TO_USER,
     FailureReason,
     LockerPhase,
     LockerRecord,
@@ -92,16 +93,6 @@ _PLANS = {
 _DEFAULT_VARIANTS = {"tamper": "challenge-body"}
 
 SCENARIO_NAMES = tuple(dict.fromkeys(name for name, _ in _PLANS))
-
-
-class SimClock:
-    """Integer-millisecond clock advanced explicitly by the driver."""
-
-    def __init__(self) -> None:
-        self.now = 0
-
-    def advance(self, ms: int) -> None:
-        self.now += ms
 
 
 class TraceStep(NamedTuple):
@@ -158,15 +149,6 @@ HONEST_KIND_SEQUENCE = [
     "ack",
     "result",
 ]
-
-
-@dataclass(slots=True)
-class Packet:
-    src: str
-    dst: str
-    origin: str
-    msg: Message
-    replayed: bool = False
 
 
 def adversary_try_open_challenge(
@@ -238,11 +220,7 @@ class ProviderActor:
         reply = protocol.provider_on_message(self.provider_key, msg)
         if reply is not None:
             return [(ACTOR_LOCKER, reply, ACTOR_PROVIDER)]
-        if origin == ACTOR_USER:
-            return [(ACTOR_LOCKER, msg, origin)]
-        if origin == ACTOR_LOCKER:
-            return [(ACTOR_USER, msg, origin)]
-        return []
+        return [(ACTOR_USER if msg.kind in TO_USER else ACTOR_LOCKER, msg, origin)]
 
 
 class ImpersonatingProvider(ProviderActor):
@@ -289,10 +267,11 @@ class LockerActor:
     """The locker module: verifies both parties, then waits on consent.
 
     It holds one session, as `protocol.run_session` and the model do, and
-    the record the latest auth request named (None for an unknown id).
-    Every message goes to that session through `protocol.locker_on_message`,
-    so a fresh auth request from any user replaces it. The replay defence
-    is the ack a replayer cannot produce.
+    the record of its user. Every message goes to that session through
+    `protocol.locker_on_message`, so a fresh auth request from any
+    registered user replaces it; one for an id with no record is refused
+    and its refused session dropped. The replay defence is the ack a
+    replayer cannot produce.
     """
 
     def __init__(
@@ -317,11 +296,12 @@ class LockerActor:
     def handle(
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
+        record = self.record
         if msg.kind is MessageKind.AUTH_REQUEST:
             user_id = msg.fields[0].decode("utf-8", errors="replace")
-            self.record = self.registry.records.get(user_id)
-        self.session, reply = protocol.locker_on_message(
-            self.record,
+            record = self.registry.records.get(user_id)
+        session, reply = protocol.locker_on_message(
+            record,
             self.registry.h_r,
             self.session,
             msg,
@@ -329,6 +309,8 @@ class LockerActor:
             timeout_ms=self.timeout_ms,
             rng=self.rng,
         )
+        if record is not None:  # no record: the refused session is dropped
+            self.record, self.session = record, session
         return [] if reply is None else [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
 
     def check_timeouts(self, now: int) -> None:
@@ -342,9 +324,9 @@ class RecordingTap:
     def __init__(self, knowledge: list[Message]) -> None:
         self.knowledge = knowledge
 
-    def intercept(self, packet: Packet) -> tuple[Message, str]:
-        self.knowledge.append(packet.msg)
-        return packet.msg, "delivered"
+    def intercept(self, msg: Message) -> tuple[Message, str]:
+        self.knowledge.append(msg)
+        return msg, "delivered"
 
 
 class TamperTap:
@@ -356,45 +338,45 @@ class TamperTap:
         self.bit = bit
         self.done = False
 
-    def intercept(self, packet: Packet) -> tuple[Message, str]:
-        if not self.done and packet.msg.kind is self.kind:
+    def intercept(self, msg: Message) -> tuple[Message, str]:
+        if not self.done and msg.kind is self.kind:
             self.done = True
-            return flip_field_bit(packet.msg, self.field_index, self.bit), "modified"
-        return packet.msg, "delivered"
+            return flip_field_bit(msg, self.field_index, self.bit), "modified"
+        return msg, "delivered"
 
 
 _DIRECT_EDGES = {(ACTOR_USER, ACTOR_LOCKER), (ACTOR_LOCKER, ACTOR_USER)}
 
 
 class Simulation:
-    """Single-threaded event loop over FIFO channels with optional taps."""
+    """Single-threaded event loop over FIFO channels with optional taps.
+
+    `now` is the simulated time in ms. A queued hop is the tuple
+    (src, dst, origin, msg, replayed)."""
 
     def __init__(
         self,
         actors: dict[str, object],
         *,
-        clock: SimClock,
         trace: Trace,
         taps: dict[tuple[str, str], object] | None = None,
     ) -> None:
         self.actors = actors
-        self.clock = clock
         self.trace = trace
         self.taps = taps or {}
-        self.queue: deque[Packet] = deque()
+        self.now = 0
+        self.queue: deque[tuple[str, str, str, Message, bool]] = deque()
 
     def post(self, src: str, dst: str, msg: Message, origin: str) -> None:
         if (src, dst) in _DIRECT_EDGES:
             raise ValueError("user<->locker traffic must cross the provider seat")
-        self.queue.append(Packet(src, dst, origin, msg))
+        self.queue.append((src, dst, origin, msg, False))
 
     def inject(
         self, dst: str, msg: Message, origin: str, src: str = ACTOR_ADVERSARY
     ) -> None:
         """Queue a recorded message for delivery (a replay)."""
-        self.queue.append(
-            Packet(src=src, dst=dst, origin=origin, msg=msg, replayed=True)
-        )
+        self.queue.append((src, dst, origin, msg, True))
 
     def send_all(self, src: str, outs: Iterable[tuple[str, Message, str]]) -> None:
         for dst, msg, origin in outs:
@@ -407,28 +389,16 @@ class Simulation:
             hops += 1
             if hops > MAX_HOPS:
                 raise RuntimeError(f"simulation exceeded {MAX_HOPS} hops")
-            packet = self.queue.popleft()
-            self.clock.advance(HOP_MS)
-            tap = self.taps.get((packet.src, packet.dst))
+            src, dst, origin, msg, replayed = self.queue.popleft()
+            self.now += HOP_MS
+            verdict = "delivered"
+            tap = self.taps.get((src, dst))
             if tap is not None:
-                delivered, verdict = tap.intercept(packet)
-            else:
-                delivered, verdict = packet.msg, "delivered"
-            if packet.replayed and verdict == "delivered":
+                msg, verdict = tap.intercept(msg)
+            if replayed and verdict == "delivered":
                 verdict = "replayed"
-            self.trace.record(
-                self.clock.now,
-                packet.src,
-                packet.dst,
-                packet.origin,
-                delivered,
-                verdict,
-            )
-            actor = self.actors.get(packet.dst)
-            if actor is None:
-                continue
-            outs = actor.handle(delivered, packet.origin, self.clock.now)
-            self.send_all(packet.dst, outs)
+            self.trace.record(self.now, src, dst, origin, msg, verdict)
+            self.send_all(dst, self.actors[dst].handle(msg, origin, self.now))
 
 
 @dataclass(frozen=True)
@@ -449,7 +419,7 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Loadable scenario definition: {scenario, seed, variant, timeout_ms}.
+    """One scenario run: {scenario, seed, variant, timeout_ms}.
 
     `variant` is a tamper target; the other scenarios take none."""
 
@@ -470,15 +440,6 @@ class ScenarioSpec:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScenarioSpec":
-        return cls(
-            scenario=obj["scenario"],
-            seed=int(obj.get("seed", 0)),
-            variant=obj.get("variant"),
-            timeout_ms=int(obj.get("timeout_ms", DEFAULT_TIMEOUT_MS)),
-        )
 
 
 def seed_world(seed: int) -> tuple[Registry, Credentials, SecretKey]:
@@ -501,9 +462,9 @@ def seed_world(seed: int) -> tuple[Registry, Credentials, SecretKey]:
 class SessionRun:
     """Handles left behind by a driven session, for assertions and vault ops."""
 
-    user: UserActor | None
+    user: UserActor
     locker: LockerActor
-    clock: SimClock
+    sim: Simulation
     trace: Trace
 
 
@@ -520,20 +481,17 @@ def drive_session(
 ) -> SessionRun:
     """Run one access session to quiescence, then past its ack deadline if
     the locker still waits for consent (the shared scenario core)."""
-    clock = SimClock()
-    trace = Trace()
     user = UserActor(creds, rng=rng_user)
     provider = provider or ProviderActor(provider_key)
     locker = LockerActor(registry, timeout_ms=timeout_ms, rng=rng_locker)
     sim = Simulation(
         {ACTOR_USER: user, ACTOR_PROVIDER: provider, ACTOR_LOCKER: locker},
-        clock=clock,
-        trace=trace,
+        trace=Trace(),
         taps=taps,
     )
     sim.send_all(ACTOR_USER, user.begin())
     _pump_to_deadline(sim, locker)
-    return SessionRun(user=user, locker=locker, clock=clock, trace=trace)
+    return SessionRun(user=user, locker=locker, sim=sim, trace=sim.trace)
 
 
 def _pump_to_deadline(sim: Simulation, locker: LockerActor) -> None:
@@ -541,9 +499,8 @@ def _pump_to_deadline(sim: Simulation, locker: LockerActor) -> None:
     sim.pump()
     session = locker.session
     if session is not None and session.phase is LockerPhase.CHALLENGE_SENT:
-        assert session.deadline is not None
-        sim.clock.advance(session.deadline - sim.clock.now + 1)
-        locker.check_timeouts(sim.clock.now)
+        sim.now = session.deadline + 1
+        locker.check_timeouts(sim.now)
 
 
 def _plan_key(scenario: str, variant: str | None) -> tuple[str, str | None]:
@@ -585,20 +542,13 @@ def _run_plan(
     )
     user_session: UserSession | None = run.user.session
     if plan.replay:
-        # the recorded auth request comes back from a seat that holds no key
+        # the recorded auth request comes back, untapped, from a seat in the
+        # user's place that holds no key; the provider seat is the honest one
         recorded_auth = next(m for m in knowledge if m.kind is MessageKind.AUTH_REQUEST)
-        adversary = ReplaySeat(creds.user_id, recorded_auth)
-        sim = Simulation(
-            {
-                ACTOR_USER: adversary,
-                ACTOR_PROVIDER: ProviderActor(provider_key),
-                ACTOR_LOCKER: run.locker,
-            },
-            clock=run.clock,
-            trace=run.trace,
-        )
-        sim.inject(ACTOR_PROVIDER, recorded_auth, origin=ACTOR_USER)
-        _pump_to_deadline(sim, run.locker)
+        adversary = run.sim.actors[ACTOR_USER] = ReplaySeat(creds.user_id, recorded_auth)
+        run.sim.taps = {}
+        run.sim.inject(ACTOR_PROVIDER, recorded_auth, origin=ACTOR_USER)
+        _pump_to_deadline(run.sim, run.locker)
         user_session = None
     locker_session = run.locker.session_for(creds.user_id)
     locker_phase = locker_session.phase if locker_session else LockerPhase.IDLE

@@ -17,9 +17,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .crypto import SEALED_MIN_LEN
+from .crypto import DIGEST_LEN, MAX_KEY_LEN, NONCE_LEN, SEALED_MIN_LEN
 
 VERSION = 0x01
+USER_ID_MAX = 64  # UTF-8 bytes
+_LABEL_MAX = 64  # a result or error label
 
 _LEN_PREFIX = 4
 _COUNT_PREFIX = 2
@@ -59,16 +61,16 @@ class MessageKind(enum.IntEnum):
 _LABELS = {kind: kind.name.lower().replace("_", "-") for kind in MessageKind}
 
 # (min, max) length per field, by kind. AuthRequest carries
-# [user id, 32-byte PRF proof, 16-byte nonce]; Challenge carries one
-# opaque sealed blob, at least as long as crypto.seal's shortest output.
+# [user id, PRF proof digest, nonce]; Challenge carries one opaque sealed
+# blob, at least as long as crypto.seal's shortest output.
 _FIELD_LIMITS: dict[MessageKind, tuple[tuple[int, int], ...]] = {
-    MessageKind.AUTH_REQUEST: ((1, 64), (32, 32), (16, 16)),
+    MessageKind.AUTH_REQUEST: ((1, USER_ID_MAX), (DIGEST_LEN, DIGEST_LEN), (NONCE_LEN, NONCE_LEN)),
     MessageKind.PROVIDER_KEY_REQUEST: (),
-    MessageKind.PROVIDER_KEY: ((1, 64),),
+    MessageKind.PROVIDER_KEY: ((1, MAX_KEY_LEN),),
     MessageKind.CHALLENGE: ((SEALED_MIN_LEN, 1 << 20),),
-    MessageKind.ACK: ((32, 32),),
-    MessageKind.RESULT: ((1, 64),),
-    MessageKind.ERROR: ((1, 64),),
+    MessageKind.ACK: ((DIGEST_LEN, DIGEST_LEN),),
+    MessageKind.RESULT: ((1, _LABEL_MAX),),
+    MessageKind.ERROR: ((1, _LABEL_MAX),),
 }
 
 

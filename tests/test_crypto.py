@@ -226,3 +226,17 @@ def test_seeded_rng_drives_seal_reproducibly():
 
 def test_system_rng_take():
     assert len(crypto.SystemRng().take(16)) == 16
+
+
+@pytest.mark.parametrize("length", [16, 31, 33, 64])
+def test_seal_and_unseal_refuse_a_key_that_is_not_32_bytes(length):
+    # the check runs before the AEAD is built or a nonce is drawn, so the
+    # refusal names the call and costs the nonce source nothing
+    key = bytes(range(length))
+    rng = SeededRng(3, b"key-length")
+    with pytest.raises(ValueError, match=rf"^seal key must be 32 bytes, got {length}$"):
+        seal(key, b"plain", rng)
+    assert rng.take(SEAL_NONCE_LEN) == SeededRng(3, b"key-length").take(SEAL_NONCE_LEN)
+    sealed = seal(bytes(32), b"plain")
+    with pytest.raises(ValueError, match=rf"^unseal key must be 32 bytes, got {length}$"):
+        unseal(key, sealed)

@@ -307,9 +307,12 @@ def test_search_equals_the_tuple_pool_reference(monkeypatch, seed, depth):
 
     def recorded(tables, state):
         core_id, pool, knowledge = state
-        if isinstance(pool, int):  # an interned pool id
-            pool = tables.pools[pool]
-        pending = [tables.frames[f] for f in pool]
+        slot = explore._SLOT
+        pending = [  # each frame id as often as its slot in the pool counts
+            tables.frames[f]
+            for f in range(pool.bit_length() // slot + 1)
+            for _ in range(pool >> slot * f & (1 << slot) - 1)
+        ]
         expanded.append(_content(tables.cores[core_id], pending, tables.frames, knowledge))
         return successors(tables, state)
 

@@ -283,7 +283,8 @@ def test_canonical_concat_is_unambiguous():
 def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
     # the direct loop and the simulator's channel model reach the same
     # locker session, deadline and failure included, and the same user
-    # session, on every path
+    # session, on every path; for an id with no record the loop returns
+    # the refusal, and the simulated locker, like the model, drops it
     for seed in range(50):
         registry, creds, provider_key = sim.seed_world(seed)
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -305,7 +306,11 @@ def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
             timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
-        assert session == run.locker.session_for(creds.user_id), seed
+        if fault == "user-id":
+            assert session.failure is FailureReason.BAD_USER_KEY, seed
+            assert run.locker.session_for(creds.user_id) is None, seed
+        else:
+            assert session == run.locker.session_for(creds.user_id), seed
         assert user == run.user.session, seed
 
 

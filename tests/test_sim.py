@@ -10,7 +10,6 @@ from digilock.sim import (
     Credentials,
     ScenarioOutcome,
     ScenarioSpec,
-    SimClock,
     Simulation,
     Trace,
     UserActor,
@@ -125,7 +124,7 @@ def test_no_hop_bypasses_provider():
 
 
 def test_simulation_rejects_direct_user_locker_channel():
-    simulation = Simulation({}, clock=SimClock(), trace=Trace())
+    simulation = Simulation({}, trace=Trace())
     msg = Message(MessageKind.RESULT, (b"open",))
     with pytest.raises(ValueError):
         simulation.post("user", "locker", msg, "user")
@@ -215,9 +214,9 @@ def test_tamper_unknown_target():
 
 def test_scenario_spec_json_round_trip():
     spec = ScenarioSpec(scenario="tamper", seed=9, variant="ack-digest", timeout_ms=1234)
-    again = ScenarioSpec.from_json(json.loads(json.dumps(spec.to_json())))
+    again = ScenarioSpec(**json.loads(json.dumps(spec.to_json())))
     assert again == spec
-    defaults = ScenarioSpec.from_json({"scenario": "honest"})
+    defaults = ScenarioSpec("honest")
     assert defaults.seed == 0
     assert defaults.timeout_ms == 5000
     with pytest.raises(ValueError):
@@ -364,7 +363,7 @@ def test_a_second_users_auth_request_replaces_the_one_session():
     # the locker holds one session, as run_session and the model do
     run, bob, _ = _alice_open_and_bob_registered(5)
     auth, _ = protocol.user_begin_session(bob.user_id, bob.key)
-    out = run.locker.handle(auth, protocol.ACTOR_USER, run.clock.now + 1)
+    out = run.locker.handle(auth, protocol.ACTOR_USER, run.sim.now + 1)
     assert [msg.kind for _, msg, _ in out] == [MessageKind.PROVIDER_KEY_REQUEST]
     assert run.locker.session_for("alice") is None
     assert run.locker.session_for("bob").phase is protocol.LockerPhase.USER_VERIFIED
@@ -381,11 +380,62 @@ def test_one_locker_runs_sequential_sessions_of_two_users():
             protocol.ACTOR_PROVIDER: sim.ProviderActor(provider_key),
             protocol.ACTOR_LOCKER: run.locker,
         },
-        clock=run.clock,
         trace=trace,
     )
+    network.now = run.sim.now
     network.send_all(protocol.ACTOR_USER, user.begin())
     network.pump()
     assert run.locker.session_for("bob").phase is protocol.LockerPhase.OPEN
     assert user.session.phase is protocol.UserPhase.DONE
     assert trace.kind_sequence() == HONEST_KIND_SEQUENCE
+
+
+def test_an_unknown_ids_auth_request_leaves_the_session_alone():
+    # the locker still sends the refusal, then drops the refused session, as
+    # the model does: an id with no record cannot end a registered user's
+    # session, whether it is user-verified or waits for the ack
+    registry, creds, provider_key = seed_world(8)
+    locker = sim.LockerActor(registry, rng=SeededRng(8, b"locker"))
+    user = UserActor(creds, rng=SeededRng(8, b"user"))
+    intruder, _ = protocol.user_begin_session("mallory", SecretKey(b"any key"))
+
+    def refused():
+        [(_, reply, _)] = locker.handle(intruder, protocol.ACTOR_USER, 1)
+        assert reply == protocol.error_message(protocol.FailureReason.BAD_USER_KEY)
+        assert locker.session_for("mallory") is None
+
+    [(_, auth, _)] = user.begin()
+    [(_, request, _)] = locker.handle(auth, protocol.ACTOR_USER, 1)
+    refused()
+    assert locker.session_for("alice").phase is protocol.LockerPhase.USER_VERIFIED
+    key = protocol.provider_on_message(provider_key, request)
+    [(_, challenge, _)] = locker.handle(key, protocol.ACTOR_PROVIDER, 2)
+    refused()
+    assert locker.session_for("alice").phase is protocol.LockerPhase.CHALLENGE_SENT
+    [(_, ack, _)] = user.handle(challenge, protocol.ACTOR_LOCKER, 3)
+    [(_, result, _)] = locker.handle(ack, protocol.ACTOR_USER, 4)
+    assert result == protocol.RESULT_OPEN
+    assert locker.session_for("alice").phase is protocol.LockerPhase.OPEN
+
+
+def test_pump_raises_at_the_first_hop_past_max_hops():
+    # two seats that bounce a message back and forth would loop; each gives
+    # up after twice the bound, so only the bound makes the pump raise
+    class Bouncer:
+        def __init__(self, to):
+            self.to, self.left = to, 2 * sim.MAX_HOPS
+
+        def handle(self, msg, origin, now):
+            self.left -= 1
+            return [(self.to, msg, origin)] if self.left else []
+
+    trace = Trace()
+    network = Simulation(
+        {protocol.ACTOR_PROVIDER: Bouncer("locker"), protocol.ACTOR_LOCKER: Bouncer("provider")},
+        trace=trace,
+    )
+    network.post("provider", "locker", Message(MessageKind.RESULT, (b"open",)), "provider")
+    with pytest.raises(RuntimeError, match=f"exceeded {sim.MAX_HOPS} hops"):
+        network.pump()
+    assert len(trace.steps) == sim.MAX_HOPS
+    assert network.now == sim.MAX_HOPS * sim.HOP_MS

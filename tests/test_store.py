@@ -480,3 +480,52 @@ def test_crash_inside_write_transaction_keeps_old_state(tmp_path):
     assert sorted(locker_store.load_registry().records) == ["alice", "bob", "mallory"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db"]
 
+
+
+def _vault_with_deed(tmp_path):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("alice")
+    locker_store.vault_put("alice", "deed", b"deed bytes", key_l, session)
+    return locker_store, key_l, session
+
+
+@pytest.mark.parametrize("part", ["nonce", "tag"])
+def test_vault_get_refuses_a_nonce_or_tag_of_the_wrong_length(tmp_path, part):
+    # moving a byte from the body into the nonce or the tag keeps the sealed
+    # bytes, so the entry would still unseal; the codec refuses the split
+    locker_store, key_l, session = _vault_with_deed(tmp_path)
+    (path,) = locker_store.vault_dir("alice").glob("*.json")
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    nonce, body, tag = (base64.b64decode(entry["sealed"][k]) for k in ("nonce", "body", "tag"))
+    if part == "nonce":
+        nonce, body = nonce + body[:1], body[1:]
+    else:
+        body, tag = body[:-1], body[-1:] + tag
+    entry["sealed"] = {
+        k: base64.b64encode(v).decode("ascii")
+        for k, v in (("nonce", nonce), ("body", body), ("tag", tag))
+    }
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    with pytest.raises(StoreError, match="'deed'.*'alice'"):
+        locker_store.vault_get("alice", "deed", key_l, session)
+
+
+def test_vault_put_that_cannot_rename_leaves_the_old_entry_and_no_temp_file(
+    tmp_path, monkeypatch
+):
+    locker_store, key_l, session = _vault_with_deed(tmp_path)
+    vault_dir = locker_store.vault_dir("alice")
+    before = sorted(p.name for p in vault_dir.iterdir())
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        locker_store.vault_put("alice", "deed", b"new deed", key_l, session)
+    monkeypatch.undo()
+    assert sorted(p.name for p in vault_dir.iterdir()) == before
+    assert locker_store.vault_get("alice", "deed", key_l, session) == b"deed bytes"
