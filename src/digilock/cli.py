@@ -110,8 +110,9 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 def _run_local_access(
     args: argparse.Namespace, locker_store: store.LockerStore
-) -> tuple[Digest | None, LockerSession, protocol.UserSession]:
-    """Run one access session; returns L (None without a record) and both sessions."""
+) -> tuple[Digest | None, LockerSession | None, protocol.UserSession]:
+    """Run one access session; returns L and the locker's session (both None
+    without a record) and the user agent's session."""
     # an unknown id is refused as a wrong key is (exit 4), so ids cannot be
     # probed; an id the wire cannot carry raises EncodingError (exit 8)
     h_r, record = locker_store.lookup(args.user)
@@ -126,16 +127,17 @@ def _run_local_access(
 
 
 def _access_exit(
-    locker: LockerSession, user: protocol.UserSession, args: argparse.Namespace
+    locker: LockerSession | None, user: protocol.UserSession, args: argparse.Namespace
 ) -> int:
-    if locker.phase is LockerPhase.OPEN:
+    if locker is not None and locker.phase is LockerPhase.OPEN:
         _emit(args, "OPEN", {"locker_opened": True, "failure_reason": None})
         return EXIT_OK
-    # the user agent's reason names a wrong phrase the locker sees as a timeout
-    reason = (user.failure or locker.failure).value
+    # a session that did not open failed the user agent's, with the reason the
+    # locker's error named or its own (a wrong phrase the locker sees as a timeout)
+    reason = user.failure.value
     payload = {"locker_opened": False, "failure_reason": reason}
     _emit(args, f"DENIED ({reason})", payload)
-    return _FAILURE_EXITS.get(locker.failure, EXIT_FAILURE)
+    return _FAILURE_EXITS.get(user.failure, EXIT_FAILURE)
 
 
 def cmd_access(args: argparse.Namespace) -> int:
@@ -146,7 +148,7 @@ def cmd_access(args: argparse.Namespace) -> int:
 def cmd_vault(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     key_l, session, user = _run_local_access(args, locker_store)
-    if session.phase is not LockerPhase.OPEN:
+    if session is None or session.phase is not LockerPhase.OPEN:
         return _access_exit(session, user, args)
     if args.vault_op == "put":
         doc = Path(args.file).read_bytes()

@@ -11,10 +11,7 @@ message, or injects any message the adversary has observed, including a
 full prior session it recorded (run by `protocol.run_session`). Every
 reply comes from the user, provider and locker transitions in `protocol`
 that `sim` drives and `run_session` loops over; nothing comes from `sim`.
-The locker has one session slot, as in `sim.LockerActor` and `run_session`.
-The model registers one user; an auth request for any other id is refused
-with no record and the refused session is dropped, so that user's slot is
-untouched, as in `sim.LockerActor`.
+The model registers one user.
 
 Nonces are derived deterministically from (seed, session serial) rather
 than drawn from an RNG, so states reached by different schedules compare
@@ -112,7 +109,7 @@ class _World:
     phrase: str
     provider_key: SecretKey
     h_r: Digest
-    record: LockerRecord
+    records: dict[str, LockerRecord]  # the one registered user's
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         phrase=phrase,
         provider_key=provider_key,
         h_r=h_r,
-        record=record,
+        records={user_id: record},
     )
     # one complete prior session, recorded off the wire by the adversary
     _, _, sent = protocol.run_session(
@@ -229,20 +226,17 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
             ),
         )
         return replace(core, user=user), sent
-    unknown = (  # the model registers one user; any other id has no record
-        msg.kind is MessageKind.AUTH_REQUEST
-        and msg.fields[0].decode("utf-8", errors="replace") != world.user_id
-    )
     locker, sent = tables.transition(
         (ACTOR_LOCKER, core.locker, core.serial, frame_id),
         lambda: protocol.locker_on_message(
-            None if unknown else world.record, world.h_r, core.locker, msg, now=0,
+            world.records, world.h_r, core.locker, msg, now=0,
             timeout_ms=_NO_TIMEOUT_MS, rng=_QueueRng(world.seed, core.serial, b"nr", b"seal"),
         ),
     )
-    if sent is None:
-        return core, None
-    if unknown:  # the refused session is dropped: the user's slot stays as it was
+    # an equal session leaves the core as it was: a delivery that sends nothing,
+    # an id with no record, or the session's own auth request again, whose
+    # bytes give the same origin and which finds the flags a reset would set
+    if locker == core.locker:
         return core, sent
     # the genuine flags record who built what the locker accepted
     origin = tables.frames[frame_id][1]

@@ -19,14 +19,19 @@ with its constructor from the fields it keeps.
 
 `user_on_message`, `provider_on_message` and `locker_on_message` are each
 role's whole transition, and the only code that knows what a role replies
-or refuses (an id with no record is refused as a wrong key is). Three
-drivers deliver messages to them and hold no copy of the session order:
-`run_session` here (one session with no adversary, which the CLI runs and
-`explore` records as the adversary's prior session), the simulator (`sim`)
-and the model checker (`explore`). So the search checks the code the
-scenarios and the CLI run. Each driver gives the locker one session slot.
-The model registers one user. The simulated locker and the model drop the
-refused session for an id with no record, so the slot stays as it was.
+or refuses. Three drivers deliver messages to them and hold no copy of the
+session order: `run_session` here (one session with no adversary, which the
+CLI runs and `explore` records as the adversary's prior session), the
+simulator (`sim`) and the model checker (`explore`). So the search checks
+the code the scenarios and the CLI run.
+
+The locker has one session slot, and `locker_on_message` alone decides what
+goes in it. It takes the locker's records by user id: `sim` passes its
+whole registry, `run_session` and the model one record. An auth request
+names its user; the request is checked against that user's record and its
+session replaces the one in the slot. A request naming an id with no record
+is refused as a wrong key is, so ids cannot be probed, and the slot stays
+as it was.
 
 A refusal is never an exception. A step that refuses returns its session
 FAILED with a `FailureReason` (and no message where it would build one),
@@ -40,6 +45,7 @@ handed the wrong message kind.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from .crypto import (
@@ -206,18 +212,18 @@ def user_begin_session(
     return msg, state
 
 
-def locker_verify_auth(record: LockerRecord | None, msg: Message) -> LockerSession:
-    """Check the PRF proof (constant-time); an id with no record fails alike."""
+def locker_verify_auth(
+    records: Mapping[str, LockerRecord], msg: Message
+) -> LockerSession:
+    """Check the PRF proof (constant-time) against the record of the user the
+    request names; an id with no record fails alike."""
     if msg.kind is not MessageKind.AUTH_REQUEST:
         raise ValueError(f"expected auth-request, got {msg.kind.label}")
     uid_raw, proof, n_a_raw = msg.fields
     n_a = Nonce(n_a_raw)
     user_id = uid_raw.decode("utf-8", errors="replace")
-    if (
-        record is not None
-        and user_id == record.user_id
-        and ct_equal(prf(record.d_u, bytes(n_a)), proof)
-    ):
+    record = records.get(user_id)
+    if record is not None and ct_equal(prf(record.d_u, bytes(n_a)), proof):
         return LockerSession(user_id=user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a)
     return LockerSession(
         user_id=user_id,
@@ -362,7 +368,7 @@ def provider_on_message(provider_key: SecretKey, msg: Message) -> Message | None
 
 
 def locker_on_message(
-    record: LockerRecord | None,
+    records: Mapping[str, LockerRecord],
     h_r: Digest,
     session: LockerSession | None,
     msg: Message,
@@ -371,19 +377,22 @@ def locker_on_message(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng: Rng | None = None,
 ) -> tuple[LockerSession | None, Message | None]:
-    """The locker's transition for one inbound message about `record`'s user.
+    """The locker's transition for one inbound message: the session now in
+    its slot, and the reply.
 
-    An auth request starts a new session (the old one is replaced) and asks
-    for the provider key; with `record` None (no such user) it is refused
-    as a wrong key is. A provider key for a user-verified session yields
-    the challenge; an ack for a challenge-sent session opens the locker.
-    Every refusal fails the session and replies with the error naming its
-    reason. A message the session is not waiting for changes nothing and
-    gets no reply.
+    An auth request for a user in `records` starts a new session (the old
+    one is replaced) and asks for the provider key; one for an id with no
+    record is refused and leaves the slot as it was. A provider key for a
+    user-verified session yields the challenge; an ack for a challenge-sent
+    session opens the locker. Every refusal fails the session and replies
+    with the error naming its reason. A message the session is not waiting
+    for changes nothing and gets no reply.
     """
     if msg.kind is MessageKind.AUTH_REQUEST:
-        session = locker_verify_auth(record, msg)
-        reply = PROVIDER_KEY_REQUEST
+        verified = locker_verify_auth(records, msg)
+        if verified.user_id not in records:  # the refused session is dropped
+            return session, error_message(FailureReason.BAD_USER_KEY)
+        session, reply = verified, PROVIDER_KEY_REQUEST
     elif session is None:
         return session, None
     elif (
@@ -395,7 +404,8 @@ def locker_on_message(
         reply = None
         if session.phase is LockerPhase.PROVIDER_VERIFIED:
             reply, session = locker_build_challenge(
-                record, provider_key, session, now=now, timeout_ms=timeout_ms, rng=rng
+                records[session.user_id], provider_key, session,
+                now=now, timeout_ms=timeout_ms, rng=rng,
             )
     elif msg.kind is MessageKind.ACK and session.phase is LockerPhase.CHALLENGE_SENT:
         session = locker_verify_ack(session, msg, now)
@@ -452,16 +462,18 @@ def run_session(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng_user: Rng | None = None,
     rng_locker: Rng | None = None,
-) -> tuple[LockerSession, UserSession, list[Message]]:
+) -> tuple[LockerSession | None, UserSession, list[Message]]:
     """Run one session of `user_id` with the provider answering `provider_key`.
 
     `record` is None when the locker has no record for `user_id`. Time is
     the simulator's hop clock: the auth request lands at 2, the provider
-    key at 4 and the ack at 8. Returns the locker's final session, timed
-    out at its deadline + 1 if the user stopped before the ack, the user
-    agent's final session, and every message sent, in order.
+    key at 4 and the ack at 8. Returns the locker's final session (None
+    when it refused an id with no record), timed out at its deadline + 1
+    if the user stopped before the ack, the user agent's final session,
+    and every message sent, in order.
     """
     msg, user = user_begin_session(user_id, key, rng=rng_user)
+    records = {} if record is None else {record.user_id: record}
     sent = []
     locker = None
     now = 0
@@ -476,10 +488,8 @@ def run_session(
             user, msg = user_on_message(user, user_id, key, phrase, msg)
         else:
             locker, msg = locker_on_message(
-                record, h_r, locker, msg, now=now, timeout_ms=timeout_ms, rng=rng_locker
+                records, h_r, locker, msg, now=now, timeout_ms=timeout_ms, rng=rng_locker
             )
-    assert locker is not None  # the auth request always makes a session
-    if locker.phase is LockerPhase.CHALLENGE_SENT:
-        assert locker.deadline is not None
+    if locker is not None and locker.deadline is not None:
         locker = locker_check_timeout(locker, locker.deadline + 1)
     return locker, user, sent

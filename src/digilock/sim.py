@@ -11,10 +11,6 @@ framed once, and a relayed one reuses the frame of the hop before.
 
 The actors only deliver: their replies come from the user, provider and
 locker transitions in `protocol`, the functions `explore` searches over.
-`LockerActor` holds one session, as `protocol.run_session` and the model
-do. It looks up any registered user, where the model registers one; like
-the model, it refuses an auth request for an id with no record and drops
-the refused session, so the slot stays as it was.
 
 Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
 the provider seat, the channel taps, whether an adversary replays the
@@ -51,7 +47,6 @@ from .protocol import (
     TO_USER,
     FailureReason,
     LockerPhase,
-    LockerRecord,
     LockerSession,
     UserSession,
 )
@@ -266,12 +261,8 @@ class ReplaySeat:
 class LockerActor:
     """The locker module: verifies both parties, then waits on consent.
 
-    It holds one session, as `protocol.run_session` and the model do, and
-    the record of its user. Every message goes to that session through
-    `protocol.locker_on_message`, so a fresh auth request from any
-    registered user replaces it; one for an id with no record is refused
-    and its refused session dropped. The replay defence is the ack a
-    replayer cannot produce.
+    It holds the session slot, and `protocol.locker_on_message` fills it.
+    The replay defence is the ack a replayer cannot produce.
     """
 
     def __init__(
@@ -285,7 +276,6 @@ class LockerActor:
         self.timeout_ms = timeout_ms
         self.rng = rng
         self.session: LockerSession | None = None
-        self.record: LockerRecord | None = None
 
     def session_for(self, user_id: str) -> LockerSession | None:
         """The session, when it belongs to `user_id`."""
@@ -296,12 +286,8 @@ class LockerActor:
     def handle(
         self, msg: Message, origin: str, now: int
     ) -> list[tuple[str, Message, str]]:
-        record = self.record
-        if msg.kind is MessageKind.AUTH_REQUEST:
-            user_id = msg.fields[0].decode("utf-8", errors="replace")
-            record = self.registry.records.get(user_id)
-        session, reply = protocol.locker_on_message(
-            record,
+        self.session, reply = protocol.locker_on_message(
+            self.registry.records,
             self.registry.h_r,
             self.session,
             msg,
@@ -309,8 +295,6 @@ class LockerActor:
             timeout_ms=self.timeout_ms,
             rng=self.rng,
         )
-        if record is not None:  # no record: the refused session is dropped
-            self.record, self.session = record, session
         return [] if reply is None else [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
 
     def check_timeouts(self, now: int) -> None:

@@ -237,6 +237,28 @@ def test_vault_get_of_a_corrupt_entry_exits_8_without_a_traceback(world, capsys,
     assert not out.exists()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: a vault entry is not bound to its name, so an "
+    "entry file copied over another's reads as that document",
+)
+def test_vault_get_of_an_entry_copied_over_another_exits_8(world):
+    _provision(world)
+    _register(world)
+    base = _vault_base(world)
+    for name, body in (("invoice", b"INVOICE"), ("draft", b"DRAFT")):
+        doc = world["tmp"] / f"{name}.bin"
+        doc.write_bytes(body)
+        assert main(["vault", *base, "put", "--name", name, "--file", str(doc)]) == 0
+    vault = Path(world["store"]) / "vault"
+    (invoice,) = vault.glob(f"*/{b'invoice'.hex()}.json")
+    (draft,) = vault.glob(f"*/{b'draft'.hex()}.json")
+    invoice.write_bytes(draft.read_bytes())
+    out = world["tmp"] / "restored.bin"
+    assert main(["vault", *base, "get", "--name", "invoice", "--out", str(out)]) == 8
+    assert not out.exists()
+
+
 def test_vault_list_with_a_stray_file_exits_8_and_names_it(world, capsys):
     _provision(world)
     _register(world)

@@ -54,7 +54,7 @@ def _world(seed=1):
 def _run_to_provider_verified(seed=1):
     record, creds, provider_key, h_r = _world(seed)
     auth, user_state = user_begin_session(creds[0], creds[1], rng=SeededRng(seed, b"u"))
-    locker_state = locker_verify_auth(record, auth)
+    locker_state = locker_verify_auth({record.user_id: record}, auth)
     locker_state = locker_verify_provider(h_r, provider_key, locker_state)
     return record, creds, provider_key, h_r, user_state, locker_state
 
@@ -106,7 +106,7 @@ def test_begin_session_fresh_nonces_and_framing():
 def test_locker_verify_auth_honest():
     record, (user_id, key, _), _, _ = _world()
     auth, _ = user_begin_session(user_id, key)
-    state = locker_verify_auth(record, auth)
+    state = locker_verify_auth({record.user_id: record}, auth)
     assert state.phase is LockerPhase.USER_VERIFIED
     assert state.n_a == Nonce(auth.fields[2])
 
@@ -118,7 +118,9 @@ def test_locker_verify_auth_flipped_proof_bit():
     proof = bytearray(fields[1])
     proof[0] ^= 0x01
     fields[1] = bytes(proof)
-    state = locker_verify_auth(record, Message(MessageKind.AUTH_REQUEST, tuple(fields)))
+    state = locker_verify_auth(
+        {record.user_id: record}, Message(MessageKind.AUTH_REQUEST, tuple(fields))
+    )
     assert state.phase is LockerPhase.FAILED
     assert state.failure is FailureReason.BAD_USER_KEY
 
@@ -126,7 +128,7 @@ def test_locker_verify_auth_flipped_proof_bit():
 def test_locker_verify_auth_wrong_key():
     record, (user_id, _, _), _, _ = _world()
     auth, _ = user_begin_session(user_id, SecretKey(b"not-alices-key"))
-    state = locker_verify_auth(record, auth)
+    state = locker_verify_auth({record.user_id: record}, auth)
     assert state.phase is LockerPhase.FAILED
     assert state.failure is FailureReason.BAD_USER_KEY
 
@@ -134,7 +136,7 @@ def test_locker_verify_auth_wrong_key():
 def test_locker_verify_provider_paths():
     record, (user_id, key, _), provider_key, h_r = _world()
     auth, _ = user_begin_session(user_id, key)
-    verified = locker_verify_auth(record, auth)
+    verified = locker_verify_auth({record.user_id: record}, auth)
     good = locker_verify_provider(h_r, provider_key, verified)
     assert good.phase is LockerPhase.PROVIDER_VERIFIED
     bad = locker_verify_provider(h_r, SecretKey(b"interloper"), verified)
@@ -282,9 +284,9 @@ def test_canonical_concat_is_unambiguous():
 @pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase", "user-id"])
 def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
     # the direct loop and the simulator's channel model reach the same
-    # locker session, deadline and failure included, and the same user
-    # session, on every path; for an id with no record the loop returns
-    # the refusal, and the simulated locker, like the model, drops it
+    # locker session, deadline and failure included (none for an id with no
+    # record), and the same user session, on every path. A session that did
+    # not open failed the user's with a reason, which the CLI reports
     for seed in range(50):
         registry, creds, provider_key = sim.seed_world(seed)
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -306,12 +308,10 @@ def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
             timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
-        if fault == "user-id":
-            assert session.failure is FailureReason.BAD_USER_KEY, seed
-            assert run.locker.session_for(creds.user_id) is None, seed
-        else:
-            assert session == run.locker.session_for(creds.user_id), seed
+        assert session == run.locker.session_for(creds.user_id), seed
         assert user == run.user.session, seed
+        if session is None or session.phase is not LockerPhase.OPEN:
+            assert user.phase is UserPhase.FAILED and user.failure is not None, seed
 
 
 def test_run_session_honest_transcript():
@@ -345,24 +345,69 @@ def _provider_key_msg(provider_key):
 def _locker_after_auth(record, h_r, user_id, key):
     # the locker's session after a genuine auth request, and the user's
     auth, user = user_begin_session(user_id, key, rng=SeededRng(1, b"u"))
-    locker, _ = locker_on_message(record, h_r, None, auth, now=2)
+    locker, _ = locker_on_message({record.user_id: record}, h_r, None, auth, now=2)
     return locker, user
+
+
+def _alices_slot(phase):
+    # alice's locker session, driven by locker_on_message to `phase`
+    record, creds, provider_key, h_r = _world()
+    records = {record.user_id: record}
+    locker, user = _locker_after_auth(record, h_r, creds[0], creds[1])
+    if phase is not LockerPhase.USER_VERIFIED:
+        key = _provider_key_msg(provider_key)
+        locker, challenge = locker_on_message(records, h_r, locker, key, now=4)
+    if phase is LockerPhase.OPEN:
+        _, ack = user_on_message(user, *creds, challenge)
+        locker, _ = locker_on_message(records, h_r, locker, ack, now=8)
+    assert locker.phase is phase
+    return records, h_r, creds, locker
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [LockerPhase.USER_VERIFIED, LockerPhase.CHALLENGE_SENT, LockerPhase.OPEN],
+    ids=lambda phase: phase.value,
+)
+def test_an_unknown_ids_auth_request_returns_the_slot_it_was_given(phase):
+    # refused as a wrong key is, and the refused session is dropped: the
+    # registered user's session comes back as the same object
+    records, h_r, creds, slot = _alices_slot(phase)
+    intruder, _ = user_begin_session("mallory", creds[1])
+    session, reply = locker_on_message(records, h_r, slot, intruder, now=9)
+    assert session is slot
+    assert reply == error_message(FailureReason.BAD_USER_KEY)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: a refused auth request for a registered id "
+    "still replaces the session in the locker's one slot",
+)
+def test_a_refused_request_for_a_registered_id_leaves_an_open_session_alone():
+    records, h_r, creds, slot = _alices_slot(LockerPhase.OPEN)
+    bob = register_user("bob", SecretKey(b"bob-key"), "bob phrase", h_r)
+    records = {**records, bob.user_id: bob}
+    auth, _ = user_begin_session(bob.user_id, SecretKey(b"not-bobs-key"))
+    session, reply = locker_on_message(records, h_r, slot, auth, now=9)
+    assert reply == error_message(FailureReason.BAD_USER_KEY)
+    assert session is slot
 
 
 def _refuse_wrong_user_key(record, creds, provider_key, h_r):
     auth, _ = user_begin_session(creds[0], SecretKey(b"not-alices-key"))
-    return locker_on_message(record, h_r, None, auth, now=2)
+    return locker_on_message({record.user_id: record}, h_r, None, auth, now=2)
 
 
 def _refuse_unknown_id(record, creds, provider_key, h_r):
     auth, _ = user_begin_session("mallory", creds[1])
-    return locker_on_message(None, h_r, None, auth, now=2)
+    return locker_on_message({record.user_id: record}, h_r, None, auth, now=2)
 
 
 def _refuse_wrong_provider_key(record, creds, provider_key, h_r):
     locker, _ = _locker_after_auth(record, h_r, creds[0], creds[1])
     wrong = _provider_key_msg(SecretKey(b"interloper"))
-    return locker_on_message(record, h_r, locker, wrong, now=4)
+    return locker_on_message({record.user_id: record}, h_r, locker, wrong, now=4)
 
 
 def _refuse_wrong_r_past_the_provider_check(record, creds, provider_key, h_r):
@@ -372,7 +417,7 @@ def _refuse_wrong_r_past_the_provider_check(record, creds, provider_key, h_r):
     forged_h_r = sha256(bytes(wrong))
     locker, _ = _locker_after_auth(record, forged_h_r, creds[0], creds[1])
     msg = _provider_key_msg(wrong)
-    return locker_on_message(record, forged_h_r, locker, msg, now=4)
+    return locker_on_message({record.user_id: record}, forged_h_r, locker, msg, now=4)
 
 
 def _refuse_two_field_blob(record, creds, provider_key, h_r):
@@ -392,19 +437,21 @@ def _refuse_two_field_blob(record, creds, provider_key, h_r):
 def _refuse_bad_ack(record, creds, provider_key, h_r):
     locker, _ = _locker_after_auth(record, h_r, creds[0], creds[1])
     locker, _ = locker_on_message(
-        record, h_r, locker, _provider_key_msg(provider_key), now=4
+        {record.user_id: record}, h_r, locker, _provider_key_msg(provider_key), now=4
     )
     forged = Message(MessageKind.ACK, (b"\x00" * 32,))
-    return locker_on_message(record, h_r, locker, forged, now=8)
+    return locker_on_message({record.user_id: record}, h_r, locker, forged, now=8)
 
 
 def _refuse_late_ack(record, creds, provider_key, h_r):
     locker, user = _locker_after_auth(record, h_r, creds[0], creds[1])
     locker, challenge = locker_on_message(
-        record, h_r, locker, _provider_key_msg(provider_key), now=4
+        {record.user_id: record}, h_r, locker, _provider_key_msg(provider_key), now=4
     )
     _, ack = user_on_message(user, *creds, challenge)
-    return locker_on_message(record, h_r, locker, ack, now=locker.deadline + 1)
+    return locker_on_message(
+        {record.user_id: record}, h_r, locker, ack, now=locker.deadline + 1
+    )
 
 
 def _user_refuses(fields_under, n_a_for_key=None):
@@ -466,8 +513,11 @@ def test_every_refusal_fails_the_session_and_names_its_reason(reason, refuse):
     record, creds, provider_key, h_r = _world()
     session, reply = refuse(record, creds, provider_key, h_r)
     reason = FailureReason(reason)
-    assert session.phase.value == "failed"
-    assert session.failure is reason
+    if refuse is _refuse_unknown_id:  # its session is dropped: the slot stays empty
+        assert session is None
+    else:
+        assert session.phase.value == "failed"
+        assert session.failure is reason
     if isinstance(session, protocol.UserSession):
         assert reply is None
     else:

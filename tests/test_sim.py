@@ -280,9 +280,9 @@ def test_replayed_auth_pair_accepted_by_default():
 
     registry, creds, provider_key = seed_world(41)
     auth, _ = protocol.user_begin_session(creds.user_id, creds.key)
-    record = registry.get_record(creds.user_id)
-    assert protocol.locker_verify_auth(record, auth).phase.value == "user-verified"
-    assert protocol.locker_verify_auth(record, auth).phase.value == "user-verified"
+    records = registry.records
+    assert protocol.locker_verify_auth(records, auth).phase.value == "user-verified"
+    assert protocol.locker_verify_auth(records, auth).phase.value == "user-verified"
 
 
 def test_locker_refuses_a_blob_resealed_with_two_fields():
