@@ -5,11 +5,11 @@ Secrets travel via files, never argv; the secret phrase is the exception
 (low sensitivity next to the keys) and is documented as argv-visible.
 
 `access` and `vault` open the locker with `protocol.run_session`, the
-direct loop over the user and locker transitions; the simulator (`sim`)
-serves only `simulate`, and only `simulate` imports it. `register`,
-`access` and `vault` each make one registry call (`LockerStore.register`
-or `LockerStore.lookup`), so a command opens one SQLite connection and
-closes it.
+direct loop over the user and locker transitions, at its fixed ack
+deadline; only `simulate` imports the simulator (`sim`) or takes
+`--timeout-ms`. `register`, `access` and `vault` each make one registry
+call (`LockerStore.register` or `LockerStore.lookup`), so a command
+opens one SQLite connection and closes it.
 
 Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
@@ -113,14 +113,14 @@ def _run_local_access(
 ) -> tuple[Digest | None, LockerSession | None, protocol.UserSession]:
     """Run one access session; returns L and the locker's session (both None
     without a record) and the user agent's session."""
-    # an unknown id is refused as a wrong key is (exit 4), so ids cannot be
-    # probed; an id the wire cannot carry raises EncodingError (exit 8)
+    # an id the wire cannot carry is refused before the store is read (exit 8);
+    # an unknown id is refused as a wrong key is (exit 4), so ids cannot be probed
+    protocol.user_id_bytes(args.user)
     h_r, record = locker_store.lookup(args.user)
     key = _read_key_file(args.key_file)
     provider_key = _read_key_file(args.provider_key_file)
     locker, user, _ = protocol.run_session(
-        record, h_r, args.user, key, args.phrase, provider_key,
-        timeout_ms=args.timeout_ms,
+        record, h_r, args.user, key, args.phrase, provider_key
     )
     key_l = None if record is None else protocol.locker_key(record.d_u, h_r)
     return key_l, locker, user
@@ -240,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     access_args.add_argument("--key-file", required=True)
     access_args.add_argument("--provider-key-file", required=True)
     access_args.add_argument("--phrase", required=True)
-    access_args.add_argument(
-        "--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS,
-        help="ack deadline in simulated milliseconds (default: 5000)",
-    )
 
     p = sub.add_parser("access", parents=[common_store, access_args],
                        help="run a full locker access session")

@@ -8,10 +8,11 @@ provider key equals the genuine R, and the accepted ack was user-produced.
 The model is the logical protocol (honest provider responder, relay hops
 collapsed): a move delivers, drops, duplicates, or bit-flips a pending
 message, or injects any message the adversary has observed, including a
-full prior session it recorded (run by `protocol.run_session`). Every
-reply comes from the user, provider and locker transitions in `protocol`
-that `sim` drives and `run_session` loops over; nothing comes from `sim`.
-The model registers one user.
+full prior session it recorded, each message with the sender that
+`protocol.run_session` names for it. Every reply comes from the user,
+provider and locker transitions in `protocol` that `sim` drives and
+`run_session` loops over; nothing comes from `sim`. The model registers
+one user.
 
 Nonces are derived deterministically from (seed, session serial) rather
 than drawn from an RNG, so states reached by different schedules compare
@@ -65,12 +66,6 @@ _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
 # into the next slot and equal multisets give equal ints
 _SLOT = (MAX_DEPTH + 1).bit_length()
 _COUNT = (1 << _SLOT) - 1
-# who sends each kind in a session; the locker sends the rest
-_SENDERS = {
-    MessageKind.AUTH_REQUEST: ACTOR_USER,
-    MessageKind.ACK: ACTOR_USER,
-    MessageKind.PROVIDER_KEY: ACTOR_PROVIDER,
-}
 
 
 class DepthExceeded(Exception):
@@ -180,9 +175,7 @@ def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
         record, h_r, user_id, user_key, phrase, provider_key,
         rng_user=_QueueRng(seed, 0, b"na"), rng_locker=_QueueRng(seed, 0, b"nr", b"seal"),
     )
-    knowledge = frozenset(
-        (msg.encode(), _SENDERS.get(msg.kind, ACTOR_LOCKER)) for msg in sent
-    )
+    knowledge = frozenset((msg.encode(), sender) for msg, sender in sent)
     return world, knowledge
 
 

@@ -144,20 +144,25 @@ def _fail(session, reason: FailureReason):
     return replace(session, phase=type(session.phase).FAILED, failure=reason)
 
 
+def _utf8(text: str, most: int, what: str) -> bytes:
+    try:  # argv holds non-UTF-8 bytes as lone surrogates, which UTF-8 cannot encode
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raw = b""
+    if not 1 <= len(raw) <= most:
+        raise EncodingError(f"{what} must be 1-{most} UTF-8 bytes")
+    return raw
+
+
 def user_id_bytes(user_id: str) -> bytes:
-    raw = user_id.encode("utf-8")
-    if not 1 <= len(raw) <= USER_ID_MAX:
-        raise EncodingError(f"user id must be 1-{USER_ID_MAX} UTF-8 bytes")
+    raw = _utf8(user_id, USER_ID_MAX, "user id")
     if SEPARATOR_BYTE in raw:
         raise EncodingError("user id must not contain byte 0x1f")
     return raw
 
 
 def phrase_bytes(phrase: str) -> bytes:
-    raw = phrase.encode("utf-8")
-    if not 1 <= len(raw) <= PHRASE_MAX:
-        raise EncodingError(f"secret phrase must be 1-{PHRASE_MAX} UTF-8 bytes")
-    return raw
+    return _utf8(phrase, PHRASE_MAX, "secret phrase")
 
 
 def user_digest(user_id: str, key: SecretKey) -> Digest:
@@ -221,7 +226,10 @@ def locker_verify_auth(
         raise ValueError(f"expected auth-request, got {msg.kind.label}")
     uid_raw, proof, n_a_raw = msg.fields
     n_a = Nonce(n_a_raw)
-    user_id = uid_raw.decode("utf-8", errors="replace")
+    try:
+        user_id = uid_raw.decode("utf-8")
+    except UnicodeDecodeError:  # not UTF-8, so no registered id: kept byte for byte
+        user_id = uid_raw.decode("utf-8", errors="surrogateescape")
     record = records.get(user_id)
     if record is not None and ct_equal(prf(record.d_u, bytes(n_a)), proof):
         return LockerSession(user_id=user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a)
@@ -459,37 +467,38 @@ def run_session(
     phrase: str,
     provider_key: SecretKey,
     *,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng_user: Rng | None = None,
     rng_locker: Rng | None = None,
-) -> tuple[LockerSession | None, UserSession, list[Message]]:
+) -> tuple[LockerSession | None, UserSession, list[tuple[Message, str]]]:
     """Run one session of `user_id` with the provider answering `provider_key`.
 
     `record` is None when the locker has no record for `user_id`. Time is
     the simulator's hop clock: the auth request lands at 2, the provider
-    key at 4 and the ack at 8. Returns the locker's final session (None
-    when it refused an id with no record), timed out at its deadline + 1
-    if the user stopped before the ack, the user agent's final session,
-    and every message sent, in order.
+    key at 4 and the ack at 8, against the fixed `DEFAULT_TIMEOUT_MS`
+    deadline. Returns the locker's final session (None when it refused an
+    id with no record), timed out at its deadline + 1 if the user stopped
+    before the ack, the user agent's final session, and every message sent
+    with its sender, in order.
     """
     msg, user = user_begin_session(user_id, key, rng=rng_user)
     records = {} if record is None else {record.user_id: record}
     sent = []
     locker = None
     now = 0
+    sender = ACTOR_USER
     while msg is not None:
-        sent.append(msg)
+        sent.append((msg, sender))
         now += 2  # two 1 ms hops: across the provider seat, or to it and back
         reply = provider_on_message(provider_key, msg)
         if reply is not None:  # the provider answers; the rest it relays
             msg = reply
-            sent.append(msg)
+            sent.append((msg, ACTOR_PROVIDER))
         if msg.kind in TO_USER:
             user, msg = user_on_message(user, user_id, key, phrase, msg)
+            sender = ACTOR_USER
         else:
-            locker, msg = locker_on_message(
-                records, h_r, locker, msg, now=now, timeout_ms=timeout_ms, rng=rng_locker
-            )
+            locker, msg = locker_on_message(records, h_r, locker, msg, now=now, rng=rng_locker)
+            sender = ACTOR_LOCKER
     if locker is not None and locker.deadline is not None:
         locker = locker_check_timeout(locker, locker.deadline + 1)
     return locker, user, sent

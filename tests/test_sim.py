@@ -212,6 +212,17 @@ def test_tamper_unknown_target():
         run_tamper_scenario("length-field", seed=1)
 
 
+@pytest.mark.parametrize(
+    "timeout_ms,opened,failure", [(3, False, "timeout"), (4, True, None)]
+)
+def test_ack_deadline_follows_the_hop_clock(timeout_ms, opened, failure):
+    # the challenge is built at 4 ms and the ack lands at 8 ms, so a 3 ms
+    # deadline has passed when it arrives and a 4 ms one has not
+    outcome, _ = run_scenario(ScenarioSpec("honest", timeout_ms=timeout_ms))
+    assert outcome.locker_opened is opened
+    assert (outcome.failure_reason, outcome.user_failure) == (failure, failure)
+
+
 def test_scenario_spec_json_round_trip():
     spec = ScenarioSpec(scenario="tamper", seed=9, variant="ack-digest", timeout_ms=1234)
     again = ScenarioSpec(**json.loads(json.dumps(spec.to_json())))
