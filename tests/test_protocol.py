@@ -286,13 +286,16 @@ def test_canonical_concat_is_unambiguous():
     assert a != b
 
 
+@pytest.mark.parametrize("timeout_ms", [1, 3, 4, 5000])
 @pytest.mark.parametrize("fault", [None, "user-key", "provider-key", "phrase", "user-id"])
-def test_run_session_ends_where_the_simulated_session_ends(fault):
-    # the direct loop and the simulator's channel model reach the same
-    # locker session, deadline and failure included (none for an id with no
-    # record), and the same user session, on every path, at the default ack
-    # deadline. A session that did not open failed the user's with a
-    # reason, which the CLI reports
+def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
+    # the direct loop, always at the default ack deadline, and the
+    # simulator's channel model at `timeout_ms` reach the same locker
+    # session (none for an id with no record) and the same user session, on
+    # every path, but for what the deadline changes: a challenge sent at hop
+    # 4 gets the deadline 4 + timeout_ms, and an ack landing at hop 8 past it
+    # times out both sides. A session that did not open failed the user's
+    # with a reason, which the CLI reports
     for seed in range(50):
         registry, creds, provider_key = sim.seed_world(seed)
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -305,7 +308,7 @@ def test_run_session_ends_where_the_simulated_session_ends(fault):
         elif fault == "user-id":  # no record for this id
             creds = replace(creds, user_id="mallory")
         run = sim.drive_session(
-            registry, creds, provider_key,
+            registry, creds, provider_key, timeout_ms=timeout_ms,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
         session, user, _ = protocol.run_session(
@@ -313,10 +316,19 @@ def test_run_session_ends_where_the_simulated_session_ends(fault):
             creds.user_id, creds.key, creds.phrase, provider_key,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
         )
-        assert session == run.locker.session_for(creds.user_id), seed
-        assert user == run.user.session, seed
         if session is None or session.phase is not LockerPhase.OPEN:
             assert user.phase is UserPhase.FAILED and user.failure is not None, seed
+        if session is not None and session.deadline is not None:
+            challenge_at = session.deadline - protocol.DEFAULT_TIMEOUT_MS
+            assert challenge_at == 4, seed
+            session = replace(session, deadline=challenge_at + timeout_ms)
+            if session.phase is LockerPhase.OPEN and 8 > session.deadline:
+                session = replace(
+                    session, phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
+                )
+                user = replace(user, phase=UserPhase.FAILED, failure=FailureReason.TIMEOUT)
+        assert session == run.locker.session_for(creds.user_id), seed
+        assert user == run.user.session, seed
 
 
 def test_run_session_honest_transcript():
