@@ -113,9 +113,10 @@ def _run_local_access(
 ) -> tuple[Digest | None, LockerSession | None, protocol.UserSession]:
     """Run one access session; returns L and the locker's session (both None
     without a record) and the user agent's session."""
-    # an id the wire cannot carry is refused before the store is read (exit 8);
-    # an unknown id is refused as a wrong key is (exit 4), so ids cannot be probed
+    # an id or phrase the wire cannot carry is refused before the store is read
+    # (exit 8); an unknown id gets a wrong key's exit 4, so ids cannot be probed
     protocol.user_id_bytes(args.user)
+    protocol.phrase_bytes(args.phrase)
     h_r, record = locker_store.lookup(args.user)
     key = _read_key_file(args.key_file)
     provider_key = _read_key_file(args.provider_key_file)
@@ -266,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "timeout_ms", 1) < 1:
-        parser.error("--timeout-ms must be >= 1")
     if args.command == "vault":
         if args.vault_op in ("put", "get") and not args.name:
             parser.error("vault put/get requires --name")

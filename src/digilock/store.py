@@ -14,13 +14,17 @@ and a row that fails to decode fails only its own user. register is one
 transaction that reads h_r and INSERTs the record; the PRIMARY KEY turns a
 clash into DuplicateUser. load_registry and save_registry move a whole
 in-memory Registry to and from disk, for bulk set-up and tests. Locking
-and atomicity are SQLite's: every write is a BEGIN IMMEDIATE transaction,
-the journal is SQLite's default rollback journal and synchronous its
-default FULL, so concurrent writers queue on the lock and a crash
-mid-write leaves the previous state readable. Reads open the file
-with mode=rw, so an unprovisioned store gets no empty database. A store that
-holds only a version-1 registry.json is refused: migrating it is not
-implemented.
+and atomicity are SQLite's: every write is a BEGIN IMMEDIATE transaction
+with synchronous at its default FULL, so concurrent writers queue on the
+lock and a crash mid-write leaves the previous state readable. Writes use
+a persistent rollback journal (journal_mode=PERSIST): registry.db-journal
+stays beside the database, each commit overwrites it in place and zeroes
+its header, and only a crash can leave a hot journal for a reader to roll
+back; creating and unlinking the file per commit cost a filesystem
+metadata sync each.
+Reads open the file with mode=rw, so an unprovisioned store gets no empty
+database. A store that holds only a version-1 registry.json is refused:
+migrating it is not implemented.
 Vault entries are individual JSON files, sealed under a key derived from L
 so documents at rest stay bound to both parties' keys; an entry keeps the
 sealed blob as its nonce, body and tag, each in base64. The file name is
@@ -247,8 +251,11 @@ class LockerStore:
     def _write(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
         """One write transaction, committed on success and rolled back on any
         error. BEGIN IMMEDIATE takes the write lock before the first read, so
-        concurrent writers wait on SQLite's busy timeout in turn."""
+        concurrent writers wait on SQLite's busy timeout in turn. The journal
+        is PERSIST: the commit zeroes the journal's header instead of
+        deleting the file, so no commit creates a file."""
         with self._connect(mode) as con:
+            con.execute("PRAGMA journal_mode=PERSIST")
             con.execute("BEGIN IMMEDIATE")
             with con:
                 yield con

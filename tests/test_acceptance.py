@@ -157,14 +157,15 @@ def test_c7_persistence(tmp_path):
     locker_store.vault_put("user-0000", "doc-a", doc, key_l, session)
     assert LockerStore(tmp_path).vault_get("user-0000", "doc-a", key_l, session) == doc
 
-    registry_raw = locker_store.registry_path.read_bytes()
-    vault_raw = b"".join(
-        p.read_bytes() for p in locker_store.vault_dir("user-0000").glob("*.json")
-    )
-    for secret in secrets:
-        assert secret not in registry_raw
-        assert secret not in vault_raw
-    assert doc not in vault_raw
+    # every file the store holds, the rollback journal included
+    files = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+             for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert {"registry.db", "registry.db-journal"} <= files.keys()
+    assert sum(name.startswith("vault/") for name in files) == 1
+    for name, raw in files.items():
+        for secret in secrets:
+            assert secret not in raw, name
+        assert doc not in raw, name
     _ok("C7 persistence (1000 records bit-exact, no plaintext secrets on disk)")
 
 

@@ -386,13 +386,14 @@ def test_missing_store_is_usage_error(world, monkeypatch):
     assert exc.value.code == 1
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing --scenario
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scenario", "honest", "--timeout-ms", "0"])
-    assert exc.value.code == 1
+    capsys.readouterr()
+    # the scenario spec refuses a deadline under 1 ms
+    assert main(["simulate", "--scenario", "honest", "--timeout-ms", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: timeout_ms must be >= 1\n")
     with pytest.raises(SystemExit) as exc:
         main(["vault", "--store", "s", "--user", "u", "--key-file", "k",
               "--provider-key-file", "p", "--phrase", "m", "put"])  # no --name
@@ -522,7 +523,7 @@ def test_each_store_command_opens_one_connection_and_closes_it(
 @pytest.mark.parametrize("case,expected", [
     ("access", ["SELECT"]),
     ("vault-get", ["SELECT"]),
-    ("register", ["BEGIN IMMEDIATE", "SELECT", "INSERT", "COMMIT"]),
+    ("register", ["PRAGMA journal_mode=PERSIST", "BEGIN IMMEDIATE", "SELECT", "INSERT", "COMMIT"]),
 ])
 def test_each_store_command_runs_one_registry_query_or_transaction(
     world, monkeypatch, capsys, case, expected
@@ -542,7 +543,10 @@ def test_each_store_command_runs_one_registry_query_or_transaction(
     opened = _count_connections(monkeypatch, statements)
     assert commands[case]() == 0
     assert len(opened) == 1  # registry.db's; the vault is plain files
-    kinds = [re.match(r"BEGIN IMMEDIATE|[A-Z]+", sql).group() for sql in statements]
+    kinds = [
+        re.match(r"PRAGMA journal_mode=PERSIST|BEGIN IMMEDIATE|[A-Z]+", sql).group()
+        for sql in statements
+    ]
     assert kinds == expected, statements
 
 
@@ -575,7 +579,7 @@ def test_v1_registry_json_is_refused(world, capsys):
     assert legacy.read_bytes() == before
 
 
-def test_store_keeps_no_lock_temp_or_journal_files(world, capsys):
+def test_store_keeps_no_lock_or_temp_files_and_a_zeroed_journal(world, capsys):
     _provision(world)
     assert _register(world) == 0
     assert _register(world) == 3
@@ -589,7 +593,12 @@ def test_store_keeps_no_lock_temp_or_journal_files(world, capsys):
     assert main(["vault", *base, "put", "--name", "deed", "--file", str(doc)]) == 0
     assert main(["vault", *base, "get", "--name", "deed", "--out", str(doc)]) == 0
     store_dir = Path(world["store"])
-    assert sorted(p.name for p in store_dir.iterdir()) == ["registry.db", "vault"]
+    assert sorted(p.name for p in store_dir.iterdir()) == [
+        "registry.db", "registry.db-journal", "vault"
+    ]
+    # the persistent journal's header is zeroed at each commit, so no reader
+    # takes it for a hot journal to roll back
+    assert (store_dir / "registry.db-journal").read_bytes()[:28] == bytes(28)
     assert [p.suffix for p in (store_dir / "vault").rglob("*") if p.is_file()] == [".json"]
 
 
@@ -708,13 +717,16 @@ def test_access_with_an_unencodable_user_id_exits_8(world, capsys, user, error):
         (["register", "--user", "a\udcff", "--phrase", "p"], "user id must be 1-64"),
         (["register", "--user", "bob", "--phrase", "p\udcff"], "secret phrase must be 1-256"),
         (["vault", "--user", "a\udcff", "--phrase", "p", "list"], "user id must be 1-64"),
+        (["access", "--user", "alice", "--phrase", "p\udcff"], "secret phrase must be 1-256"),
+        (["vault", "--user", "alice", "--phrase", "p\udcff", "list"],
+         "secret phrase must be 1-256"),
     ],
-    ids=["register-user", "register-phrase", "vault-user"],
+    ids=["register-user", "register-phrase", "vault-user", "access-phrase", "vault-phrase"],
 )
 def test_an_id_or_phrase_that_is_not_utf8_breaks_its_rule(world, capsys, argv, rule):
     # argv holds bytes that are not UTF-8 as lone surrogates: the command
     # names the field's rule (exit 8), not the codec or SQLite's binding;
-    # access is one more input of the unencodable-id test above
+    # access's id is one more input of the unencodable-id test above
     _provision(world)
     _register(world)
     capsys.readouterr()

@@ -38,6 +38,12 @@ def _sql(locker_store: LockerStore, statement: str) -> list:
         return con.execute(statement).fetchall()
 
 
+def _journal_header(root: Path) -> bytes:
+    """The first 28 bytes of the persistent rollback journal: all zero after
+    a commit, so no reader takes the file for a hot journal to roll back."""
+    return (root / "registry.db-journal").read_bytes()[:28]
+
+
 def test_provision_stores_h_r_only(tmp_path):
     provider_key = SecretKey(bytes(range(1, 33)))
     locker_store = LockerStore(tmp_path)
@@ -385,7 +391,9 @@ def test_save_is_atomic_against_partial_writes(tmp_path):
         locker_store.save_registry(registry)
     assert locker_store.registry_path.read_bytes() == before
     assert "alice" not in locker_store.load_registry().records
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db"]  # no journal
+    # no temp file; the journal stays allocated, its header zeroed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db", "registry.db-journal"]
+    assert _journal_header(tmp_path) == bytes(28)
 
 
 def test_provider_actor_has_no_store_capability():
@@ -422,8 +430,9 @@ def test_lookups_read_one_row_and_registers_read_none(tmp_path, monkeypatch):
     locker_store.save_registry(loaded)
     saved = statements[2:]
     assert [sql.split()[0] for sql in saved if not sql.startswith("INSERT")] == [
-        "BEGIN", "SELECT", "COMMIT"
+        "PRAGMA", "BEGIN", "SELECT", "COMMIT"
     ]
+    assert saved[:2] == ["PRAGMA journal_mode=PERSIST", "BEGIN IMMEDIATE"]
     assert len(locker_store.load_registry().records) == 70
 
 
@@ -439,6 +448,17 @@ def test_duplicate_of_a_stored_user_fails_at_save_and_writes_nothing(tmp_path):
     assert sorted(locker_store.load_registry().records) == ["alice"]
     with pytest.raises(DuplicateUser, match="'alice'"):
         locker_store.register("alice", SecretKey(b"kb"), "other")
+
+
+def test_writes_keep_full_sync_and_a_persistent_journal(tmp_path):
+    # durability is never relaxed: a write connection syncs at FULL, and its
+    # journal is overwritten in place rather than created and unlinked
+    locker_store = LockerStore(tmp_path)
+    locker_store.provision(SecretKey(b"master"))
+    with locker_store._write() as con:
+        assert con.execute("PRAGMA synchronous").fetchone() == (2,)
+        assert con.execute("PRAGMA journal_mode").fetchone() == ("persist",)
+        assert con.in_transaction
 
 
 _CRASH_IN_COMMIT = """
@@ -465,20 +485,23 @@ def test_crash_inside_write_transaction_keeps_old_state(tmp_path):
     alice = registry.register("alice", SecretKey(b"ka"), "phrase")
     bob = registry.register("bob", SecretKey(b"kb"), "phrase")
     locker_store.save_registry(registry)
+    assert _journal_header(tmp_path) == bytes(28)
     env = dict(os.environ, PYTHONPATH=str(Path(digilock.__file__).parent.parent))
     child = subprocess.run(
         [sys.executable, "-c", _CRASH_IN_COMMIT, str(tmp_path)],
         env=env, capture_output=True, timeout=60,
     )
     assert child.returncode == 9, child.stderr
-    assert (tmp_path / "registry.db-journal").exists()  # it died mid-transaction
+    # it died mid-transaction: the journal holds that transaction's header
+    assert _journal_header(tmp_path) != bytes(28)
     loaded = locker_store.load_registry()
     assert loaded.get_record("alice") == alice
     assert loaded.get_record("bob") == bob
     assert "mallory" not in loaded.records
     locker_store.register("mallory", SecretKey(b"km"), "phrase")
     assert sorted(locker_store.load_registry().records) == ["alice", "bob", "mallory"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.db", "registry.db-journal"]
+    assert _journal_header(tmp_path) == bytes(28)
 
 
 
