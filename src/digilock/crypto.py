@@ -7,6 +7,10 @@ be replayed bit for bit. A sealed value is plain bytes: its 12-byte nonce,
 then the AEAD output, ciphertext then 16-byte tag (RFC 8439). No custom
 cryptography lives here; everything is a thin wrapper over stdlib
 ``hashlib``/``hmac`` and ``cryptography``.
+
+`sha256`, `prf` and `xor_digests` make a `Digest` of an output that is 32
+bytes by construction, so they skip its length recheck. Bytes read from
+outside (a store row, a wire field) go through `Digest(...)`, which checks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ SEAL_NONCE_LEN = 12
 TAG_LEN = 16
 SEALED_MIN_LEN = SEAL_NONCE_LEN + TAG_LEN  # an empty plaintext's blob
 MAX_KEY_LEN = 64
+_digest = bytes.__new__  # wraps a 32-byte output as a Digest without the recheck
 
 
 class CryptoError(Exception):
@@ -111,6 +116,10 @@ class SeededRng:
         self._counter = 0
 
     def take(self, n: int) -> bytes:
+        if 0 < n <= DIGEST_LEN:  # one block: every nonce and key the protocol draws
+            block = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big"))
+            self._counter += 1
+            return block.digest()[:n]
         out = bytearray()
         while len(out) < n:
             block = hashlib.sha256(
@@ -126,14 +135,14 @@ _system_rng = SystemRng()
 
 def sha256(data: bytes) -> Digest:
     """Hash arbitrary bytes to a 32-byte digest."""
-    return Digest(hashlib.sha256(data).digest())
+    return _digest(Digest, hashlib.sha256(data).digest())
 
 
 def prf(key: bytes, data: bytes) -> Digest:
     """Keyed pseudo-random function: HMAC-SHA-256 under a 32-byte key."""
     if len(key) != DIGEST_LEN:
         raise ValueError(f"prf key must be {DIGEST_LEN} bytes, got {len(key)}")
-    return Digest(hmac.digest(bytes(key), data, "sha256"))
+    return _digest(Digest, hmac.digest(key, data, "sha256"))
 
 
 def xor_digests(a: bytes, b: bytes) -> Digest:
@@ -141,7 +150,7 @@ def xor_digests(a: bytes, b: bytes) -> Digest:
     if len(a) != DIGEST_LEN or len(b) != DIGEST_LEN:
         raise ValueError("xor_digests operands must be 32 bytes each")
     x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return Digest(x.to_bytes(DIGEST_LEN, "big"))
+    return _digest(Digest, x.to_bytes(DIGEST_LEN, "big"))
 
 
 def fresh_nonce(rng: Rng | None = None) -> Nonce:
@@ -155,7 +164,7 @@ def seal(key: bytes, plaintext: bytes, rng: Rng | None = None) -> bytes:
     if len(key) != DIGEST_LEN:
         raise ValueError(f"seal key must be {DIGEST_LEN} bytes, got {len(key)}")
     nonce = (rng or _system_rng).take(SEAL_NONCE_LEN)
-    return nonce + ChaCha20Poly1305(bytes(key)).encrypt(nonce, plaintext, None)
+    return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
 
 
 def unseal(key: bytes, sealed: bytes) -> bytes:
@@ -166,7 +175,7 @@ def unseal(key: bytes, sealed: bytes) -> bytes:
     if len(sealed) < SEALED_MIN_LEN:
         raise AuthFailure(f"sealed blob is {len(sealed)} bytes, under {SEALED_MIN_LEN}")
     try:
-        return ChaCha20Poly1305(bytes(key)).decrypt(
+        return ChaCha20Poly1305(key).decrypt(
             sealed[:SEAL_NONCE_LEN], sealed[SEAL_NONCE_LEN:], None
         )
     except InvalidTag as exc:
@@ -175,4 +184,4 @@ def unseal(key: bytes, sealed: bytes) -> bytes:
 
 def ct_equal(a: bytes, b: bytes) -> bool:
     """Constant-time equality for equal-length inputs; False if lengths differ."""
-    return hmac.compare_digest(bytes(a), bytes(b))
+    return hmac.compare_digest(a, b)

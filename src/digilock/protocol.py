@@ -167,7 +167,7 @@ def phrase_bytes(phrase: str) -> bytes:
 
 def user_digest(user_id: str, key: SecretKey) -> Digest:
     """Digest binding a user id to its key: h(U_i || K_i), canonical concat."""
-    return sha256(encode_fields([user_id_bytes(user_id), bytes(key)]))
+    return sha256(encode_fields([user_id_bytes(user_id), key]))
 
 
 def locker_key(d_u: Digest, h_r: Digest) -> Digest:
@@ -177,12 +177,12 @@ def locker_key(d_u: Digest, h_r: Digest) -> Digest:
 
 def session_key(user_id: str, key: SecretKey, n_a: Nonce) -> Digest:
     """Per-session key K_s = h(U_i || K_i || N_a), fresh per user nonce."""
-    return sha256(encode_fields([user_id_bytes(user_id), bytes(key), bytes(n_a)]))
+    return sha256(encode_fields([user_id_bytes(user_id), key, n_a]))
 
 
 def ack_digest(n_a: Nonce, n_r: Nonce) -> Digest:
     """The user's consent token h(N_a || N_r)."""
-    return sha256(encode_fields([bytes(n_a), bytes(n_r)]))
+    return sha256(encode_fields([n_a, n_r]))
 
 
 def register_user(
@@ -201,7 +201,7 @@ def register_user(
     uid = user_id_bytes(user_id)
     m = phrase_bytes(phrase)
     d_u = user_digest(user_id, key)
-    blob = seal(locker_key(d_u, h_r), encode_fields([m, bytes(key), uid]), rng)
+    blob = seal(locker_key(d_u, h_r), encode_fields([m, key, uid]), rng)
     return LockerRecord(user_id=user_id, d_u=d_u, sealed=blob)
 
 
@@ -211,8 +211,8 @@ def user_begin_session(
     """Open a session: fresh N_a plus a PRF proof of key knowledge."""
     uid = user_id_bytes(user_id)
     n_a = fresh_nonce(rng)
-    proof = prf(user_digest(user_id, key), bytes(n_a))
-    msg = Message(MessageKind.AUTH_REQUEST, (uid, bytes(proof), bytes(n_a)))
+    proof = prf(user_digest(user_id, key), n_a)
+    msg = Message(MessageKind.AUTH_REQUEST, (uid, proof, n_a))
     state = UserSession(user_id=user_id, phase=UserPhase.AWAITING_CHALLENGE, n_a=n_a)
     return msg, state
 
@@ -231,7 +231,7 @@ def locker_verify_auth(
     except UnicodeDecodeError:  # not UTF-8, so no registered id: kept byte for byte
         user_id = uid_raw.decode("utf-8", errors="surrogateescape")
     record = records.get(user_id)
-    if record is not None and ct_equal(prf(record.d_u, bytes(n_a)), proof):
+    if record is not None and ct_equal(prf(record.d_u, n_a), proof):
         return LockerSession(user_id=user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a)
     return LockerSession(
         user_id=user_id,
@@ -247,7 +247,7 @@ def locker_verify_provider(
     """Match h(provider key) against the provisioned digest."""
     if session.phase is not LockerPhase.USER_VERIFIED:
         raise OutOfOrder(f"provider check in phase {session.phase.value}")
-    if ct_equal(sha256(bytes(provider_key)), stored_h_r):
+    if ct_equal(sha256(provider_key), stored_h_r):
         return LockerSession(session.user_id, LockerPhase.PROVIDER_VERIFIED, session.n_a)
     return _fail(session, FailureReason.BAD_PROVIDER_KEY)
 
@@ -271,14 +271,14 @@ def locker_build_challenge(
     if session.phase is not LockerPhase.PROVIDER_VERIFIED:
         raise OutOfOrder(f"challenge build in phase {session.phase.value}")
     assert session.n_a is not None
-    key_l = locker_key(record.d_u, sha256(bytes(provider_key)))
+    key_l = locker_key(record.d_u, sha256(provider_key))
     try:
         m, key_raw, uid = decode_fields(unseal(key_l, record.sealed))
         k_s = session_key(uid.decode("utf-8"), SecretKey(key_raw), session.n_a)
     except (AuthFailure, WireError, ValueError, EncodingError):
         return None, _fail(session, FailureReason.BLOB_AUTH_FAILURE)
     n_r = fresh_nonce(rng)
-    body = seal(k_s, encode_fields([m, bytes(n_r)]), rng)
+    body = seal(k_s, encode_fields([m, n_r]), rng)
     msg = Message(MessageKind.CHALLENGE, (body,))
     state = LockerSession(
         session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, now + timeout_ms
@@ -317,7 +317,7 @@ def user_process_challenge(
         matched = False
     if not matched:
         return None, _fail(session, FailureReason.PHRASE_MISMATCH)
-    ack = Message(MessageKind.ACK, (bytes(ack_digest(session.n_a, n_r)),))
+    ack = Message(MessageKind.ACK, (ack_digest(session.n_a, n_r),))
     state = UserSession(session.user_id, UserPhase.ACK_SENT, session.n_a)
     return ack, state
 
@@ -371,7 +371,7 @@ def reason_from_wire(raw: bytes) -> FailureReason | None:
 def provider_on_message(provider_key: SecretKey, msg: Message) -> Message | None:
     """The provider's transition: it answers a key request with R, nothing else."""
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
-        return Message(MessageKind.PROVIDER_KEY, (bytes(provider_key),))
+        return Message(MessageKind.PROVIDER_KEY, (provider_key,))
     return None
 
 

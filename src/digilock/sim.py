@@ -55,6 +55,7 @@ from .wire import Message, MessageKind, encode_fields, flip_field_bit
 
 HOP_MS = 1  # simulated time per channel hop
 MAX_HOPS = 200  # a run that needs more hops is looping
+_new_step = tuple.__new__  # builds a TraceStep without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ class Trace:
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
+        self._append = self.steps.append
 
     def record(
         self,
@@ -118,12 +120,8 @@ class Trace:
         msg: Message,
         verdict: str,
     ) -> None:
-        self.steps.append(
-            TraceStep(
-                t, sender, receiver, origin, msg.kind.label,
-                sha256(msg.encode()).hex(), verdict,
-            )
-        )
+        step = (t, sender, receiver, origin, msg.kind.label, sha256(msg.encode()).hex(), verdict)
+        self._append(_new_step(TraceStep, step))
 
     def kind_sequence(self) -> list[str]:
         """Kinds of origin sends (relay hops collapsed)."""
@@ -368,21 +366,24 @@ class Simulation:
 
     def pump(self) -> None:
         """Deliver queued packets, one per HOP_MS, until the queue is empty."""
+        queue, taps, actors, post = self.queue, self.taps, self.actors, self.post
+        record = self.trace.record
         hops = 0
-        while self.queue:
+        while queue:
             hops += 1
             if hops > MAX_HOPS:
                 raise RuntimeError(f"simulation exceeded {MAX_HOPS} hops")
-            src, dst, origin, msg, replayed = self.queue.popleft()
-            self.now += HOP_MS
+            src, dst, origin, msg, replayed = queue.popleft()
+            self.now = now = self.now + HOP_MS
             verdict = "delivered"
-            tap = self.taps.get((src, dst))
+            tap = taps.get((src, dst)) if taps else None
             if tap is not None:
                 msg, verdict = tap.intercept(msg)
             if replayed and verdict == "delivered":
                 verdict = "replayed"
-            self.trace.record(self.now, src, dst, origin, msg, verdict)
-            self.send_all(dst, self.actors[dst].handle(msg, origin, self.now))
+            record(now, src, dst, origin, msg, verdict)
+            for out_dst, out_msg, out_origin in actors[dst].handle(msg, origin, now):
+                post(dst, out_dst, out_msg, out_origin)
 
 
 @dataclass(frozen=True)

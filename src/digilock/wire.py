@@ -53,12 +53,9 @@ class MessageKind(enum.IntEnum):
     RESULT = 0x06
     ERROR = 0x7F
 
-    @property
-    def label(self) -> str:
-        return _LABELS[self]
+    def __init__(self, value: int) -> None:
+        self.label = self.name.lower().replace("_", "-")  # a plain attribute, read per hop
 
-
-_LABELS = {kind: kind.name.lower().replace("_", "-") for kind in MessageKind}
 
 # (min, max) length per field, by kind. AuthRequest carries
 # [user id, PRF proof digest, nonce]; Challenge carries one opaque sealed
@@ -76,11 +73,10 @@ _FIELD_LIMITS: dict[MessageKind, tuple[tuple[int, int], ...]] = {
 
 def encode_fields(fields: Iterable[bytes]) -> bytes:
     """Length-prefix and concatenate a field list (arbitrary bytes allowed)."""
-    out = bytearray()
+    parts: list[bytes] = []
     for field in fields:
-        out += len(field).to_bytes(_LEN_PREFIX, "big")
-        out += field
-    return bytes(out)
+        parts += (len(field).to_bytes(_LEN_PREFIX, "big"), field)
+    return b"".join(parts)
 
 
 def decode_fields(data: bytes) -> list[bytes]:
@@ -111,8 +107,9 @@ class Message:
     _frame = None  # set by the first encode; not a field, so not in ==, hash or repr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", tuple(bytes(f) for f in self.fields))
-        _check_fields(self.kind, self.fields)
+        fields = tuple(map(bytes, self.fields))
+        object.__setattr__(self, "fields", fields)
+        _check_fields(self.kind, fields)
 
     def encode(self) -> bytes:
         frame = self._frame
@@ -149,10 +146,10 @@ def _check_fields(kind: MessageKind, fields: Sequence[bytes]) -> None:
         raise BadFrame(
             f"{kind.label} takes {len(limits)} field(s), got {len(fields)}"
         )
-    for i, (field, (lo, hi)) in enumerate(zip(fields, limits)):
-        if not lo <= len(field) <= hi:
+    for i, (lo, hi) in enumerate(limits):
+        if not lo <= len(fields[i]) <= hi:
             raise BadFrame(
-                f"{kind.label} field {i} length {len(field)} outside [{lo}, {hi}]"
+                f"{kind.label} field {i} length {len(fields[i])} outside [{lo}, {hi}]"
             )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from digilock.crypto import (
     TAG_LEN,
     AuthFailure,
     Digest,
+    Nonce,
     SecretKey,
     SeededRng,
     ct_equal,
@@ -215,6 +218,65 @@ def test_seeded_rng_is_deterministic():
     assert a.take(33) == b.take(33)
     assert SeededRng(42, b"ctx").take(8) != SeededRng(43, b"ctx").take(8)
     assert SeededRng(42, b"a").take(8) != SeededRng(42, b"b").take(8)
+
+
+def _rng_reference(seed: int, context: bytes, counter: int, n: int) -> tuple[bytes, int]:
+    # the documented stream, rebuilt with hashlib: SHA-256 over (seed,
+    # context, counter) per 32-byte block, blocks concatenated, cut at n
+    out = b""
+    while len(out) < n:
+        out += hashlib.sha256(seed.to_bytes(8, "big") + context + counter.to_bytes(8, "big")).digest()
+        counter += 1
+    return out[:n], counter
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 16, 32, 33, 64, 65])
+def test_seeded_rng_take_matches_a_hashlib_reference(n):
+    # each draw of n bytes, then a 16-byte one, so a draw that uses a
+    # block too many or too few shows in the bytes of the next
+    rng = SeededRng(0x5EED, b"ctx")
+    counter = 0
+    for size in (n, 16, n, 16):
+        expected, counter = _rng_reference(0x5EED, b"ctx", counter, size)
+        got = rng.take(size)
+        assert type(got) is bytes and got == expected
+
+
+def test_seeded_rng_take_zero_is_empty_and_draws_no_block():
+    rng = SeededRng(9, b"zero")
+    assert rng.take(0) == b""
+    assert rng.take(16) == _rng_reference(9, b"zero", 0, 16)[0]
+
+
+def test_hash_outputs_are_exact_digests_equal_to_hashlib_in_constant_time(monkeypatch):
+    key = hashlib.sha256(b"key").digest()
+    other = hashlib.sha256(b"other").digest()
+    nonce = Nonce(bytes(range(16)))
+    outputs = [
+        (sha256(b"abc"), hashlib.sha256(b"abc").digest()),
+        (sha256(nonce), hashlib.sha256(bytes(nonce)).digest()),
+        (prf(key, b"msg"), hmac.digest(key, b"msg", "sha256")),
+        (prf(Digest(key), nonce), hmac.digest(key, bytes(nonce), "sha256")),
+        (xor_digests(key, other), bytes(a ^ b for a, b in zip(key, other))),
+        (xor_digests(Digest(key), Digest(other)), bytes(a ^ b for a, b in zip(key, other))),
+    ]
+    compared = []
+    real_ct_equal = crypto.ct_equal
+    monkeypatch.setattr(
+        crypto, "ct_equal", lambda a, b: compared.append((a, b)) or real_ct_equal(a, b)
+    )
+    for got, reference in outputs:
+        assert type(got) is Digest and len(got) == 32
+        assert got == reference and not got != reference
+        assert bytes(got) == reference
+    # every Digest comparison above went through the constant-time compare
+    assert len(compared) == 2 * len(outputs)
+
+
+def test_outside_bytes_still_go_through_the_checked_digest():
+    with pytest.raises(ValueError, match="digest must be 32 bytes, got 31"):
+        Digest(b"x" * 31)
+    assert type(Digest(bytearray(32))) is Digest
 
 
 def test_seeded_rng_drives_seal_reproducibly():

@@ -99,6 +99,24 @@ def test_register_rejects_bad_user_ids():
         register_user("fine", SecretKey(b"k"), "m\udcff", h_r)
 
 
+@pytest.mark.parametrize(
+    "user_id,phrase",
+    [("u" * 64, "p" * 256), ("\u00e9" * 32, "\u00fc" * 128)],  # é and ü: 2 UTF-8 bytes each
+    ids=["ascii", "two-byte"],
+)
+def test_an_id_and_a_phrase_at_their_byte_limits_register_and_open(user_id, phrase):
+    provider_key = SecretKey(b"provider-master-key")
+    h_r = sha256(provider_key)
+    key = SecretKey(b"limit-key")
+    record = register_user(user_id, key, phrase, h_r, rng=SeededRng(4))
+    locker, user, sent = protocol.run_session(
+        record, h_r, user_id, key, phrase, provider_key,
+        rng_user=SeededRng(4, b"user"), rng_locker=SeededRng(4, b"locker"),
+    )
+    assert locker.phase is LockerPhase.OPEN and user.phase is UserPhase.DONE
+    assert len(sent[0][0].fields[0]) == 64  # the auth request carries all 64 id bytes
+
+
 def test_begin_session_fresh_nonces_and_framing():
     _, (user_id, key, _), _, _ = _world()
     msg1, state1 = user_begin_session(user_id, key)
@@ -342,6 +360,18 @@ def test_run_session_honest_transcript():
     assert [sender for _, sender in sent] == [
         "user", "locker", "provider", "locker", "user", "locker"
     ]
+
+
+def test_a_genuine_challenge_after_the_ack_is_out_of_order():
+    # the session still holds N_a, so only its phase refuses the challenge
+    record, (user_id, key, phrase), provider_key, _, user, locker = _run_to_provider_verified()
+    challenge, _ = locker_build_challenge(record, provider_key, locker, now=4)
+    acked = replace(user, phase=UserPhase.ACK_SENT)
+    assert acked.n_a is not None
+    with pytest.raises(OutOfOrder, match="ack-sent"):
+        user_process_challenge(acked, user_id, key, phrase, challenge)
+    ack, _ = user_process_challenge(user, user_id, key, phrase, challenge)
+    assert ack is not None  # the same challenge, awaited, is answered
 
 
 def test_no_session_keeps_the_session_key():

@@ -13,7 +13,7 @@ import pytest
 
 import digilock
 from digilock import protocol
-from digilock.crypto import SecretKey, SeededRng, sha256
+from digilock.crypto import Digest, SecretKey, SeededRng, sha256
 from digilock.protocol import LockerPhase, LockerRecord, LockerSession
 from digilock.store import (
     AlreadyProvisioned,
@@ -201,6 +201,35 @@ def test_lookup_decodes_only_its_own_row(tmp_path):
     with pytest.raises(StoreError, match="bob"):
         locker_store.load_registry()  # the whole-registry form decodes every row
     assert _sql(locker_store, "SELECT sealed FROM records WHERE user_id = 'bob'") == [(b"\x0b\xad",)]
+
+
+@pytest.mark.parametrize(
+    "d_u,sealed,refused",
+    [
+        pytest.param(b"\x01" * 31, b"\x02" * 40, True, id="d_u-31-bytes"),
+        # an INTEGER 32 would pass Digest() as 32 zero bytes if the type went unchecked
+        pytest.param(32, b"\x02" * 40, True, id="d_u-not-a-blob"),
+        pytest.param(b"\x01" * 32, "s" * 40, True, id="sealed-not-a-blob"),
+        pytest.param(b"\x01" * 32, b"\x02" * 28, False, id="sealed-at-the-minimum"),
+        pytest.param(b"\x01" * 32, b"\x02" * 27, True, id="sealed-one-under"),
+    ],
+)
+def test_a_record_row_decodes_only_with_a_digest_and_a_long_enough_blob(
+    tmp_path, d_u, sealed, refused
+):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    registry.register("alice", SecretKey(b"ka"), "phrase")
+    locker_store.save_registry(registry)
+    with closing(sqlite3.connect(locker_store.registry_path)) as con, con:
+        con.execute("UPDATE records SET d_u = ?, sealed = ?", (d_u, sealed))
+    if refused:
+        with pytest.raises(StoreError, match="corrupt registry record for user 'alice'"):
+            locker_store.lookup("alice")
+    else:
+        _, record = locker_store.lookup("alice")
+        assert (record.d_u, record.sealed) == (d_u, sealed)
+        assert type(record.d_u) is Digest
 
 
 def test_registry_file_contains_no_secret_bytes(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from digilock.crypto import Digest, Nonce, SecretKey
 from digilock.wire import (
     BadFrame,
     Message,
@@ -27,6 +28,31 @@ SAMPLES = {
 def test_encode_empty():
     assert encode_fields([]) == b""
     assert decode_fields(b"") == []
+
+
+def _encode_reference(fields) -> bytes:
+    out = b""
+    for field in fields:
+        out += len(field).to_bytes(4, "big") + bytes(field)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        [],
+        [b""],
+        [b"", b""],
+        [Digest(b"\x01" * 32), Nonce(b"\x02" * 16), b"alice", b""],
+        (SecretKey(b"k"), bytearray(b"ba"), b"\x00" * 300),
+    ],
+    ids=["none", "one-empty", "two-empty", "digest-nonce-bytes", "key-bytearray-long"],
+)
+def test_encode_fields_matches_a_reference(fields):
+    encoded = encode_fields(fields)
+    assert type(encoded) is bytes
+    assert encoded == _encode_reference(fields)
+    assert decode_fields(encoded) == [bytes(f) for f in fields]
 
 
 def test_encode_decode_round_trip_random():
