@@ -29,7 +29,6 @@ SEAL_NONCE_LEN = 12
 TAG_LEN = 16
 SEALED_MIN_LEN = SEAL_NONCE_LEN + TAG_LEN  # an empty plaintext's blob
 MAX_KEY_LEN = 64
-_digest = bytes.__new__  # wraps a 32-byte output as a Digest without the recheck
 
 
 class CryptoError(Exception):
@@ -116,18 +115,11 @@ class SeededRng:
         self._counter = 0
 
     def take(self, n: int) -> bytes:
-        if 0 < n <= DIGEST_LEN:  # one block: every nonce and key the protocol draws
-            block = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big"))
-            self._counter += 1
-            return block.digest()[:n]
-        out = bytearray()
+        out = b""
         while len(out) < n:
-            block = hashlib.sha256(
-                self._prefix + self._counter.to_bytes(8, "big")
-            ).digest()
+            out += hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big")).digest()
             self._counter += 1
-            out += block
-        return bytes(out[:n])
+        return out[:n]
 
 
 _system_rng = SystemRng()
@@ -135,14 +127,14 @@ _system_rng = SystemRng()
 
 def sha256(data: bytes) -> Digest:
     """Hash arbitrary bytes to a 32-byte digest."""
-    return _digest(Digest, hashlib.sha256(data).digest())
+    return bytes.__new__(Digest, hashlib.sha256(data).digest())
 
 
 def prf(key: bytes, data: bytes) -> Digest:
     """Keyed pseudo-random function: HMAC-SHA-256 under a 32-byte key."""
     if len(key) != DIGEST_LEN:
         raise ValueError(f"prf key must be {DIGEST_LEN} bytes, got {len(key)}")
-    return _digest(Digest, hmac.digest(key, data, "sha256"))
+    return bytes.__new__(Digest, hmac.digest(key, data, "sha256"))
 
 
 def xor_digests(a: bytes, b: bytes) -> Digest:
@@ -150,7 +142,7 @@ def xor_digests(a: bytes, b: bytes) -> Digest:
     if len(a) != DIGEST_LEN or len(b) != DIGEST_LEN:
         raise ValueError("xor_digests operands must be 32 bytes each")
     x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return _digest(Digest, x.to_bytes(DIGEST_LEN, "big"))
+    return bytes.__new__(Digest, x.to_bytes(DIGEST_LEN, "big"))
 
 
 def fresh_nonce(rng: Rng | None = None) -> Nonce:

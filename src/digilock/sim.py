@@ -55,7 +55,6 @@ from .wire import Message, MessageKind, encode_fields, flip_field_bit
 
 HOP_MS = 1  # simulated time per channel hop
 MAX_HOPS = 200  # a run that needs more hops is looping
-_new_step = tuple.__new__  # builds a TraceStep without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class Trace:
         verdict: str,
     ) -> None:
         step = (t, sender, receiver, origin, msg.kind.label, sha256(msg.encode()).hex(), verdict)
-        self._append(_new_step(TraceStep, step))
+        self._append(tuple.__new__(TraceStep, step))
 
     def kind_sequence(self) -> list[str]:
         """Kinds of origin sends (relay hops collapsed)."""
@@ -366,8 +365,8 @@ class Simulation:
 
     def pump(self) -> None:
         """Deliver queued packets, one per HOP_MS, until the queue is empty."""
-        queue, taps, actors, post = self.queue, self.taps, self.actors, self.post
-        record = self.trace.record
+        queue, taps, actors = self.queue, self.taps, self.actors
+        record, send_all = self.trace.record, self.send_all
         hops = 0
         while queue:
             hops += 1
@@ -382,8 +381,7 @@ class Simulation:
             if replayed and verdict == "delivered":
                 verdict = "replayed"
             record(now, src, dst, origin, msg, verdict)
-            for out_dst, out_msg, out_origin in actors[dst].handle(msg, origin, now):
-                post(dst, out_dst, out_msg, out_origin)
+            send_all(dst, actors[dst].handle(msg, origin, now))
 
 
 @dataclass(frozen=True)
