@@ -20,26 +20,27 @@ equal and the search space is message scheduling, not nonce entropy;
 per-session distinctness, the property the protocol actually relies on,
 is preserved.
 
-Each search interns every distinct (raw frame, origin) pair and `Core` (both
-sessions, the nonce index, the genuine flags) as a small int, in tables that
-die with the search. A state is three ints: core id, the pending pool as
-copy counts (`_SLOT` bits per frame id), and the adversary's knowledge as a
-bitmask of frame ids. The memos are exact, as the world is fixed, a frame id
-stands for the bytes and the origin, a core id for all a delivery reads, and
-pool and knowledge only grow by the frame sent. Each party's transition is
-memoised on what it reads, a delivery on (core id, frame id), a pool's moves
-on the pool, and the inject moves on (core id, knowledge): how many, and those
-that change the core or send a frame. The rest lead back to the state itself
-and skip the visited lookup. At depth 6, 311 party transitions and 1,608
-deliveries run for 22,651 delivery calls, and 13,881 of the 69,371
-transitions lead back to their own state.
+Each search interns every distinct (raw frame, origin) pair and `Core` (a
+NamedTuple of both sessions, the nonce index, the genuine flags) as a small
+int, in tables that die with the search. A state is three ints: core id, the
+pending pool as copy counts (`_SLOT` bits per frame id), and the adversary's
+knowledge as a bitmask of frame ids. The memos are exact, as the world is
+fixed, a frame id stands for the bytes and the origin, a core id for all a
+delivery reads, and pool and knowledge only grow by the frame sent. Each
+party's transition is memoised on what it reads, a delivery on (core id, frame
+id), a pool's moves on the pool, and the inject moves on (core id, knowledge):
+how many, and those that change the core or send a frame. The rest lead back
+to the state itself and skip the visited lookup. At depth 6, 311 party
+transitions and 1,608 deliveries run for 22,651 delivery calls, and 13,881 of
+the 69,371 transitions lead back to their own state.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import protocol
 from .crypto import Digest, SecretKey, SeededRng, sha256
@@ -107,8 +108,7 @@ class _World:
     records: dict[str, LockerRecord]  # the one registered user's
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(NamedTuple):
     """All a delivery reads and writes: both sessions, the nonce index and
     who built what the locker accepted."""
 
@@ -218,7 +218,7 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
                 core.user, world.user_id, world.user_key, world.phrase, msg
             ),
         )
-        return replace(core, user=user), sent
+        return core._replace(user=user), sent
     locker, sent = tables.transition(
         (ACTOR_LOCKER, core.locker, core.serial, frame_id),
         lambda: protocol.locker_on_message(
@@ -237,12 +237,12 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
         return Core(locker, core.user, core.serial, origin == ACTOR_USER), sent
     if locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
         pk_genuine = msg.fields[0] == bytes(world.provider_key)
-        return replace(
-            core, locker=locker, serial=core.serial + 1, pk_genuine=pk_genuine
+        return core._replace(
+            locker=locker, serial=core.serial + 1, pk_genuine=pk_genuine
         ), sent
     if locker.phase is LockerPhase.OPEN:
-        return replace(core, locker=locker, ack_genuine=origin == ACTOR_USER), sent
-    return replace(core, locker=locker), sent
+        return core._replace(locker=locker, ack_genuine=origin == ACTOR_USER), sent
+    return core._replace(locker=locker), sent
 
 
 def _intern(ids: dict, values: list, value) -> int:

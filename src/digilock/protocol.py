@@ -13,9 +13,11 @@ the user's and the provider's secrets were supplied. A session then runs:
 
 All step functions are pure given (state, message, now); time enters only
 through an explicit clock value, and randomness through an explicit rng.
-States are immutable; transitions return new states. Only a FAILED
-state carries a failure, so an honest-path step builds the next state
-with its constructor from the fields it keeps.
+States are immutable NamedTuples; transitions return new states. Only a
+FAILED state carries a failure, so an honest-path step builds the next
+state with its constructor from the fields it keeps. A state or record
+equals any plain tuple of its items, so compare it only with its own type,
+never with a raw tuple such as a database row.
 
 `user_on_message`, `provider_on_message` and `locker_on_message` are each
 role's whole transition, and the only code that knows what a role replies
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .crypto import (
     AuthFailure,
@@ -87,6 +89,7 @@ class EncodingError(ProtocolError):
 
 
 class FailureReason(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum hashes its name in Python
     BAD_USER_KEY = "bad-user-key"
     BAD_PROVIDER_KEY = "bad-provider-key"
     BLOB_AUTH_FAILURE = "blob-auth-failure"
@@ -97,6 +100,7 @@ class FailureReason(enum.Enum):
 
 
 class LockerPhase(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum hashes its name in Python
     IDLE = "idle"
     USER_VERIFIED = "user-verified"
     PROVIDER_VERIFIED = "provider-verified"
@@ -106,14 +110,14 @@ class LockerPhase(enum.Enum):
 
 
 class UserPhase(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum hashes its name in Python
     AWAITING_CHALLENGE = "awaiting-challenge"
     ACK_SENT = "ack-sent"
     DONE = "done"
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class LockerRecord:
+class LockerRecord(NamedTuple):
     """Per-user stored tuple: user id, digest of (id, key), sealed blob."""
 
     user_id: str
@@ -121,8 +125,7 @@ class LockerRecord:
     sealed: bytes
 
 
-@dataclass(frozen=True)
-class LockerSession:
+class LockerSession(NamedTuple):
     user_id: str
     phase: LockerPhase
     n_a: Nonce | None = None
@@ -131,8 +134,7 @@ class LockerSession:
     failure: FailureReason | None = None
 
 
-@dataclass(frozen=True)
-class UserSession:
+class UserSession(NamedTuple):
     user_id: str
     phase: UserPhase
     n_a: Nonce | None = None
@@ -141,7 +143,7 @@ class UserSession:
 
 def _fail(session, reason: FailureReason):
     """`session` (a LockerSession or UserSession) ended by `reason`."""
-    return replace(session, phase=type(session.phase).FAILED, failure=reason)
+    return session._replace(phase=type(session.phase).FAILED, failure=reason)
 
 
 def _utf8(text: str, most: int, what: str) -> bytes:
@@ -231,14 +233,10 @@ def locker_verify_auth(
     except UnicodeDecodeError:  # not UTF-8, so no registered id: kept byte for byte
         user_id = uid_raw.decode("utf-8", errors="surrogateescape")
     record = records.get(user_id)
+    session = LockerSession(user_id, LockerPhase.USER_VERIFIED, n_a)
     if record is not None and ct_equal(prf(record.d_u, n_a), proof):
-        return LockerSession(user_id=user_id, phase=LockerPhase.USER_VERIFIED, n_a=n_a)
-    return LockerSession(
-        user_id=user_id,
-        phase=LockerPhase.FAILED,
-        n_a=n_a,
-        failure=FailureReason.BAD_USER_KEY,
-    )
+        return session
+    return _fail(session, FailureReason.BAD_USER_KEY)
 
 
 def locker_verify_provider(
@@ -330,8 +328,6 @@ def locker_verify_ack(
         raise ValueError(f"expected ack, got {msg.kind.label}")
     if session.phase is not LockerPhase.CHALLENGE_SENT:
         raise OutOfOrder(f"ack received in phase {session.phase.value}")
-    assert session.n_a is not None and session.n_r is not None
-    assert session.deadline is not None
     if now > session.deadline:
         return _fail(session, FailureReason.TIMEOUT)
     if ct_equal(msg.fields[0], ack_digest(session.n_a, session.n_r)):
@@ -343,22 +339,24 @@ def locker_verify_ack(
 
 def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
     """End a challenge-sent session whose ack deadline has passed."""
-    if (
-        session.phase is LockerPhase.CHALLENGE_SENT
-        and session.deadline is not None
-        and now > session.deadline
-    ):
+    if session.phase is LockerPhase.CHALLENGE_SENT and now > session.deadline:
         return _fail(session, FailureReason.TIMEOUT)
     return session
 
 
 PROVIDER_KEY_REQUEST = Message(MessageKind.PROVIDER_KEY_REQUEST, ())
 RESULT_OPEN = Message(MessageKind.RESULT, (b"open",))
-PROVIDER_KEY_REQUEST.encode(), RESULT_OPEN.encode()  # framed at import, in no session
+_ERRORS = {
+    reason: Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
+    for reason in FailureReason
+}
+for _reply in (PROVIDER_KEY_REQUEST, RESULT_OPEN, *_ERRORS.values()):
+    _reply.encode()  # framed at import, in no session
 
 
 def error_message(reason: FailureReason) -> Message:
-    return Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
+    """The shared error reply naming `reason`, framed once at import."""
+    return _ERRORS[reason]
 
 
 def reason_from_wire(raw: bytes) -> FailureReason | None:

@@ -2,7 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -158,7 +158,7 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         other = ACTOR_ADVERSARY if origin == ACTOR_USER else ACTOR_USER
         variants = [(core, other)]
         for flag in ("auth_genuine", "pk_genuine", "ack_genuine"):
-            variants.append((replace(core, **{flag: not getattr(core, flag)}), origin))
+            variants.append((core._replace(**{flag: not getattr(core, flag)}), origin))
         for variant, sender in variants:
             step = deliver(tables, tables.core(variant), tables.frame((raw, sender)))
             assert read(tables, step) == fresh(tables, variant, (raw, sender))
@@ -193,6 +193,27 @@ def test_search_shape_does_not_depend_on_the_seed():
         enum = enumerate_small_traces(depth=5, seed=seed)
         counts.add((enum.states_explored, enum.transitions))
     assert len(counts) == 1, counts
+
+
+def test_a_core_is_immutable_and_interns_by_its_fields():
+    # equal cores built apart are one core to the search's tables, and no
+    # field of an interned core can change under its id
+    world, _ = explore._build_world(0)
+    cores = []
+    for _ in range(2):
+        _, user = protocol.user_begin_session(
+            world.user_id, world.user_key, rng=explore._QueueRng(0, 1, b"na")
+        )
+        cores.append(explore.Core(locker=None, user=user, serial=1))
+    core, twin = cores
+    assert core.user is not twin.user
+    assert core == twin and hash(core) == hash(twin)
+    assert core != core._replace(pk_genuine=True)
+    tables = explore._Tables(world)
+    assert tables.core(core) == tables.core(twin) == 0
+    for name in core._fields:
+        with pytest.raises(AttributeError):
+            setattr(core, name, None)
 
 
 def _reference_search(seed, depth):

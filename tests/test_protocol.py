@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -191,7 +192,7 @@ def test_build_challenge_honest_round_trip():
 def test_build_challenge_forged_state_hits_blob_auth_failure():
     # a provider key that skipped the hash check must still die on the blob
     record, _, _, h_r, _, locker_state = _run_to_provider_verified()
-    forged = replace(locker_state)  # already PROVIDER_VERIFIED
+    forged = locker_state._replace()  # already PROVIDER_VERIFIED
     challenge, failed = locker_build_challenge(
         record, SecretKey(b"wrong-master"), forged, now=0
     )
@@ -202,7 +203,7 @@ def test_build_challenge_forged_state_hits_blob_auth_failure():
 
 def test_build_challenge_out_of_order():
     record, _, provider_key, _, _, locker_state = _run_to_provider_verified()
-    idle = replace(locker_state, phase=LockerPhase.IDLE)
+    idle = locker_state._replace(phase=LockerPhase.IDLE)
     with pytest.raises(OutOfOrder):
         locker_build_challenge(record, provider_key, idle, now=0)
 
@@ -229,7 +230,7 @@ def test_user_process_challenge_stale_nonce_replay():
     record, (user_id, key, phrase), provider_key, h_r, user_state, locker_state = (
         _run_to_provider_verified()
     )
-    stale = replace(locker_state, n_a=Nonce(b"\x11" * 16))
+    stale = locker_state._replace(n_a=Nonce(b"\x11" * 16))
     challenge, _ = locker_build_challenge(record, provider_key, stale, now=0)
     ack, failed = user_process_challenge(user_state, user_id, key, phrase, challenge)
     assert ack is None
@@ -286,6 +287,135 @@ def test_locker_check_timeout():
     assert expired.failure is FailureReason.TIMEOUT
 
 
+def _challenge_sent(now=4):
+    # the locker's challenge-sent session, with the user's genuine ack
+    record, (user_id, key, phrase), provider_key, _, user_state, locker_state = (
+        _run_to_provider_verified()
+    )
+    challenge, locker_state = locker_build_challenge(
+        record, provider_key, locker_state, now=now, rng=SeededRng(1, b"l")
+    )
+    ack, _ = user_process_challenge(user_state, user_id, key, phrase, challenge)
+    return locker_state, ack
+
+
+def test_an_ack_at_the_deadline_opens_and_one_after_it_times_out():
+    # the deadline is the last instant an ack counts, both for the ack check
+    # and for the timeout check, and through the locker's whole transition
+    locker_state, ack = _challenge_sent(now=4)
+    deadline = locker_state.deadline
+    assert deadline == 4 + protocol.DEFAULT_TIMEOUT_MS
+    assert locker_verify_ack(locker_state, ack, now=deadline).phase is LockerPhase.OPEN
+    late = locker_verify_ack(locker_state, ack, now=deadline + 1)
+    assert late.phase is LockerPhase.FAILED and late.failure is FailureReason.TIMEOUT
+    assert locker_check_timeout(locker_state, now=deadline) is locker_state
+    assert locker_check_timeout(locker_state, now=deadline).phase is LockerPhase.CHALLENGE_SENT
+    expired = locker_check_timeout(locker_state, now=deadline + 1)
+    assert expired.failure is FailureReason.TIMEOUT
+    record, _, _, h_r = _world()
+    records = {record.user_id: record}
+    session, reply = locker_on_message(records, h_r, locker_state, ack, now=deadline)
+    assert session.phase is LockerPhase.OPEN and reply is protocol.RESULT_OPEN
+    session, reply = locker_on_message(records, h_r, locker_state, ack, now=deadline + 1)
+    assert session.failure is FailureReason.TIMEOUT
+    assert reply is error_message(FailureReason.TIMEOUT)
+
+
+@pytest.mark.parametrize("missing", ["n_a", "n_r", "deadline"])
+def test_a_challenge_sent_session_missing_a_field_raises_and_never_opens(missing):
+    # the challenge-sent phase implies both nonces and the deadline, so the
+    # ack and timeout checks do not test for them: a hand-built session
+    # lacking one raises instead of opening, as neither the consent digest
+    # of a missing nonce nor a comparison with a missing deadline exists
+    locker_state, ack = _challenge_sent()
+    broken = locker_state._replace(**{missing: None})
+    assert broken.phase is LockerPhase.CHALLENGE_SENT
+    with pytest.raises(TypeError):
+        locker_verify_ack(broken, ack, now=10)
+    record, _, _, h_r = _world()
+    with pytest.raises(TypeError):
+        locker_on_message({record.user_id: record}, h_r, broken, ack, now=10)
+    if missing == "deadline":
+        with pytest.raises(TypeError):
+            locker_check_timeout(broken, now=10)
+
+
+def test_every_error_reply_equals_a_freshly_built_one():
+    # error_message hands out one reply per reason, built and framed at
+    # import; each equals, and frames to the same bytes as, the error
+    # message built from its reason now
+    assert len(FailureReason) == 7
+    for reason in FailureReason:
+        fresh = Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
+        shared = error_message(reason)
+        assert shared is error_message(reason)
+        assert shared == fresh
+        assert shared.encode() == fresh.encode()
+        assert Message.decode(shared.encode()) == fresh
+        assert protocol.reason_from_wire(shared.fields[0]) is reason
+
+
+def _value_types():
+    # one of each protocol value type, with every optional field set
+    locker_state, _ = _challenge_sent()
+    _, user_state = user_begin_session("alice", SecretKey(b"alice-key"), rng=SeededRng(1, b"u"))
+    record, _, _, _ = _world()
+    failed = protocol._fail(locker_state, FailureReason.BAD_ACK)
+    return [record, locker_state, user_state, failed]
+
+
+def test_protocol_values_are_immutable():
+    for value in _value_types():
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no instance dict to hold a new field
+
+
+def test_fail_keeps_every_field_but_the_phase_and_the_failure():
+    locker_state, _ = _challenge_sent()
+    _, user_state = user_begin_session("alice", SecretKey(b"alice-key"), rng=SeededRng(1, b"u"))
+    for session, reason in (
+        (locker_state, FailureReason.BAD_ACK),
+        (user_state, FailureReason.PHRASE_MISMATCH),
+    ):
+        failed = protocol._fail(session, reason)
+        assert type(failed) is type(session)
+        assert failed.phase is type(session.phase).FAILED
+        assert failed.failure is reason
+        kept = {k: v for k, v in session._asdict().items() if k not in ("phase", "failure")}
+        assert {k: v for k, v in failed._asdict().items() if k in kept} == kept
+        assert set(failed._fields) == set(kept) | {"phase", "failure"}
+
+
+def test_equal_values_hash_equal():
+    # values built apart from equal parts are equal and hash alike, as the
+    # model's interning and memos need; the phases and reasons they hold
+    # hash by identity, which holds as each member is one object
+    for value, again in zip(_value_types(), _value_types()):
+        assert again is not value
+        assert again == value and hash(again) == hash(value)
+        assert again != value._replace(user_id="bob")
+    for member in (*FailureReason, *LockerPhase, *UserPhase):
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert type(member)(member.value) is member
+
+
+def test_a_locker_session_never_equals_a_user_session():
+    # both are tuples, but of other lengths and of other phase types; a
+    # session does equal a plain tuple of its items, so code compares a
+    # session only with sessions
+    for reason in (None, *FailureReason):
+        for locker_phase in LockerPhase:
+            for user_phase in UserPhase:
+                locker = protocol.LockerSession("alice", locker_phase, failure=reason)
+                user = protocol.UserSession("alice", user_phase, failure=reason)
+                assert locker != user and user != locker
+    locker_state, _ = _challenge_sent()
+    assert locker_state == tuple(locker_state)
+
+
 def test_session_key_freshness_across_sessions():
     _, (user_id, key, _), _, _ = _world()
     rnd = random.Random(0xF5E5)
@@ -339,12 +469,12 @@ def test_run_session_ends_where_the_simulated_session_ends(fault, timeout_ms):
         if session is not None and session.deadline is not None:
             challenge_at = session.deadline - protocol.DEFAULT_TIMEOUT_MS
             assert challenge_at == 4, seed
-            session = replace(session, deadline=challenge_at + timeout_ms)
+            session = session._replace(deadline=challenge_at + timeout_ms)
             if session.phase is LockerPhase.OPEN and 8 > session.deadline:
-                session = replace(
-                    session, phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
+                session = session._replace(
+                    phase=LockerPhase.FAILED, failure=FailureReason.TIMEOUT
                 )
-                user = replace(user, phase=UserPhase.FAILED, failure=FailureReason.TIMEOUT)
+                user = user._replace(phase=UserPhase.FAILED, failure=FailureReason.TIMEOUT)
         assert session == run.locker.session_for(creds.user_id), seed
         assert user == run.user.session, seed
 
@@ -366,7 +496,7 @@ def test_a_genuine_challenge_after_the_ack_is_out_of_order():
     # the session still holds N_a, so only its phase refuses the challenge
     record, (user_id, key, phrase), provider_key, _, user, locker = _run_to_provider_verified()
     challenge, _ = locker_build_challenge(record, provider_key, locker, now=4)
-    acked = replace(user, phase=UserPhase.ACK_SENT)
+    acked = user._replace(phase=UserPhase.ACK_SENT)
     assert acked.n_a is not None
     with pytest.raises(OutOfOrder, match="ack-sent"):
         user_process_challenge(acked, user_id, key, phrase, challenge)
@@ -384,8 +514,8 @@ def test_no_session_keeps_the_session_key():
     )
     assert locker.phase is LockerPhase.OPEN and user.phase is UserPhase.DONE
     k_s = session_key(creds.user_id, creds.key, user.n_a)
-    assert k_s not in vars(locker).values()
-    assert k_s not in vars(user).values()
+    assert k_s not in locker._asdict().values()
+    assert k_s not in user._asdict().values()
 
 
 def _provider_key_msg(provider_key):
@@ -492,7 +622,7 @@ def _refuse_two_field_blob(record, creds, provider_key, h_r):
     sealed = seal(
         locker_key(record.d_u, h_r), encode_fields([phrase.encode(), bytes(key)])
     )
-    two_fields = replace(record, sealed=sealed)
+    two_fields = record._replace(sealed=sealed)
     session, _, sent = protocol.run_session(
         two_fields, h_r, user_id, key, phrase, provider_key
     )

@@ -299,8 +299,6 @@ def test_replayed_auth_pair_accepted_by_default():
 def test_locker_refuses_a_blob_resealed_with_two_fields():
     # anyone holding the registry can reseal alice's blob under
     # L = d_u xor h(R); one that opens to two fields is a refused session
-    from dataclasses import replace
-
     from digilock import protocol
     from digilock.crypto import seal
     from digilock.sim import drive_session
@@ -310,7 +308,7 @@ def test_locker_refuses_a_blob_resealed_with_two_fields():
     record = registry.records[creds.user_id]
     key_l = protocol.locker_key(record.d_u, registry.h_r)
     fields = encode_fields([creds.phrase.encode(), bytes(creds.key)])
-    registry.records[creds.user_id] = replace(record, sealed=seal(key_l, fields))
+    registry.records[creds.user_id] = record._replace(sealed=seal(key_l, fields))
     run = drive_session(registry, creds, provider_key)
     session = run.locker.session_for(creds.user_id)
     assert session.phase is protocol.LockerPhase.FAILED
