@@ -308,8 +308,8 @@ def test_an_ack_at_the_deadline_opens_and_one_after_it_times_out():
     assert locker_verify_ack(locker_state, ack, now=deadline).phase is LockerPhase.OPEN
     late = locker_verify_ack(locker_state, ack, now=deadline + 1)
     assert late.phase is LockerPhase.FAILED and late.failure is FailureReason.TIMEOUT
+    assert locker_state.phase is LockerPhase.CHALLENGE_SENT
     assert locker_check_timeout(locker_state, now=deadline) is locker_state
-    assert locker_check_timeout(locker_state, now=deadline).phase is LockerPhase.CHALLENGE_SENT
     expired = locker_check_timeout(locker_state, now=deadline + 1)
     assert expired.failure is FailureReason.TIMEOUT
     record, _, _, h_r = _world()
@@ -357,9 +357,8 @@ def test_every_error_reply_equals_a_freshly_built_one():
 
 def _value_types():
     # one of each protocol value type, with every optional field set
+    record, _, _, _, user_state, _ = _run_to_provider_verified()
     locker_state, _ = _challenge_sent()
-    _, user_state = user_begin_session("alice", SecretKey(b"alice-key"), rng=SeededRng(1, b"u"))
-    record, _, _, _ = _world()
     failed = protocol._fail(locker_state, FailureReason.BAD_ACK)
     return [record, locker_state, user_state, failed]
 
@@ -374,19 +373,16 @@ def test_protocol_values_are_immutable():
 
 
 def test_fail_keeps_every_field_but_the_phase_and_the_failure():
-    locker_state, _ = _challenge_sent()
-    _, user_state = user_begin_session("alice", SecretKey(b"alice-key"), rng=SeededRng(1, b"u"))
+    _, locker_state, user_state, _ = _value_types()
     for session, reason in (
         (locker_state, FailureReason.BAD_ACK),
         (user_state, FailureReason.PHRASE_MISMATCH),
     ):
         failed = protocol._fail(session, reason)
         assert type(failed) is type(session)
-        assert failed.phase is type(session.phase).FAILED
-        assert failed.failure is reason
-        kept = {k: v for k, v in session._asdict().items() if k not in ("phase", "failure")}
-        assert {k: v for k, v in failed._asdict().items() if k in kept} == kept
-        assert set(failed._fields) == set(kept) | {"phase", "failure"}
+        assert failed._asdict() == {
+            **session._asdict(), "phase": type(session.phase).FAILED, "failure": reason
+        }
 
 
 def test_equal_values_hash_equal():
