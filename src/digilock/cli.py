@@ -5,11 +5,12 @@ Secrets travel via files, never argv; the secret phrase is the exception
 (low sensitivity next to the keys) and is documented as argv-visible.
 
 `access` and `vault` open the locker with `protocol.run_session`, the
-direct loop over the user and locker transitions, at its fixed ack
-deadline; only `simulate` imports the simulator (`sim`) or takes
-`--timeout-ms`. `register`, `access` and `vault` each make one registry
-call (`LockerStore.register` or `LockerStore.lookup`), so a command
-opens one SQLite connection and closes it.
+direct loop over the user and locker transitions; only `simulate` imports
+the simulator (`sim`). Every command waits the one ack deadline,
+`protocol.DEFAULT_TIMEOUT_MS`, and none takes an option to change it.
+`register`, `access` and `vault` each make one registry call
+(`LockerStore.register` or `LockerStore.lookup`), so a command opens one
+SQLite connection and closes it.
 
 Exit codes are a stable contract:
   0 success, 1 usage error, 2 already provisioned, 3 duplicate user,
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from . import protocol, store
 from .crypto import Digest, SecretKey
-from .protocol import DEFAULT_TIMEOUT_MS, FailureReason, LockerPhase, LockerSession
+from .protocol import FailureReason, LockerPhase, LockerSession
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,12 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import sim  # imported here so the other commands never load it
 
     try:
-        spec = sim.ScenarioSpec(
-            scenario=args.scenario,
-            seed=args.seed,
-            variant=args.variant,
-            timeout_ms=args.timeout_ms,
-        )
+        spec = sim.ScenarioSpec(scenario=args.scenario, seed=args.seed, variant=args.variant)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -259,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", default=None,
         help="tamper target: prf-field | challenge-body | ack-digest",
     )
-    p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     p.add_argument("--trace-out", default=None, help="write JSON-lines trace here")
     return parser
 

@@ -59,7 +59,6 @@ from .wire import Message, MessageKind, flip_field_bit
 
 MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
-_NO_TIMEOUT_MS = 1 << 40
 _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
 # a pending pool is one int: bits [f * _SLOT, (f + 1) * _SLOT) count the copies
 # of frame id f. A search of d moves holds at most d + 1 pending frames, as it
@@ -222,8 +221,8 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
     locker, sent = tables.transition(
         (ACTOR_LOCKER, core.locker, core.serial, frame_id),
         lambda: protocol.locker_on_message(
-            world.records, world.h_r, core.locker, msg, now=0,
-            timeout_ms=_NO_TIMEOUT_MS, rng=_QueueRng(world.seed, core.serial, b"nr", b"seal"),
+            world.records, world.h_r, core.locker, msg, now=0,  # no clock, so no deadline passes
+            rng=_QueueRng(world.seed, core.serial, b"nr", b"seal"),
         ),
     )
     # an equal session leaves the core as it was: a delivery that sends nothing,

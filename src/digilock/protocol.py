@@ -68,7 +68,7 @@ from .wire import USER_ID_MAX, Message, MessageKind, WireError, decode_fields, e
 
 PHRASE_MAX = 256
 SEPARATOR_BYTE = 0x1F  # reserved separator; user ids must not contain it
-DEFAULT_TIMEOUT_MS = 5000
+DEFAULT_TIMEOUT_MS = 5000  # the one ack deadline, in ms after the challenge, for every driver
 
 ACTOR_USER = "user"
 ACTOR_PROVIDER = "provider"
@@ -256,7 +256,6 @@ def locker_build_challenge(
     session: LockerSession,
     *,
     now: int,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng: Rng | None = None,
 ) -> tuple[Message | None, LockerSession]:
     """Derive L, open the blob, and seal (m, N_r) under the session key.
@@ -268,7 +267,6 @@ def locker_build_challenge(
     """
     if session.phase is not LockerPhase.PROVIDER_VERIFIED:
         raise OutOfOrder(f"challenge build in phase {session.phase.value}")
-    assert session.n_a is not None
     key_l = locker_key(record.d_u, sha256(provider_key))
     try:
         m, key_raw, uid = decode_fields(unseal(key_l, record.sealed))
@@ -279,7 +277,7 @@ def locker_build_challenge(
     body = seal(k_s, encode_fields([m, n_r]), rng)
     msg = Message(MessageKind.CHALLENGE, (body,))
     state = LockerSession(
-        session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, now + timeout_ms
+        session.user_id, LockerPhase.CHALLENGE_SENT, session.n_a, n_r, now + DEFAULT_TIMEOUT_MS
     )
     return msg, state
 
@@ -380,7 +378,6 @@ def locker_on_message(
     msg: Message,
     *,
     now: int,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     rng: Rng | None = None,
 ) -> tuple[LockerSession | None, Message | None]:
     """The locker's transition for one inbound message: the session now in
@@ -410,8 +407,7 @@ def locker_on_message(
         reply = None
         if session.phase is LockerPhase.PROVIDER_VERIFIED:
             reply, session = locker_build_challenge(
-                records[session.user_id], provider_key, session,
-                now=now, timeout_ms=timeout_ms, rng=rng,
+                records[session.user_id], provider_key, session, now=now, rng=rng
             )
     elif msg.kind is MessageKind.ACK and session.phase is LockerPhase.CHALLENGE_SENT:
         session = locker_verify_ack(session, msg, now)
@@ -419,7 +415,6 @@ def locker_on_message(
     else:
         return session, None
     if session.phase is LockerPhase.FAILED:
-        assert session.failure is not None
         return session, error_message(session.failure)
     return session, reply
 
@@ -472,11 +467,11 @@ def run_session(
 
     `record` is None when the locker has no record for `user_id`. Time is
     the simulator's hop clock: the auth request lands at 2, the provider
-    key at 4 and the ack at 8, against the fixed `DEFAULT_TIMEOUT_MS`
-    deadline. Returns the locker's final session (None when it refused an
-    id with no record), timed out at its deadline + 1 if the user stopped
-    before the ack, the user agent's final session, and every message sent
-    with its sender, in order.
+    key at 4 and the ack at 8, against the one ack deadline,
+    `DEFAULT_TIMEOUT_MS`. Returns the locker's final session (None when it
+    refused an id with no record), timed out at its deadline + 1 if the user
+    stopped before the ack, the user agent's final session, and every
+    message sent with its sender, in order.
     """
     msg, user = user_begin_session(user_id, key, rng=rng_user)
     records = {} if record is None else {record.user_id: record}

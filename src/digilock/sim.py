@@ -15,6 +15,9 @@ locker transitions in `protocol`, the functions `explore` searches over.
 Scenarios are rows of one table (`_PLANS`): the wrong secret a party holds,
 the provider seat, the channel taps, whether an adversary replays the
 recorded auth request afterwards, and the failure the locker must report.
+`run_scenario(spec)` runs a row; each `run_*` helper names one row. The
+locker waits `protocol.DEFAULT_TIMEOUT_MS` for the ack, as in every driver,
+and a session still waiting when the queue drains times out at its deadline.
 
 The adversary is Dolev-Yao-lite: it records, replays, drops, and bit-flips
 messages on channels it sits on, and never learns secrets that did not
@@ -43,7 +46,6 @@ from .protocol import (
     ACTOR_LOCKER,
     ACTOR_PROVIDER,
     ACTOR_USER,
-    DEFAULT_TIMEOUT_MS,
     TO_USER,
     FailureReason,
     LockerPhase,
@@ -262,15 +264,8 @@ class LockerActor:
     The replay defence is the ack a replayer cannot produce.
     """
 
-    def __init__(
-        self,
-        registry: Registry,
-        *,
-        timeout_ms: int = DEFAULT_TIMEOUT_MS,
-        rng: Rng | None = None,
-    ) -> None:
+    def __init__(self, registry: Registry, *, rng: Rng | None = None) -> None:
         self.registry = registry
-        self.timeout_ms = timeout_ms
         self.rng = rng
         self.session: LockerSession | None = None
 
@@ -289,7 +284,6 @@ class LockerActor:
             self.session,
             msg,
             now=now,
-            timeout_ms=self.timeout_ms,
             rng=self.rng,
         )
         return [] if reply is None else [(ACTOR_PROVIDER, reply, ACTOR_LOCKER)]
@@ -353,11 +347,9 @@ class Simulation:
             raise ValueError("user<->locker traffic must cross the provider seat")
         self.queue.append((src, dst, origin, msg, False))
 
-    def inject(
-        self, dst: str, msg: Message, origin: str, src: str = ACTOR_ADVERSARY
-    ) -> None:
-        """Queue a recorded message for delivery (a replay)."""
-        self.queue.append((src, dst, origin, msg, True))
+    def inject(self, dst: str, msg: Message, origin: str) -> None:
+        """Queue a recorded message for the adversary to deliver (a replay)."""
+        self.queue.append((ACTOR_ADVERSARY, dst, origin, msg, True))
 
     def send_all(self, src: str, outs: Iterable[tuple[str, Message, str]]) -> None:
         for dst, msg, origin in outs:
@@ -402,14 +394,14 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario run: {scenario, seed, variant, timeout_ms}.
+    """One scenario run: {scenario, seed, variant}.
 
-    `variant` is a tamper target; the other scenarios take none."""
+    `variant` is a tamper target; the other scenarios take none. The locker
+    waits `protocol.DEFAULT_TIMEOUT_MS` for the ack, as in every driver."""
 
     scenario: str
     seed: int = 0
     variant: str | None = None
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
@@ -418,8 +410,6 @@ class ScenarioSpec:
             )
         if _plan_key(self.scenario, self.variant) not in _PLANS:
             raise ValueError(f"unknown {self.scenario} variant {self.variant!r}")
-        if self.timeout_ms < 1:
-            raise ValueError("timeout_ms must be >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -458,7 +448,6 @@ def drive_session(
     *,
     rng_user: Rng | None = None,
     rng_locker: Rng | None = None,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     taps: dict[tuple[str, str], object] | None = None,
     provider: ProviderActor | None = None,
 ) -> SessionRun:
@@ -466,7 +455,7 @@ def drive_session(
     the locker still waits for consent (the shared scenario core)."""
     user = UserActor(creds, rng=rng_user)
     provider = provider or ProviderActor(provider_key)
-    locker = LockerActor(registry, timeout_ms=timeout_ms, rng=rng_locker)
+    locker = LockerActor(registry, rng=rng_locker)
     sim = Simulation(
         {ACTOR_USER: user, ACTOR_PROVIDER: provider, ACTOR_LOCKER: locker},
         trace=Trace(),
@@ -490,11 +479,10 @@ def _plan_key(scenario: str, variant: str | None) -> tuple[str, str | None]:
     return scenario, variant or _DEFAULT_VARIANTS.get(scenario)
 
 
-def _run_plan(
-    scenario: str, variant: str | None, seed: int, timeout_ms: int, bit: int = 0
-) -> tuple[ScenarioOutcome, Trace]:
-    """Run the table row for (scenario, variant) from the seed."""
-    plan = _PLANS[_plan_key(scenario, variant)]
+def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioOutcome, Trace]:
+    """Run the table row a scenario spec names, from its seed."""
+    seed = spec.seed
+    plan = _PLANS[_plan_key(spec.scenario, spec.variant)]
     registry, creds, provider_key = seed_world(seed)
     if plan.wrong_secret is not None:
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -509,7 +497,7 @@ def _run_plan(
         taps = {(ACTOR_USER, ACTOR_PROVIDER): tap, (ACTOR_PROVIDER, ACTOR_USER): tap}
     if plan.tamper is not None:
         edge, kind, field_index = plan.tamper
-        taps = {edge: TamperTap(kind, field_index, bit)}
+        taps = {edge: TamperTap(kind, field_index)}
     adversary: ImpersonatingProvider | ReplaySeat | None = (
         ImpersonatingProvider(provider_key, creds.user_id) if plan.rogue_provider else None
     )
@@ -519,7 +507,6 @@ def _run_plan(
         provider_key,
         rng_user=SeededRng(seed, b"user"),
         rng_locker=SeededRng(seed, b"locker"),
-        timeout_ms=timeout_ms,
         taps=taps,
         provider=adversary,
     )
@@ -539,7 +526,7 @@ def _run_plan(
     user_failure = user_session.failure if user_session else None
     adversary_failure = adversary.failure if adversary is not None else None
     outcome = ScenarioOutcome(
-        scenario=scenario,
+        scenario=spec.scenario,
         locker_phase=locker_phase.value,
         user_phase=user_session.phase.value if user_session else None,
         locker_opened=locker_phase is LockerPhase.OPEN,
@@ -550,15 +537,11 @@ def _run_plan(
     return outcome, run.trace
 
 
-def run_honest_session(
-    seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> tuple[ScenarioOutcome, Trace]:
-    return _run_plan("honest", None, seed, timeout_ms)
+def run_honest_session(seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
+    return run_scenario(ScenarioSpec("honest", seed))
 
 
-def run_repudiation_scenario(
-    variant: str, seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> tuple[ScenarioOutcome, Trace]:
+def run_repudiation_scenario(variant: str, seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
     """One party supplies a wrong secret; the locker must refuse to open."""
     scenario = {
         "wrong-user-key": "repudiation-user",
@@ -566,45 +549,30 @@ def run_repudiation_scenario(
     }.get(variant)
     if scenario is None:
         raise ValueError(f"unknown repudiation variant {variant!r}")
-    return _run_plan(scenario, None, seed, timeout_ms)
+    return run_scenario(ScenarioSpec(scenario, seed))
 
 
-def run_replay_scenario(
-    seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> tuple[ScenarioOutcome, Trace]:
+def run_replay_scenario(seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
     """Record an honest session, then resend its auth request verbatim.
 
     The locker accepts the stale proof and issues a fresh challenge, but
     the replaying adversary holds no user key, cannot derive the session
     key, and the session dies at the ack deadline.
     """
-    return _run_plan("replay", None, seed, timeout_ms)
+    return run_scenario(ScenarioSpec("replay", seed))
 
 
-def run_impersonation_scenario(
-    seed: int = 0, *, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> tuple[ScenarioOutcome, Trace]:
+def run_impersonation_scenario(seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
     """The provider seat forwards genuine traffic but keeps the challenge,
     failing to open it without the user key; the locker times out."""
-    return _run_plan("impersonation", None, seed, timeout_ms)
+    return run_scenario(ScenarioSpec("impersonation", seed))
 
 
-def run_tamper_scenario(
-    target: str,
-    seed: int = 0,
-    *,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    bit: int = 0,
-) -> tuple[ScenarioOutcome, Trace]:
+def run_tamper_scenario(target: str, seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
     """Flip one bit of one protocol field in transit; the locker must not open."""
     if ("tamper", target) not in _PLANS:
         raise ValueError(f"unknown tamper target {target!r}")
-    return _run_plan("tamper", target, seed, timeout_ms, bit)
-
-
-def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioOutcome, Trace]:
-    """Run the table row a scenario spec names."""
-    return _run_plan(spec.scenario, spec.variant, spec.seed, spec.timeout_ms)
+    return run_scenario(ScenarioSpec("tamper", seed, target))
 
 
 def outcome_matches_expectation(spec: ScenarioSpec, outcome: ScenarioOutcome) -> bool:

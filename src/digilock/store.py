@@ -353,6 +353,7 @@ class LockerStore:
         rng: Rng | None = None,
     ) -> None:
         _require_open(session, user_id)
+        path = self._entry_path(user_id, name)
         sealed = seal(vault_key(key_l), doc, rng)
         entry = {
             "version": 1,
@@ -360,7 +361,6 @@ class LockerStore:
             "name": name,
             "sealed": _ct_to_json(sealed),
         }
-        path = self._entry_path(user_id, name)
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, json.dumps(entry, indent=2).encode("utf-8"))
 

@@ -351,7 +351,8 @@ def test_simulate_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["matched"] is True
     assert payload["outcome"]["locker_opened"] is True
-    assert payload["spec"]["scenario"] == "honest"
+    # the spec names no ack deadline: every driver waits the same one
+    assert payload["spec"] == {"scenario": "honest", "seed": 3, "variant": None}
 
 
 def test_simulate_tamper_variants():
@@ -391,9 +392,11 @@ def test_usage_errors_exit_1(capsys):
         main(["simulate"])  # missing --scenario
     assert exc.value.code == 1
     capsys.readouterr()
-    # the scenario spec refuses a deadline under 1 ms
-    assert main(["simulate", "--scenario", "honest", "--timeout-ms", "0"]) == 1
-    assert capsys.readouterr() == ("", "error: timeout_ms must be >= 1\n")
+    # simulate has no ack deadline to set
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "honest", "--timeout-ms", "0"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --timeout-ms 0" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["vault", "--store", "s", "--user", "u", "--key-file", "k",
               "--provider-key-file", "p", "--phrase", "m", "put"])  # no --name
@@ -628,12 +631,12 @@ def test_main_reuses_one_parser_and_carries_no_option_over(world, capsys, monkey
     assert _access(world) == 0
     assert capsys.readouterr().out == "OPEN\n"
 
-    # a variant and a timeout on one call, the defaults on the next
-    spec = _json_main(["simulate", "--scenario", "tamper", "--variant", "ack-digest",
-                       "--timeout-ms", "7"], capsys)["spec"]
-    assert (spec["variant"], spec["timeout_ms"]) == ("ack-digest", 7)
+    # a variant on one call, the default on the next
+    spec = _json_main(["simulate", "--scenario", "tamper", "--variant", "ack-digest"],
+                      capsys)["spec"]
+    assert spec["variant"] == "ack-digest"
     payload = _json_main(["simulate", "--scenario", "tamper"], capsys)
-    assert (payload["spec"]["variant"], payload["spec"]["timeout_ms"]) == (None, 5000)
+    assert payload["spec"]["variant"] is None
     assert payload["matched"] is True
 
     # a usage error, then --help, each followed by a valid call
@@ -681,8 +684,8 @@ def test_import_builds_no_parser_and_the_module_command_keeps_its_exit_codes():
 
 
 def test_timeout_ms_is_refused_where_nothing_reads_it(world):
-    # only simulate has an ack deadline to set; access and vault run the
-    # session against the fixed default
+    # no command has an ack deadline to set: each runs the session against
+    # protocol.DEFAULT_TIMEOUT_MS
     _provision(world)
     store_args = ["--store", world["store"], "--user", "alice",
                   "--key-file", world["user_key"], "--phrase", "p"]
@@ -690,6 +693,7 @@ def test_timeout_ms_is_refused_where_nothing_reads_it(world):
         ["register", *store_args],
         ["access", *store_args, "--provider-key-file", world["provider"]],
         ["vault", *store_args, "--provider-key-file", world["provider"], "list"],
+        ["simulate", "--scenario", "honest"],
     ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--timeout-ms", "5"])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import digilock
-from digilock import protocol
+from digilock import protocol, store
 from digilock.crypto import Digest, SecretKey, SeededRng, sha256
 from digilock.protocol import LockerPhase, LockerRecord, LockerSession
 from digilock.store import (
@@ -294,6 +294,21 @@ def test_vault_name_limit_fits_the_temp_file_name(tmp_path):
     with pytest.raises(StoreError, match="1-120 UTF-8 bytes"):
         other.vault_put("alice", "é" * 60 + "n", b"doc", key_l, session)
     assert not (tmp_path / "other" / "vault").exists()
+
+
+@pytest.mark.parametrize("name", ["", "n" * 121], ids=["empty", "121-bytes"])
+def test_vault_put_refuses_a_bad_name_before_sealing(tmp_path, monkeypatch, name):
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    sealed = []
+    real_seal = store.seal
+    monkeypatch.setattr(store, "seal", lambda *args: sealed.append(args) or real_seal(*args))
+    with pytest.raises(StoreError, match="1-120 UTF-8 bytes"):
+        locker_store.vault_put("alice", name, b"doc", key_l, _open_session("alice"))
+    assert sealed == []
+    assert not (tmp_path / "vault").exists()
 
 
 def test_vault_requires_open_session(tmp_path):
