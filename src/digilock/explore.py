@@ -27,12 +27,13 @@ pending pool as copy counts (`_SLOT` bits per frame id), and the adversary's
 knowledge as a bitmask of frame ids. The memos are exact, as the world is
 fixed, a frame id stands for the bytes and the origin, a core id for all a
 delivery reads, and pool and knowledge only grow by the frame sent. Each
-party's transition is memoised on what it reads, a delivery on (core id, frame
-id), a pool's moves on the pool, and the inject moves on (core id, knowledge):
-how many, and those that change the core or send a frame. The rest lead back
-to the state itself and skip the visited lookup. At depth 6, 311 party
-transitions and 1,608 deliveries run for 22,651 delivery calls, and 13,881 of
-the 69,371 transitions lead back to their own state.
+party's transition is memoised on what it reads, a delivery in its core's row
+by frame id, a pool's moves (with each pending frame's flips) on the pool, and
+the inject moves on (core id, knowledge): how many, and those that change the
+core or send a frame. The rest lead back to the state itself and skip the
+visited lookup. At depth 6, 311 party transitions and 1,608 deliveries serve
+22,651 row reads, each inline with no call, and 13,881 of the 69,371
+transitions lead back to their own state.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import protocol
@@ -77,21 +79,13 @@ class _QueueRng:
     derived from (seed, labels[k], index)."""
 
     def __init__(self, seed: int, index: int, *labels: bytes) -> None:
-        self._seed = seed
-        self._index = index
+        self._seed = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+        self._index = index.to_bytes(8, "big")
         self._labels = list(labels)
 
     def take(self, n: int) -> bytes:
-        return _derive(self._seed, self._labels.pop(0), self._index, n)
-
-
-def _derive(seed: int, label: bytes, index: int, n: int) -> bytes:
-    material = (
-        (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-        + label
-        + index.to_bytes(8, "big")
-    )
-    return hashlib.sha256(material).digest()[:n]
+        material = self._seed + self._labels.pop(0) + self._index
+        return hashlib.sha256(material).digest()[:n]
 
 
 @dataclass(frozen=True)
@@ -202,6 +196,7 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
     """One delivery from the party's memoised transition: the next core, with
     the genuine flags, and the sent frame's id."""
     world, msg = tables.world, tables.messages[frame_id]
+    locker, user, serial, auth_genuine, pk_genuine, ack_genuine = core
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
         _, sent = tables.transition(
             (ACTOR_PROVIDER, frame_id),
@@ -209,39 +204,37 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
         )
         return core, sent
     if msg.kind in TO_USER:
-        if core.user is None:
+        if user is None:
             return core, None
-        user, sent = tables.transition(
-            (ACTOR_USER, core.user, frame_id),
+        next_user, sent = tables.transition(
+            (ACTOR_USER, user, frame_id),
             lambda: protocol.user_on_message(
-                core.user, world.user_id, world.user_key, world.phrase, msg
+                user, world.user_id, world.user_key, world.phrase, msg
             ),
         )
-        return core._replace(user=user), sent
-    locker, sent = tables.transition(
-        (ACTOR_LOCKER, core.locker, core.serial, frame_id),
+        return Core(locker, next_user, serial, auth_genuine, pk_genuine, ack_genuine), sent
+    next_locker, sent = tables.transition(
+        (ACTOR_LOCKER, locker, serial, frame_id),
         lambda: protocol.locker_on_message(
-            world.records, world.h_r, core.locker, msg, now=0,  # no clock, so no deadline passes
-            rng=_QueueRng(world.seed, core.serial, b"nr", b"seal"),
+            world.records, world.h_r, locker, msg, now=0,  # no clock, so no deadline passes
+            rng=_QueueRng(world.seed, serial, b"nr", b"seal"),
         ),
     )
     # an equal session leaves the core as it was: a delivery that sends nothing,
     # an id with no record, or the session's own auth request again, whose
     # bytes give the same origin and which finds the flags a reset would set
-    if locker == core.locker:
+    if next_locker == locker:
         return core, sent
     # the genuine flags record who built what the locker accepted
     origin = tables.frames[frame_id][1]
     if msg.kind is MessageKind.AUTH_REQUEST:  # a new session: the other flags reset
-        return Core(locker, core.user, core.serial, origin == ACTOR_USER), sent
-    if locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
+        return Core(next_locker, user, serial, origin == ACTOR_USER), sent
+    if next_locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
         pk_genuine = msg.fields[0] == bytes(world.provider_key)
-        return core._replace(
-            locker=locker, serial=core.serial + 1, pk_genuine=pk_genuine
-        ), sent
-    if locker.phase is LockerPhase.OPEN:
-        return core._replace(locker=locker, ack_genuine=origin == ACTOR_USER), sent
-    return core._replace(locker=locker), sent
+        serial += 1
+    elif next_locker.phase is LockerPhase.OPEN:
+        ack_genuine = origin == ACTOR_USER
+    return Core(next_locker, user, serial, auth_genuine, pk_genuine, ack_genuine), sent
 
 
 def _intern(ids: dict, values: list, value) -> int:
@@ -262,10 +255,10 @@ class _Tables:
         self.frame_ids: dict[tuple[bytes, str], int] = {}
         self.cores: list[Core] = []
         self.core_ids: dict[Core, int] = {}
+        self.rows: list[dict[int, tuple[int, int | None]]] = []  # per core id, by frame id
         self.transitions: dict[tuple, tuple] = {}
-        self.steps: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.flips: dict[int, tuple[int, ...]] = {}
-        self.pool_moves: dict[int, tuple[tuple[int, int, int | None], ...]] = {}
+        self.pool_moves: dict[int, tuple[tuple, ...]] = {}
         self.injects: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def frame(self, entry: tuple[bytes, str]) -> int:
@@ -275,7 +268,10 @@ class _Tables:
         return frame_id
 
     def core(self, core: Core) -> int:
-        return _intern(self.core_ids, self.cores, core)
+        core_id = _intern(self.core_ids, self.cores, core)
+        if core_id == len(self.rows):
+            self.rows.append({})
+        return core_id
 
     def transition(self, key: tuple, run: Callable[[], tuple]) -> tuple:
         """`run`, a party's transition, once per distinct `key` in a search:
@@ -289,13 +285,14 @@ class _Tables:
         return result
 
     def deliver(self, core_id: int, frame_id: int) -> tuple[int, int | None]:
-        """`_step` once per distinct (core, frame, origin) in a search: the
-        next core's id and the sent frame's id (None if nothing is sent)."""
-        key = (core_id, frame_id)
-        step = self.steps.get(key)
+        """`_step` once per distinct (core, frame, origin) in a search, kept in
+        the core's row: the next core's id and the sent frame's id (None if
+        nothing is sent)."""
+        row = self.rows[core_id]
+        step = row.get(frame_id)
         if step is None:
             core, sent = _step(self, self.cores[core_id], frame_id)
-            step = self.steps[key] = (self.core(core), sent)
+            step = row[frame_id] = (self.core(core), sent)
         return step
 
     def flipped(self, frame_id: int) -> tuple[int, ...]:
@@ -309,9 +306,10 @@ class _Tables:
             )
         return flips
 
-    def moves(self, pool: int) -> tuple[tuple[int, int, int | None], ...]:
+    def moves(self, pool: int) -> tuple[tuple, ...]:
         """Per distinct pending frame, in frame-id order: its id, the pool
-        without it, and the pool with a second copy (None at `_DUP_CAP`)."""
+        without it, the pool with a second copy (None at `_DUP_CAP`), and
+        its flipped frames' ids."""
         moves = self.pool_moves.get(pool)
         if moves is None:
             found, rest = [], pool
@@ -320,9 +318,9 @@ class _Tables:
                 shift -= shift % _SLOT  # the lowest pending frame's slot
                 count, copy = rest >> shift & _COUNT, 1 << shift
                 rest -= count << shift
-                found.append(
-                    (shift // _SLOT, pool - copy, pool + copy if count < _DUP_CAP else None)
-                )
+                frame_id = shift // _SLOT
+                doubled = pool + copy if count < _DUP_CAP else None
+                found.append((frame_id, pool - copy, doubled, self.flipped(frame_id)))
             moves = self.pool_moves[pool] = tuple(found)
         return moves
 
@@ -332,8 +330,9 @@ class _Tables:
         key = (core_id, knowledge)
         injects = self.injects.get(key)
         if injects is None:
+            row, deliver = self.rows[core_id], self.deliver
             steps = [
-                self.deliver(core_id, frame_id)
+                row.get(frame_id) or deliver(core_id, frame_id)
                 for frame_id in range(knowledge.bit_length())
                 if knowledge >> frame_id & 1
             ]
@@ -346,14 +345,15 @@ class _Tables:
 def _successors(tables: _Tables, state: _State) -> tuple[list[_State], int]:
     """The states one move away, and how many more moves lead back to `state`."""
     core_id, pool, knowledge = state
-    deliver = tables.deliver
+    row, deliver = tables.rows[core_id], tables.deliver
     out: list[_State] = []
     append = out.append
     # a delivery lands as (next core, pool grown by the frame sent, knowledge
     # with it); spelled out at each move, as a call per successor made the
-    # depth-6 search about a third slower (2-core host)
-    for frame_id, removed, doubled in tables.moves(pool):
-        next_core, sent = deliver(core_id, frame_id)
+    # depth-6 search about a third slower (2-core host). A memoised delivery
+    # is one lookup in the core's row; `deliver` runs only on a miss
+    for frame_id, removed, doubled, flips in tables.moves(pool):
+        next_core, sent = row.get(frame_id) or deliver(core_id, frame_id)
         append(
             (next_core, removed, knowledge) if sent is None
             else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
@@ -364,8 +364,8 @@ def _successors(tables: _Tables, state: _State) -> tuple[list[_State], int]:
         if doubled is not None:
             append((core_id, doubled, knowledge))
         # tamper: flip one bit in each field, delivered as adversary material
-        for bad in tables.flipped(frame_id):
-            next_core, sent = deliver(core_id, bad)
+        for bad in flips:
+            next_core, sent = row.get(bad) or deliver(core_id, bad)
             append(
                 (next_core, removed, knowledge) if sent is None
                 else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
@@ -434,15 +434,13 @@ def enumerate_small_traces(
             for nxt in nexts:
                 if nxt not in visited:
                     visited[nxt] = None
-                    if len(visited) > state_budget:
-                        raise DepthExceeded(
-                            f"visited states exceeded budget {state_budget}"
-                        )
                     level.append(nxt)
+            if len(visited) > state_budget:
+                raise DepthExceeded(f"visited states exceeded budget {state_budget}")
         frontier = level
     # an outcome depends only on the core: one signature per visited core,
     # in the order the search first reached it
-    cores = dict.fromkeys(core_id for core_id, _, _ in visited)
+    cores = dict.fromkeys(map(itemgetter(0), visited))
     outcomes = dict.fromkeys(_signature(tables.cores[core_id]) for core_id in cores)
     return Enumeration(
         outcomes=set(outcomes),

@@ -408,7 +408,10 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
             )
-        if _plan_key(self.scenario, self.variant) not in _PLANS:
+        # a tamper spec with no variant names the default row, so equal runs have equal specs
+        variant = self.variant or _DEFAULT_VARIANTS.get(self.scenario)
+        object.__setattr__(self, "variant", variant)
+        if (self.scenario, variant) not in _PLANS:
             raise ValueError(f"unknown {self.scenario} variant {self.variant!r}")
 
     def to_json(self) -> dict:
@@ -475,14 +478,10 @@ def _pump_to_deadline(sim: Simulation, locker: LockerActor) -> None:
         locker.check_timeouts(sim.now)
 
 
-def _plan_key(scenario: str, variant: str | None) -> tuple[str, str | None]:
-    return scenario, variant or _DEFAULT_VARIANTS.get(scenario)
-
-
 def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioOutcome, Trace]:
     """Run the table row a scenario spec names, from its seed."""
     seed = spec.seed
-    plan = _PLANS[_plan_key(spec.scenario, spec.variant)]
+    plan = _PLANS[spec.scenario, spec.variant]
     registry, creds, provider_key = seed_world(seed)
     if plan.wrong_secret is not None:
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
@@ -577,7 +576,7 @@ def run_tamper_scenario(target: str, seed: int = 0) -> tuple[ScenarioOutcome, Tr
 
 def outcome_matches_expectation(spec: ScenarioSpec, outcome: ScenarioOutcome) -> bool:
     """True iff the run ended the way the scenario is supposed to end."""
-    expected = _PLANS[_plan_key(spec.scenario, spec.variant)].expected_failure
+    expected = _PLANS[spec.scenario, spec.variant].expected_failure
     if expected is None:
         return outcome.locker_opened
     return not outcome.locker_opened and outcome.failure_reason == expected

@@ -636,7 +636,7 @@ def test_main_reuses_one_parser_and_carries_no_option_over(world, capsys, monkey
                       capsys)["spec"]
     assert spec["variant"] == "ack-digest"
     payload = _json_main(["simulate", "--scenario", "tamper"], capsys)
-    assert payload["spec"]["variant"] is None
+    assert payload["spec"]["variant"] == "challenge-body"
     assert payload["matched"] is True
 
     # a usage error, then --help, each followed by a valid call

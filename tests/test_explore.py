@@ -53,6 +53,17 @@ def test_state_budget_enforced():
         enumerate_small_traces(depth=6, state_budget=50)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_search_that_visits_its_whole_budget_completes(seed):
+    # the budget is checked once per expanded state, and it bounds the
+    # visited states: depth 6 visits 13,106, so that budget completes and
+    # one less raises
+    enum = enumerate_small_traces(depth=6, seed=seed, state_budget=13_106)
+    assert enum.states_explored == 13_106 and enum.sound
+    with pytest.raises(DepthExceeded, match="budget 13105"):
+        enumerate_small_traces(depth=6, seed=seed, state_budget=13_105)
+
+
 def test_shallow_depths_cannot_open():
     # auth, provider key, challenge, and ack each need a delivery: the
     # locker cannot open in fewer than four moves even with replays
@@ -125,64 +136,67 @@ def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
     # the depth-6 search delivers from every state reached in five moves;
-    # each delivery through its memos, read back through the interning
-    # tables, must equal the same delivery on fresh tables with empty memos,
-    # or a step, party or inject memo or an interned id hands one state
-    # another state's successor. In reachable states the origin and the
-    # genuine flags follow from the other fields, so each delivery is also
-    # checked from the other origin and with each flag flipped: a memo,
-    # frame or core key that leaves any of them out then fails too
-    deliver, inject = explore._Tables.deliver, explore._Tables.inject
-    fresh_steps = {}  # by content: each reference step runs once
-    calls = 0
+    # each delivery it memoised in its core's row, and each inject memo,
+    # read back through the interning tables, must equal the same delivery
+    # on fresh tables with empty memos, or a row, party or inject memo or an
+    # interned id hands one state another state's successor. In reachable
+    # states the origin and the genuine flags follow from the other fields,
+    # so each delivery is also checked from the other origin and with each
+    # flag flipped: a memo, frame or core key that leaves any of them out
+    # then fails too
+    tables_type, searched = explore._Tables, []
 
-    def fresh(tables, core, entry):
+    class Recorded(tables_type):
+        def __init__(self, world):
+            super().__init__(world)
+            searched.append(self)
+
+    monkeypatch.setattr(explore, "_Tables", Recorded)
+    enumerate_small_traces(depth=6, seed=seed)
+    [tables] = searched
+    fresh_steps = {}  # by content: each reference step runs once
+
+    def fresh(core, entry):
         key = (core, entry)
         if key not in fresh_steps:
-            empty = explore._Tables(tables.world)
-            next_core, sent = deliver(empty, empty.core(core), empty.frame(entry))
+            empty = tables_type(tables.world)
+            next_core, sent = empty.deliver(empty.core(core), empty.frame(entry))
             fresh_steps[key] = (
                 empty.cores[next_core], None if sent is None else empty.frames[sent]
             )
         return fresh_steps[key]
 
-    def read(tables, step):
+    def read(step):
         next_core, sent = step
         return tables.cores[next_core], None if sent is None else tables.frames[sent]
 
-    def checked(tables, core_id, frame_id):
-        nonlocal calls
-        calls += 1
+    # taken before the variants below add cores, frames and row entries
+    memoised = [
+        (core_id, frame_id, step)
+        for core_id, row in enumerate(tables.rows)
+        for frame_id, step in row.items()
+    ]
+    injects = list(tables.injects.items())
+    assert len(memoised) >= 1_608 and len(injects) >= 252
+    for core_id, frame_id, step in memoised:
         core = tables.cores[core_id]
         raw, origin = tables.frames[frame_id]
+        assert read(step) == fresh(core, (raw, origin)), (core, raw)
         other = ACTOR_ADVERSARY if origin == ACTOR_USER else ACTOR_USER
         variants = [(core, other)]
         for flag in ("auth_genuine", "pk_genuine", "ack_genuine"):
             variants.append((core._replace(**{flag: not getattr(core, flag)}), origin))
         for variant, sender in variants:
-            step = deliver(tables, tables.core(variant), tables.frame((raw, sender)))
-            assert read(tables, step) == fresh(tables, variant, (raw, sender))
-        step = deliver(tables, core_id, frame_id)
-        assert read(tables, step) == fresh(tables, core, (raw, origin)), (core, raw)
-        return step
-
-    def checked_inject(tables, core_id, knowledge):
-        nonlocal calls
-        calls += 1
-        moves, changes = inject(tables, core_id, knowledge)
+            step = tables.deliver(tables.core(variant), tables.frame((raw, sender)))
+            assert read(step) == fresh(variant, (raw, sender))
+    for (core_id, knowledge), (moves, changes) in injects:
         core = tables.cores[core_id]
         known = [f for f in range(knowledge.bit_length()) if knowledge >> f & 1]
-        expected = [fresh(tables, core, tables.frames[f]) for f in known]
+        expected = [fresh(core, tables.frames[f]) for f in known]
         assert moves == len(known)
-        assert [read(tables, step) for step in changes] == [
+        assert [read(step) for step in changes] == [
             step for step in expected if step != (core, None)
         ]
-        return moves, changes
-
-    monkeypatch.setattr(explore._Tables, "deliver", checked)
-    monkeypatch.setattr(explore._Tables, "inject", checked_inject)
-    enumerate_small_traces(depth=6, seed=seed)
-    assert calls > 10_000
 
 
 def test_search_shape_does_not_depend_on_the_seed():

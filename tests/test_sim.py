@@ -236,6 +236,22 @@ def test_scenario_spec_json_round_trip():
             ScenarioSpec(scenario=name, variant="prf-field")
 
 
+def test_a_default_variant_is_named_in_the_spec():
+    # the default tamper row flips the challenge body: its spec names that
+    # row, so a printed spec says which row ran and equal runs compare equal
+    spec = ScenarioSpec("tamper", seed=3)
+    assert spec.variant == "challenge-body"
+    assert spec == ScenarioSpec("tamper", 3, "challenge-body")
+    assert spec.to_json() == {"scenario": "tamper", "seed": 3, "variant": "challenge-body"}
+    assert ScenarioSpec(**spec.to_json()) == spec
+    (outcome, trace), (named, named_trace) = (
+        run_scenario(s) for s in (spec, ScenarioSpec("tamper", 3, "challenge-body"))
+    )
+    assert (outcome, trace.to_jsonl()) == (named, named_trace.to_jsonl())
+    for name in ("honest", "replay", "repudiation-user"):
+        assert ScenarioSpec(name).variant is None
+
+
 def test_outcome_matches_expectation():
     for name in sim.SCENARIO_NAMES:
         spec = ScenarioSpec(scenario=name, seed=31)
