@@ -28,12 +28,15 @@ knowledge as a bitmask of frame ids. The memos are exact, as the world is
 fixed, a frame id stands for the bytes and the origin, a core id for all a
 delivery reads, and pool and knowledge only grow by the frame sent. Each
 party's transition is memoised on what it reads, a delivery in its core's row
-by frame id, a pool's moves (with each pending frame's flips) on the pool, and
-the inject moves on (core id, knowledge): how many, and those that change the
-core or send a frame. The rest lead back to the state itself and skip the
-visited lookup. At depth 6, 311 party transitions and 1,608 deliveries serve
-22,651 row reads, each inline with no call, and 13,881 of the 69,371
-transitions lead back to their own state.
+by frame id, a pool's moves on the pool (how many, and each pending frame's
+flips), and the inject moves on (core id, knowledge): how many, and those that
+change the core or send a frame. Each memo is read inline and filled only on a
+miss. The rest of the inject moves lead back to the state itself: they are
+counted from the memo and skip the visited lookup. Every other successor goes
+into `visited` as it is built, and the next level is the states added during
+this one. At depth 6, 311 party transitions and 1,608 deliveries serve 22,651
+row reads, each inline with no call, and 13,881 of the 69,371 transitions lead
+back to their own state.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -195,27 +199,26 @@ def _initial_state(
 def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]:
     """One delivery from the party's memoised transition: the next core, with
     the genuine flags, and the sent frame's id."""
-    world, msg = tables.world, tables.messages[frame_id]
+    world, msg, memo = tables.world, tables.messages[frame_id], tables.transitions
     locker, user, serial, auth_genuine, pk_genuine, ack_genuine = core
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
-        _, sent = tables.transition(
-            (ACTOR_PROVIDER, frame_id),
-            lambda: (None, protocol.provider_on_message(world.provider_key, msg)),
+        key = (ACTOR_PROVIDER, frame_id)
+        _, sent = memo.get(key) or tables.transition(
+            key, (None, protocol.provider_on_message(world.provider_key, msg))
         )
         return core, sent
     if msg.kind in TO_USER:
         if user is None:
             return core, None
-        next_user, sent = tables.transition(
-            (ACTOR_USER, user, frame_id),
-            lambda: protocol.user_on_message(
-                user, world.user_id, world.user_key, world.phrase, msg
-            ),
+        key = (ACTOR_USER, user, frame_id)
+        next_user, sent = memo.get(key) or tables.transition(
+            key, protocol.user_on_message(user, world.user_id, world.user_key, world.phrase, msg)
         )
         return Core(locker, next_user, serial, auth_genuine, pk_genuine, ack_genuine), sent
-    next_locker, sent = tables.transition(
-        (ACTOR_LOCKER, locker, serial, frame_id),
-        lambda: protocol.locker_on_message(
+    key = (ACTOR_LOCKER, locker, serial, frame_id)
+    next_locker, sent = memo.get(key) or tables.transition(
+        key,
+        protocol.locker_on_message(
             world.records, world.h_r, locker, msg, now=0,  # no clock, so no deadline passes
             rng=_QueueRng(world.seed, serial, b"nr", b"seal"),
         ),
@@ -258,7 +261,7 @@ class _Tables:
         self.rows: list[dict[int, tuple[int, int | None]]] = []  # per core id, by frame id
         self.transitions: dict[tuple, tuple] = {}
         self.flips: dict[int, tuple[int, ...]] = {}
-        self.pool_moves: dict[int, tuple[tuple, ...]] = {}
+        self.pool_moves: dict[int, tuple[int, tuple[tuple, ...]]] = {}
         self.injects: dict[tuple[int, int], tuple[int, tuple]] = {}
 
     def frame(self, entry: tuple[bytes, str]) -> int:
@@ -273,15 +276,13 @@ class _Tables:
             self.rows.append({})
         return core_id
 
-    def transition(self, key: tuple, run: Callable[[], tuple]) -> tuple:
-        """`run`, a party's transition, once per distinct `key` in a search:
-        its next session and the id of the frame it sent. The key is the
-        party, then all the transition reads besides the fixed world."""
-        result = self.transitions.get(key)
-        if result is None:
-            session, reply = run()
-            sent = None if reply is None else self.frame((reply.encode(), key[0]))
-            result = self.transitions[key] = (session, sent)
+    def transition(self, key: tuple, run: tuple) -> tuple:
+        """Memoise `run`, a party's transition (its next session and reply),
+        as that session and the sent frame's id. The key is the party, then
+        all the transition reads besides the fixed world."""
+        session, reply = run
+        sent = None if reply is None else self.frame((reply.encode(), key[0]))
+        result = self.transitions[key] = (session, sent)
         return result
 
     def deliver(self, core_id: int, frame_id: int) -> tuple[int, int | None]:
@@ -292,7 +293,9 @@ class _Tables:
         step = row.get(frame_id)
         if step is None:
             core, sent = _step(self, self.cores[core_id], frame_id)
-            step = row[frame_id] = (self.core(core), sent)
+            # most next cores are interned already; id 0 falls through to
+            # `core`, which finds it too
+            step = row[frame_id] = (self.core_ids.get(core) or self.core(core), sent)
         return step
 
     def flipped(self, frame_id: int) -> tuple[int, ...]:
@@ -306,78 +309,78 @@ class _Tables:
             )
         return flips
 
-    def moves(self, pool: int) -> tuple[tuple, ...]:
-        """Per distinct pending frame, in frame-id order: its id, the pool
-        without it, the pool with a second copy (None at `_DUP_CAP`), and
-        its flipped frames' ids."""
-        moves = self.pool_moves.get(pool)
-        if moves is None:
-            found, rest = [], pool
-            while rest:
-                shift = (rest & -rest).bit_length() - 1
-                shift -= shift % _SLOT  # the lowest pending frame's slot
-                count, copy = rest >> shift & _COUNT, 1 << shift
-                rest -= count << shift
-                frame_id = shift // _SLOT
-                doubled = pool + copy if count < _DUP_CAP else None
-                found.append((frame_id, pool - copy, doubled, self.flipped(frame_id)))
-            moves = self.pool_moves[pool] = tuple(found)
+    def moves(self, pool: int) -> tuple[int, tuple[tuple, ...]]:
+        """Memoise the pool's moves: how many, and per distinct pending
+        frame, in frame-id order, its id, the pool without it, the pool with
+        a second copy (None at `_DUP_CAP`) and its flipped frames' ids."""
+        found, rest, count = [], pool, 0
+        while rest:
+            shift = (rest & -rest).bit_length() - 1
+            shift -= shift % _SLOT  # the lowest pending frame's slot
+            copies, copy = rest >> shift & _COUNT, 1 << shift
+            rest -= copies << shift
+            frame_id = shift // _SLOT
+            doubled = pool + copy if copies < _DUP_CAP else None
+            flips = self.flipped(frame_id)
+            count += 2 + (doubled is not None) + len(flips)  # deliver, drop, dup, tampers
+            found.append((frame_id, pool - copy, doubled, flips))
+        moves = self.pool_moves[pool] = (count, tuple(found))
         return moves
 
     def inject(self, core_id: int, knowledge: int) -> tuple[int, tuple]:
-        """Delivering each known frame: how many moves, and those among them
-        that change the core or send a frame. The rest replay nothing."""
-        key = (core_id, knowledge)
-        injects = self.injects.get(key)
-        if injects is None:
-            row, deliver = self.rows[core_id], self.deliver
-            steps = [
-                row.get(frame_id) or deliver(core_id, frame_id)
-                for frame_id in range(knowledge.bit_length())
-                if knowledge >> frame_id & 1
-            ]
-            injects = self.injects[key] = (
-                len(steps), tuple(step for step in steps if step != (core_id, None))
-            )
+        """Memoise delivering each known frame: how many moves, and those
+        among them that change the core or send a frame. The rest replay
+        nothing."""
+        row, deliver, steps, rest = self.rows[core_id], self.deliver, [], knowledge
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            frame_id = low.bit_length() - 1
+            steps.append(row.get(frame_id) or deliver(core_id, frame_id))
+        injects = self.injects[core_id, knowledge] = (
+            len(steps), tuple(step for step in steps if step != (core_id, None))
+        )
         return injects
 
 
-def _successors(tables: _Tables, state: _State) -> tuple[list[_State], int]:
-    """The states one move away, and how many more moves lead back to `state`."""
+def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> int:
+    """Hand `add` each state one move away, but for the inject moves that
+    lead back to `state` itself, and return how many moves there are."""
     core_id, pool, knowledge = state
     row, deliver = tables.rows[core_id], tables.deliver
-    out: list[_State] = []
-    append = out.append
+    count, moves = tables.pool_moves.get(pool) or tables.moves(pool)
     # a delivery lands as (next core, pool grown by the frame sent, knowledge
     # with it); spelled out at each move, as a call per successor made the
     # depth-6 search about a third slower (2-core host). A memoised delivery
     # is one lookup in the core's row; `deliver` runs only on a miss
-    for frame_id, removed, doubled, flips in tables.moves(pool):
+    for frame_id, removed, doubled, flips in moves:
         next_core, sent = row.get(frame_id) or deliver(core_id, frame_id)
-        append(
+        add(
             (next_core, removed, knowledge) if sent is None
             else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
         )
         # drop
-        append((core_id, removed, knowledge))
+        add((core_id, removed, knowledge))
         # duplicate (bounded; beyond that it's indistinguishable from inject)
         if doubled is not None:
-            append((core_id, doubled, knowledge))
+            add((core_id, doubled, knowledge))
         # tamper: flip one bit in each field, delivered as adversary material
         for bad in flips:
             next_core, sent = row.get(bad) or deliver(core_id, bad)
-            append(
+            add(
                 (next_core, removed, knowledge) if sent is None
                 else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
             )
     # inject: replay anything ever observed, to its natural destination
-    moves, changes = tables.inject(core_id, knowledge)
+    injects, changes = (
+        tables.injects.get((core_id, knowledge)) or tables.inject(core_id, knowledge)
+    )
     for next_core, sent in changes:
-        append(
+        add(
             (next_core, pool, knowledge) if sent is None
             else (next_core, pool + (1 << _SLOT * sent), knowledge | 1 << sent)
         )
-    return out, moves - len(changes)
+    return count + injects
 
 
 def _signature(core: Core) -> OutcomeSignature:
@@ -422,22 +425,17 @@ def enumerate_small_traces(
     tables = _Tables(world)
     initial = _initial_state(tables, old_knowledge, include_honest_user)
     # one level per move, so a state is first reached at its least depth; a
-    # dict, not a set, so outcomes and violations keep first-visit order
+    # dict, not a set, so the next frontier, outcomes and violations keep
+    # first-visit order: each level expands the states the one before added
     visited: dict[_State, None] = {initial: None}
-    frontier = [initial]
-    transitions = 0
+    frontier, add, transitions = [initial], visited.setdefault, 0
     for _ in range(depth):
-        level: list[_State] = []
+        start = len(visited)
         for state in frontier:
-            nexts, loops = _successors(tables, state)
-            transitions += len(nexts) + loops
-            for nxt in nexts:
-                if nxt not in visited:
-                    visited[nxt] = None
-                    level.append(nxt)
+            transitions += _expand(tables, state, add)
             if len(visited) > state_budget:
                 raise DepthExceeded(f"visited states exceeded budget {state_budget}")
-        frontier = level
+        frontier = list(islice(visited, start, None))
     # an outcome depends only on the core: one signature per visited core,
     # in the order the search first reached it
     cores = dict.fromkeys(map(itemgetter(0), visited))

@@ -12,7 +12,7 @@ from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
 )
-from digilock.protocol import ACTOR_ADVERSARY, ACTOR_USER
+from digilock.protocol import ACTOR_ADVERSARY, ACTOR_LOCKER, ACTOR_PROVIDER, ACTOR_USER
 from digilock.wire import Message, flip_field_bit
 
 
@@ -143,7 +143,9 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
     # states the origin and the genuine flags follow from the other fields,
     # so each delivery is also checked from the other origin and with each
     # flag flipped: a memo, frame or core key that leaves any of them out
-    # then fails too
+    # then fails too. Each pool's memoised moves must equal those decoded
+    # straight from the pool int, and each party transition memo a fresh
+    # call to that party's transition
     tables_type, searched = explore._Tables, []
 
     class Recorded(tables_type):
@@ -178,6 +180,7 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
     ]
     injects = list(tables.injects.items())
     assert len(memoised) >= 1_608 and len(injects) >= 252
+    assert len(tables.pool_moves) >= 735 and len(tables.transitions) >= 311
     for core_id, frame_id, step in memoised:
         core = tables.cores[core_id]
         raw, origin = tables.frames[frame_id]
@@ -197,6 +200,48 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         assert [read(step) for step in changes] == [
             step for step in expected if step != (core, None)
         ]
+    slot, cap = explore._SLOT, explore._DUP_CAP
+    for pool, (count, moves) in tables.pool_moves.items():
+        expected, total = [], 0
+        for frame_id in range(pool.bit_length() // slot + 1):
+            copies, copy = pool >> slot * frame_id & (1 << slot) - 1, 1 << slot * frame_id
+            if copies:
+                msg = Message.decode(tables.frames[frame_id][0])
+                flips = [
+                    (flip_field_bit(msg, i).encode(), ACTOR_ADVERSARY)
+                    for i in range(len(msg.fields))
+                ]
+                doubled = pool + copy if copies < cap else None
+                expected.append((frame_id, pool - copy, doubled, flips))
+                total += 2 + (copies < cap) + len(flips)
+        assert count == total, pool
+        assert [
+            (frame_id, removed, doubled, [tables.frames[bad] for bad in flips])
+            for frame_id, removed, doubled, flips in moves
+        ] == expected, pool
+    world = tables.world
+    for key, (session, sent) in tables.transitions.items():
+        party, *read_by, frame_id = key
+        msg = tables.messages[frame_id]
+        if party == ACTOR_PROVIDER:
+            assert read_by == [] and session is None
+            reply = protocol.provider_on_message(world.provider_key, msg)
+        elif party == ACTOR_USER:
+            [user] = read_by
+            fresh_session, reply = protocol.user_on_message(
+                user, world.user_id, world.user_key, world.phrase, msg
+            )
+            assert session == fresh_session, key
+        else:
+            locker, serial = read_by
+            fresh_session, reply = protocol.locker_on_message(
+                world.records, world.h_r, locker, msg, now=0,
+                rng=explore._QueueRng(world.seed, serial, b"nr", b"seal"),
+            )
+            assert party == ACTOR_LOCKER and session == fresh_session, key
+        assert (None if sent is None else tables.frames[sent]) == (
+            None if reply is None else (reply.encode(), party)
+        ), key
 
 
 def test_search_shape_does_not_depend_on_the_seed():
@@ -235,7 +280,7 @@ def _reference_search(seed, depth):
     every move spelled out, one level at a time. Each delivery runs `_step`
     on fresh tables, once per (core, frame) interned here. Returns each
     depth's (states, transitions, outcomes, violations) and the states in
-    first-visit order, by content."""
+    first-visit order, by content, each with how many moves it has."""
     world, old_knowledge = explore._build_world(seed)
     frames, frame_ids, cores, core_ids, steps = [], {}, [], {}, {}
 
@@ -323,7 +368,7 @@ def _reference_search(seed, depth):
         core_id, pending, known = state
         return _content(cores[core_id], [frames[f] for f in pending], frames, known)
 
-    return levels, [content(state) for state in visited]
+    return levels, [(content(state), len(successors(*state))) for state in visited]
 
 
 def _content(core, pending, frames, knowledge):
@@ -334,13 +379,14 @@ def _content(core, pending, frames, knowledge):
 @pytest.mark.parametrize("seed,depth", [(0, 5), (3, 5), (7, 5), (11, 5), (0, 6)])
 def test_search_equals_the_tuple_pool_reference(monkeypatch, seed, depth):
     # the same counts, outcomes and violations at every depth up to `depth`,
-    # and the same states in the same first-visit order, compared by
-    # content since the two searches number frames and cores apart
+    # and the same states in the same first-visit order, each with as many
+    # moves as the reference spells out, compared by content since the two
+    # searches number frames and cores apart
     levels, reference_order = _reference_search(seed, depth)
-    successors = explore._successors
+    expand = explore._expand
     expanded = []
 
-    def recorded(tables, state):
+    def recorded(tables, state, add):
         core_id, pool, knowledge = state
         slot = explore._SLOT
         pending = [  # each frame id as often as its slot in the pool counts
@@ -348,10 +394,13 @@ def test_search_equals_the_tuple_pool_reference(monkeypatch, seed, depth):
             for f in range(pool.bit_length() // slot + 1)
             for _ in range(pool >> slot * f & (1 << slot) - 1)
         ]
-        expanded.append(_content(tables.cores[core_id], pending, tables.frames, knowledge))
-        return successors(tables, state)
+        moves = expand(tables, state, add)
+        expanded.append(
+            (_content(tables.cores[core_id], pending, tables.frames, knowledge), moves)
+        )
+        return moves
 
-    monkeypatch.setattr(explore, "_successors", recorded)
+    monkeypatch.setattr(explore, "_expand", recorded)
     for d, (states, transitions, outcomes, violations) in enumerate(levels):
         enum = enumerate_small_traces(depth=d, seed=seed)
         assert (enum.states_explored, enum.transitions) == (states, transitions), d
