@@ -22,21 +22,24 @@ is preserved.
 
 Each search interns every distinct (raw frame, origin) pair and `Core` (a
 NamedTuple of both sessions, the nonce index, the genuine flags) as a small
-int, in tables that die with the search. A state is three ints: core id, the
-pending pool as copy counts (`_SLOT` bits per frame id), and the adversary's
-knowledge as a bitmask of frame ids. The memos are exact, as the world is
-fixed, a frame id stands for the bytes and the origin, a core id for all a
-delivery reads, and pool and knowledge only grow by the frame sent. Each
-party's transition is memoised on what it reads, a delivery in its core's row
-by frame id, a pool's moves on the pool (how many, and each pending frame's
-flips), and the inject moves on (core id, knowledge): how many, and those that
-change the core or send a frame. Each memo is read inline and filled only on a
-miss. The rest of the inject moves lead back to the state itself: they are
-counted from the memo and skip the visited lookup. Every other successor goes
-into `visited` as it is built, and the next level is the states added during
-this one. At depth 6, 311 party transitions and 1,608 deliveries serve 22,651
-row reads, each inline with no call, and 13,881 of the 69,371 transitions lead
-back to their own state.
+int, in tables that die with the search. A state is one int, so the cyclic
+garbage collector tracks no object per state: the core id in the low
+`_CORE_BITS`, then per frame id a slot of a copy count and a known bit (see
+`_SLOT`). A successor is a few additions and ORs of per-frame constants, and
+`_Tables.core` stops the search before a core id outgrows its field. The
+memos are exact, as the world is fixed, a frame id stands for the bytes and
+the origin, a core id for all a delivery reads, and counts and known bits
+only grow by the frame sent. Each party's transition is memoised on what it
+reads, a delivery in its core's row by frame id, a pool's moves on the count
+bits (how many, and each pending frame's flips), and the inject moves on the
+core id and known bits: how many, and those that change the core or send a
+frame. Each memo is read inline and filled only on a miss. The rest of the
+inject moves lead back to the state itself: they are counted from the memo
+and skip the visited lookup. Every other successor goes into `visited` as it
+is built, and the next level is the states added during this one. At depth
+6, 311 party transitions and 1,608 deliveries serve 22,651 row reads, each
+inline with no call, and 13,881 of the 69,371 transitions lead back to their
+own state.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import protocol
@@ -66,12 +68,15 @@ from .wire import Message, MessageKind, flip_field_bit
 MAX_DEPTH = 8
 DEFAULT_STATE_BUDGET = 200_000
 _DUP_CAP = 2  # more copies add nothing: the pool is also injectable knowledge
-# a pending pool is one int: bits [f * _SLOT, (f + 1) * _SLOT) count the copies
-# of frame id f. A search of d moves holds at most d + 1 pending frames, as it
-# starts with at most one and each move adds at most one, so no count carries
-# into the next slot and equal multisets give equal ints
+# a state's layout: the core id in the low _CORE_BITS, then per frame id _SLOT
+# bits counting its pending copies and one bit set once it is known. A search
+# of d moves holds at most d + 1 pending frames, as it starts with at most one
+# and each move adds at most one, so no count carries into its known bit and
+# equal states are equal ints
+_CORE_BITS = 16
 _SLOT = (MAX_DEPTH + 1).bit_length()
 _COUNT = (1 << _SLOT) - 1
+_WIDTH = _SLOT + 1
 
 
 class DepthExceeded(Exception):
@@ -117,8 +122,8 @@ class Core(NamedTuple):
     ack_genuine: bool = False
 
 
-# (core id, pending pool as copy counts, knowledge bitmask of frame ids)
-_State = tuple[int, int, int]
+# core id | copy counts | known bits: an int, which the cyclic GC never tracks
+_State = int
 
 
 @dataclass(frozen=True)
@@ -183,17 +188,16 @@ def _initial_state(
 ) -> _State:
     knowledge = 0
     for entry in sorted(old_knowledge):  # sorted: the same ids in every process
-        knowledge |= 1 << tables.frame(entry)
+        knowledge |= tables.known[tables.frame(entry)]
     if not include_honest_user:
-        core_id = tables.core(Core(locker=None, user=None, serial=1))
-        return core_id, 0, knowledge
+        return knowledge | tables.core(Core(locker=None, user=None, serial=1))
     world = tables.world
     auth, user_session = protocol.user_begin_session(
         world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
     )
     frame_id = tables.frame((auth.encode(), ACTOR_USER))
     core_id = tables.core(Core(locker=None, user=user_session, serial=1))
-    return core_id, 1 << _SLOT * frame_id, knowledge | 1 << frame_id
+    return knowledge + core_id + tables.copies[frame_id] | tables.known[frame_id]
 
 
 def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]:
@@ -262,17 +266,31 @@ class _Tables:
         self.transitions: dict[tuple, tuple] = {}
         self.flips: dict[int, tuple[int, ...]] = {}
         self.pool_moves: dict[int, tuple[int, tuple[tuple, ...]]] = {}
-        self.injects: dict[tuple[int, int], tuple[int, tuple]] = {}
+        self.injects: dict[int, tuple[int, tuple]] = {}
+        # per frame id one pending copy and its known bit, and the masks of
+        # every count, and of the core field with every known bit
+        self.core_bits = _CORE_BITS
+        self.core_mask = self.inject_mask = (1 << _CORE_BITS) - 1
+        self.count_mask = 0
+        self.copies: list[int] = []
+        self.known: list[int] = []
 
     def frame(self, entry: tuple[bytes, str]) -> int:
         frame_id = _intern(self.frame_ids, self.frames, entry)
         if frame_id == len(self.messages):
             self.messages.append(Message.decode(entry[0]))
+            copy = 1 << self.core_bits + _WIDTH * frame_id
+            self.copies.append(copy)
+            self.known.append(copy << _SLOT)
+            self.count_mask |= copy * _COUNT
+            self.inject_mask |= copy << _SLOT
         return frame_id
 
     def core(self, core: Core) -> int:
         core_id = _intern(self.core_ids, self.cores, core)
         if core_id == len(self.rows):
+            if core_id > self.core_mask:
+                raise DepthExceeded(f"core {core_id} outgrows its {self.core_bits}-bit field")
             self.rows.append({})
         return core_id
 
@@ -311,33 +329,33 @@ class _Tables:
 
     def moves(self, pool: int) -> tuple[int, tuple[tuple, ...]]:
         """Memoise the pool's moves: how many, and per distinct pending
-        frame, in frame-id order, its id, the pool without it, the pool with
-        a second copy (None at `_DUP_CAP`) and its flipped frames' ids."""
+        frame, in frame-id order, its id, one copy of it in the state, whether
+        a second copy may be added (not at `_DUP_CAP`) and its flipped frames'
+        ids."""
         found, rest, count = [], pool, 0
-        while rest:
-            shift = (rest & -rest).bit_length() - 1
-            shift -= shift % _SLOT  # the lowest pending frame's slot
-            copies, copy = rest >> shift & _COUNT, 1 << shift
-            rest -= copies << shift
-            frame_id = shift // _SLOT
-            doubled = pool + copy if copies < _DUP_CAP else None
+        while rest:  # the lowest set bit is in the lowest pending frame's slot
+            frame_id = ((rest & -rest).bit_length() - 1 - self.core_bits) // _WIDTH
+            copy = self.copies[frame_id]
+            copies = rest // copy & _COUNT
+            rest -= copies * copy
             flips = self.flipped(frame_id)
-            count += 2 + (doubled is not None) + len(flips)  # deliver, drop, dup, tampers
-            found.append((frame_id, pool - copy, doubled, flips))
+            count += 2 + (copies < _DUP_CAP) + len(flips)  # deliver, drop, dup, tampers
+            found.append((frame_id, copy, copies < _DUP_CAP, flips))
         moves = self.pool_moves[pool] = (count, tuple(found))
         return moves
 
-    def inject(self, core_id: int, knowledge: int) -> tuple[int, tuple]:
-        """Memoise delivering each known frame: how many moves, and those
-        among them that change the core or send a frame. The rest replay
-        nothing."""
-        row, deliver, steps, rest = self.rows[core_id], self.deliver, [], knowledge
+    def inject(self, key: int) -> tuple[int, tuple]:
+        """Memoise delivering each known frame, on the core id and the known
+        bits: how many moves, and those among them that change the core or
+        send a frame. The rest replay nothing."""
+        core_id = key & self.core_mask
+        row, deliver, steps, rest = self.rows[core_id], self.deliver, [], key - core_id
         while rest:
             low = rest & -rest
             rest ^= low
-            frame_id = low.bit_length() - 1
+            frame_id = (low.bit_length() - 1 - self.core_bits) // _WIDTH
             steps.append(row.get(frame_id) or deliver(core_id, frame_id))
-        injects = self.injects[core_id, knowledge] = (
+        injects = self.injects[key] = (
             len(steps), tuple(step for step in steps if step != (core_id, None))
         )
         return injects
@@ -346,39 +364,41 @@ class _Tables:
 def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> int:
     """Hand `add` each state one move away, but for the inject moves that
     lead back to `state` itself, and return how many moves there are."""
-    core_id, pool, knowledge = state
-    row, deliver = tables.rows[core_id], tables.deliver
+    core_id = state & tables.core_mask
+    row, deliver, copies, known = tables.rows[core_id], tables.deliver, tables.copies, tables.known
+    pool, rest = state & tables.count_mask, state - core_id
     count, moves = tables.pool_moves.get(pool) or tables.moves(pool)
-    # a delivery lands as (next core, pool grown by the frame sent, knowledge
-    # with it); spelled out at each move, as a call per successor made the
-    # depth-6 search about a third slower (2-core host). A memoised delivery
-    # is one lookup in the core's row; `deliver` runs only on a miss
-    for frame_id, removed, doubled, flips in moves:
+    # a delivery lands as the state with its next core, one more copy of the
+    # frame sent and that frame's known bit; spelled out at each move, as a
+    # call per successor made the depth-6 search about a third slower (2-core
+    # host). A memoised delivery is one lookup in the core's row; `deliver`
+    # runs only on a miss
+    for frame_id, copy, doubles, flips in moves:
+        removed = rest - copy
         next_core, sent = row.get(frame_id) or deliver(core_id, frame_id)
         add(
-            (next_core, removed, knowledge) if sent is None
-            else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
+            removed + next_core if sent is None
+            else removed + next_core + copies[sent] | known[sent]
         )
         # drop
-        add((core_id, removed, knowledge))
+        add(state - copy)
         # duplicate (bounded; beyond that it's indistinguishable from inject)
-        if doubled is not None:
-            add((core_id, doubled, knowledge))
+        if doubles:
+            add(state + copy)
         # tamper: flip one bit in each field, delivered as adversary material
         for bad in flips:
             next_core, sent = row.get(bad) or deliver(core_id, bad)
             add(
-                (next_core, removed, knowledge) if sent is None
-                else (next_core, removed + (1 << _SLOT * sent), knowledge | 1 << sent)
+                removed + next_core if sent is None
+                else removed + next_core + copies[sent] | known[sent]
             )
     # inject: replay anything ever observed, to its natural destination
-    injects, changes = (
-        tables.injects.get((core_id, knowledge)) or tables.inject(core_id, knowledge)
-    )
+    key = state & tables.inject_mask
+    injects, changes = tables.injects.get(key) or tables.inject(key)
     for next_core, sent in changes:
         add(
-            (next_core, pool, knowledge) if sent is None
-            else (next_core, pool + (1 << _SLOT * sent), knowledge | 1 << sent)
+            rest + next_core if sent is None
+            else rest + next_core + copies[sent] | known[sent]
         )
     return count + injects
 
@@ -438,7 +458,7 @@ def enumerate_small_traces(
         frontier = list(islice(visited, start, None))
     # an outcome depends only on the core: one signature per visited core,
     # in the order the search first reached it
-    cores = dict.fromkeys(map(itemgetter(0), visited))
+    cores = dict.fromkeys(map(tables.core_mask.__and__, visited))
     outcomes = dict.fromkeys(_signature(tables.cores[core_id]) for core_id in cores)
     return Enumeration(
         outcomes=set(outcomes),

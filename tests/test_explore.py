@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -192,32 +193,43 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         for variant, sender in variants:
             step = tables.deliver(tables.core(variant), tables.frame((raw, sender)))
             assert read(step) == fresh(variant, (raw, sender))
-    for (core_id, knowledge), (moves, changes) in injects:
+    for key, (moves, changes) in injects:
+        core_id, pending, known = _decode(tables, key)
+        assert not pending, key  # keyed on the core id and the known bits only
         core = tables.cores[core_id]
-        known = [f for f in range(knowledge.bit_length()) if knowledge >> f & 1]
         expected = [fresh(core, tables.frames[f]) for f in known]
         assert moves == len(known)
         assert [read(step) for step in changes] == [
             step for step in expected if step != (core, None)
         ]
-    slot, cap = explore._SLOT, explore._DUP_CAP
+    cap = explore._DUP_CAP
     for pool, (count, moves) in tables.pool_moves.items():
+        core_id, pending, known = _decode(tables, pool)
+        assert core_id == 0 and not known, pool  # keyed on the counts only
         expected, total = [], 0
-        for frame_id in range(pool.bit_length() // slot + 1):
-            copies, copy = pool >> slot * frame_id & (1 << slot) - 1, 1 << slot * frame_id
-            if copies:
-                msg = Message.decode(tables.frames[frame_id][0])
-                flips = [
-                    (flip_field_bit(msg, i).encode(), ACTOR_ADVERSARY)
-                    for i in range(len(msg.fields))
-                ]
-                doubled = pool + copy if copies < cap else None
-                expected.append((frame_id, pool - copy, doubled, flips))
-                total += 2 + (copies < cap) + len(flips)
+        for frame_id in sorted(set(pending)):
+            copies = pending.count(frame_id)
+            msg = Message.decode(tables.frames[frame_id][0])
+            flips = [
+                (flip_field_bit(msg, i).encode(), ACTOR_ADVERSARY)
+                for i in range(len(msg.fields))
+            ]
+            removed = list(pending)
+            removed.remove(frame_id)
+            doubled = sorted(pending + [frame_id]) if copies < cap else None
+            expected.append((frame_id, removed, doubled, flips))
+            total += 2 + (copies < cap) + len(flips)
         assert count == total, pool
+        # each move's copy, taken from or added to the pool, is one copy of
+        # that frame and nothing else
         assert [
-            (frame_id, removed, doubled, [tables.frames[bad] for bad in flips])
-            for frame_id, removed, doubled, flips in moves
+            (
+                frame_id,
+                _decode(tables, pool - copy)[1],
+                _decode(tables, pool + copy)[1] if doubles else None,
+                [tables.frames[bad] for bad in flips],
+            )
+            for frame_id, copy, doubles, flips in moves
         ] == expected, pool
     world = tables.world
     for key, (session, sent) in tables.transitions.items():
@@ -273,6 +285,33 @@ def test_a_core_is_immutable_and_interns_by_its_fields():
     for name in core._fields:
         with pytest.raises(AttributeError):
             setattr(core, name, None)
+
+
+def _decode(tables, state):
+    """A state int read slot by slot: its core id, each pending frame id as
+    often as its count says, in frame-id order, and the known frame ids."""
+    bits, slot, width = tables.core_bits, explore._SLOT, explore._SLOT + 1
+    pending, known = [], []
+    for frame_id in range(len(tables.frames)):
+        field = state >> bits + width * frame_id & (1 << width) - 1
+        pending += [frame_id] * (field & (1 << slot) - 1)
+        if field >> slot:
+            known.append(frame_id)
+    # no bit above the last interned frame's slot
+    assert state >> bits + width * len(tables.frames) == 0, state
+    return state & (1 << bits) - 1, pending, known
+
+
+def test_a_core_id_that_outgrows_its_field_stops_the_search(monkeypatch):
+    # depth 6 reaches 143 cores: a 7-bit core field (128 ids) must stop the
+    # search rather than let core 128 carry into the first frame's count and
+    # alias another state; an 8-bit field holds them all and counts exactly
+    monkeypatch.setattr(explore, "_CORE_BITS", 7)
+    with pytest.raises(DepthExceeded, match="7-bit"):
+        enumerate_small_traces(depth=6, seed=0)
+    monkeypatch.setattr(explore, "_CORE_BITS", 8)
+    enum = enumerate_small_traces(depth=6, seed=0)
+    assert (enum.states_explored, enum.transitions) == (13_106, 69_371)
 
 
 def _reference_search(seed, depth):
@@ -381,23 +420,22 @@ def test_search_equals_the_tuple_pool_reference(monkeypatch, seed, depth):
     # the same counts, outcomes and violations at every depth up to `depth`,
     # and the same states in the same first-visit order, each with as many
     # moves as the reference spells out, compared by content since the two
-    # searches number frames and cores apart
+    # searches number frames and cores apart. Every state expanded is an int,
+    # which the cyclic garbage collector does not track
     levels, reference_order = _reference_search(seed, depth)
     expand = explore._expand
     expanded = []
 
     def recorded(tables, state, add):
-        core_id, pool, knowledge = state
-        slot = explore._SLOT
-        pending = [  # each frame id as often as its slot in the pool counts
-            tables.frames[f]
-            for f in range(pool.bit_length() // slot + 1)
-            for _ in range(pool >> slot * f & (1 << slot) - 1)
-        ]
+        assert type(state) is int and not gc.is_tracked(state), state
+        core_id, pending, known = _decode(tables, state)
+        knowledge = sum(1 << f for f in known)
         moves = expand(tables, state, add)
-        expanded.append(
-            (_content(tables.cores[core_id], pending, tables.frames, knowledge), moves)
-        )
+        expanded.append((
+            _content(tables.cores[core_id], [tables.frames[f] for f in pending],
+                     tables.frames, knowledge),
+            moves,
+        ))
         return moves
 
     monkeypatch.setattr(explore, "_expand", recorded)
