@@ -267,8 +267,7 @@ class _Tables:
         self.flips: dict[int, tuple[int, ...]] = {}
         self.pool_moves: dict[int, tuple[int, tuple[tuple, ...]]] = {}
         self.injects: dict[int, tuple[int, tuple]] = {}
-        # per frame id one pending copy and its known bit, and the masks of
-        # every count, and of the core field with every known bit
+        # per frame id one copy and its known bit; masks of counts, core and known bits
         self.core_bits = _CORE_BITS
         self.core_mask = self.inject_mask = (1 << _CORE_BITS) - 1
         self.count_mask = 0
@@ -349,11 +348,12 @@ class _Tables:
         bits: how many moves, and those among them that change the core or
         send a frame. The rest replay nothing."""
         core_id = key & self.core_mask
-        row, deliver, steps, rest = self.rows[core_id], self.deliver, [], key - core_id
+        row, deliver, steps = self.rows[core_id], self.deliver, []
+        rest = key >> self.core_bits + _SLOT  # frame f's known bit at f * _WIDTH
         while rest:
             low = rest & -rest
             rest ^= low
-            frame_id = (low.bit_length() - 1 - self.core_bits) // _WIDTH
+            frame_id = (low.bit_length() - 1) // _WIDTH
             steps.append(row.get(frame_id) or deliver(core_id, frame_id))
         injects = self.injects[key] = (
             len(steps), tuple(step for step in steps if step != (core_id, None))
@@ -456,10 +456,10 @@ def enumerate_small_traces(
             if len(visited) > state_budget:
                 raise DepthExceeded(f"visited states exceeded budget {state_budget}")
         frontier = list(islice(visited, start, None))
-    # an outcome depends only on the core: one signature per visited core,
-    # in the order the search first reached it
-    cores = dict.fromkeys(map(tables.core_mask.__and__, visited))
-    outcomes = dict.fromkeys(_signature(tables.cores[core_id]) for core_id in cores)
+    # an outcome depends only on the core: one signature per interned core.
+    # Only `_initial_state` and `deliver` intern one, each for a state the
+    # search adds, so the interned cores are the visited ones, in first-visit order
+    outcomes = dict.fromkeys(map(_signature, tables.cores))
     return Enumeration(
         outcomes=set(outcomes),
         states_explored=len(visited),

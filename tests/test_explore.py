@@ -302,6 +302,33 @@ def _decode(tables, state):
     return state & (1 << bits) - 1, pending, known
 
 
+@pytest.mark.parametrize("seed,include_honest_user", [(0, True), (7, False)])
+def test_the_interned_cores_are_the_visited_ones_in_first_visit_order(
+    monkeypatch, seed, include_honest_user
+):
+    # the outcome pass reads the search's interned cores, not its visited
+    # states: every core interned must be the core of a visited state, and
+    # core ids must follow the order in which the search first reached them
+    expand, searched, reached = explore._expand, [], []
+
+    def recorded(tables, state, add):
+        if not searched:
+            searched.append(tables)
+            reached.append(state)  # the initial state, expanded first
+
+        def kept(successor):
+            reached.append(successor)
+            return add(successor)
+
+        return expand(tables, state, kept)
+
+    monkeypatch.setattr(explore, "_expand", recorded)
+    enumerate_small_traces(depth=6, seed=seed, include_honest_user=include_honest_user)
+    [tables] = searched
+    first_visits = dict.fromkeys(state & tables.core_mask for state in reached)
+    assert list(first_visits) == list(range(len(tables.cores)))
+
+
 def test_a_core_id_that_outgrows_its_field_stops_the_search(monkeypatch):
     # depth 6 reaches 143 cores: a 7-bit core field (128 ids) must stop the
     # search rather than let core 128 carry into the first frame's count and
