@@ -180,8 +180,10 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         for frame_id, step in row.items()
     ]
     injects = list(tables.injects.items())
-    assert len(memoised) >= 1_608 and len(injects) >= 252
-    assert len(tables.pool_moves) >= 735 and len(tables.transitions) >= 311
+    # 1,249 inject entries: 143 cores with no known frame, the keys the search
+    # reads, and their one-frame-smaller neighbours that no state has
+    assert len(memoised) >= 1_608 and len(injects) >= 1_249
+    assert len(tables.pool_moves) >= 736 and len(tables.transitions) >= 311
     for core_id, frame_id, step in memoised:
         core = tables.cores[core_id]
         raw, origin = tables.frames[frame_id]
@@ -231,6 +233,30 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
             )
             for frame_id, copy, doubles, flips in moves
         ] == expected, pool
+    # each entry was built from its one-frame-smaller neighbour, the key
+    # without its highest frame, which is memoised too: the neighbour's entry
+    # plus the top frame's delivery (inject) or part (pool moves)
+    for key, entry in injects:
+        core_id, _, known = _decode(tables, key)
+        if not known:
+            assert entry == (0, ()), key
+            continue
+        top = known[-1]
+        count, changes = tables.injects[key ^ tables.known[top]]
+        step = tables.rows[core_id][top]
+        if step != (core_id, None):
+            changes += (step,)
+        assert entry == (count + 1, changes), key
+    for pool, entry in tables.pool_moves.items():
+        _, pending, _ = _decode(tables, pool)
+        if not pending:
+            assert entry == (0, ()), pool
+            continue
+        top, copy = pending[-1], tables.copies[pending[-1]]
+        copies, flips = pending.count(top), tables.flips[top]
+        count, moves = tables.pool_moves[pool - copies * copy]
+        part = (top, copy, copies < cap, flips)
+        assert entry == (count + 2 + (copies < cap) + len(flips), moves + (part,)), pool
     world = tables.world
     for key, (session, sent) in tables.transitions.items():
         party, *read_by, frame_id = key
@@ -254,6 +280,54 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         assert (None if sent is None else tables.frames[sent]) == (
             None if reply is None else (reply.encode(), party)
         ), key
+
+
+def test_an_entry_holding_every_frame_of_a_depth_eight_search_builds_on_empty_memos(
+    monkeypatch,
+):
+    # an entry is built from its one-frame-smaller neighbour, one call per
+    # frame missing from the memo: on fresh tables, a pool pending one copy of
+    # every frame the depth-8 search interned and a key knowing them all must
+    # build in one call each, through every smaller neighbour, and equal the
+    # entries read straight from the frames
+    searched = []
+
+    class Recorded(explore._Tables):
+        def __init__(self, world):
+            super().__init__(world)
+            searched.append(self)
+
+    monkeypatch.setattr(explore, "_Tables", Recorded)
+    enumerate_small_traces(depth=8, seed=0)
+    [tables] = searched
+    frames = list(tables.frames)
+    count = len(frames)
+    assert count >= 38
+    for core in (tables.cores[0], tables.cores[-1]):
+        fresh = explore._Tables(tables.world)
+        for entry in frames:
+            fresh.frame(entry)
+        core_id = fresh.core(core)
+        moves, changes = fresh.inject(core_id | sum(fresh.known))
+        steps = [fresh.deliver(core_id, frame_id) for frame_id in range(count)]
+        assert moves == count
+        assert changes == tuple(step for step in steps if step != (core_id, None))
+        assert len(fresh.injects) == count + len(fresh.cores)  # each neighbour too
+        total, pool_moves = fresh.moves(sum(fresh.copies[:count]))
+        expected = []
+        for frame_id, (raw, _) in enumerate(frames):
+            msg = Message.decode(raw)
+            flips = [
+                (flip_field_bit(msg, i).encode(), ACTOR_ADVERSARY)
+                for i in range(len(msg.fields))
+            ]
+            expected.append((frame_id, fresh.copies[frame_id], True, flips))
+        assert [
+            (frame_id, copy, doubles, [fresh.frames[bad] for bad in flips])
+            for frame_id, copy, doubles, flips in pool_moves
+        ] == expected
+        assert total == sum(3 + len(flips) for *_, flips in expected)
+        assert len(fresh.pool_moves) == count + 1  # and the empty pool
 
 
 def test_search_shape_does_not_depend_on_the_seed():
