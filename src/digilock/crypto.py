@@ -107,7 +107,8 @@ class SeededRng:
     """Deterministic byte stream: SHA-256 over (seed, context, counter).
 
     Lets a scenario replay with identical nonces given the same 64-bit
-    seed. Not a CSPRNG; used only by the simulation harness and tests.
+    seed: the simulator, the model checker and `protocol.seeded_world`
+    draw from it. Not a CSPRNG; the CLI's store commands use `SystemRng`.
     """
 
     def __init__(self, seed: int, context: bytes = b"") -> None:

@@ -14,11 +14,15 @@ provider and locker transitions in `protocol` that `sim` drives and
 `run_session` loops over; nothing comes from `sim`. The model registers
 one user.
 
-Nonces are derived deterministically from (seed, session serial) rather
-than drawn from an RNG, so states reached by different schedules compare
-equal and the search space is message scheduling, not nonce entropy;
-per-session distinctness, the property the protocol actually relies on,
-is preserved.
+The model runs in the simulator's world, `protocol.seeded_world(seed)`,
+and the prior session is the one the simulator's honest scenario runs,
+its nonces drawn from `SeededRng(seed, b"user")` and
+`SeededRng(seed, b"locker")`. The model's own sessions draw theirs from a
+fresh `SeededRng(seed, b"user-<serial>")` or `SeededRng(seed,
+b"locker-<serial>")` per transition, so a nonce depends only on (seed,
+session serial): states reached by different schedules compare equal and
+the search space is message scheduling, not nonce entropy; per-session
+distinctness, the property the protocol actually relies on, is preserved.
 
 Each search interns every distinct (raw frame, origin) pair and `Core` (a
 NamedTuple of both sessions, the nonce index, the genuine flags) as a small
@@ -47,14 +51,13 @@ transitions lead back to their own state.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
 from . import protocol
-from .crypto import Digest, SecretKey, SeededRng, sha256
+from .crypto import SeededRng
 from .protocol import (
     ACTOR_ADVERSARY,
     ACTOR_LOCKER,
@@ -62,9 +65,9 @@ from .protocol import (
     ACTOR_USER,
     TO_USER,
     LockerPhase,
-    LockerRecord,
     LockerSession,
     UserSession,
+    World,
 )
 from .wire import Message, MessageKind, flip_field_bit
 
@@ -84,33 +87,6 @@ _WIDTH = _SLOT + 1
 
 class DepthExceeded(Exception):
     """The requested depth or state budget is beyond the bounded search."""
-
-
-class _QueueRng:
-    """A stand-in for the nonce source: the k-th take returns the chunk
-    derived from (seed, labels[k], index)."""
-
-    def __init__(self, seed: int, index: int, *labels: bytes) -> None:
-        self._seed = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-        self._index = index.to_bytes(8, "big")
-        self._labels = list(labels)
-
-    def take(self, n: int) -> bytes:
-        material = self._seed + self._labels.pop(0) + self._index
-        return hashlib.sha256(material).digest()[:n]
-
-
-@dataclass(frozen=True)
-class _World:
-    """Fixed, state-independent facts of the model."""
-
-    seed: int
-    user_id: str
-    user_key: SecretKey
-    phrase: str
-    provider_key: SecretKey
-    h_r: Digest
-    records: dict[str, LockerRecord]  # the one registered user's
 
 
 class Core(NamedTuple):
@@ -156,32 +132,22 @@ class Enumeration:
         return {o for o in self.outcomes if o.locker_opened}
 
 
-def _build_world(seed: int) -> tuple[_World, frozenset[tuple[bytes, str]]]:
-    setup = SeededRng(seed, b"model-setup")
-    user_id = "alice"
-    user_key = SecretKey(setup.take(16))
-    phrase = setup.take(8).hex()
-    provider_key = SecretKey(setup.take(16))
-    h_r = sha256(bytes(provider_key))
-    record = protocol.register_user(
-        user_id, user_key, phrase, h_r, rng=_QueueRng(seed, 0, b"register-seal")
-    )
-    world = _World(
-        seed=seed,
-        user_id=user_id,
-        user_key=user_key,
-        phrase=phrase,
-        provider_key=provider_key,
-        h_r=h_r,
-        records={user_id: record},
-    )
-    # one complete prior session, recorded off the wire by the adversary
+def _build_world(seed: int) -> tuple[World, frozenset[tuple[bytes, str]]]:
+    world = protocol.seeded_world(seed)
+    # one complete prior session, recorded off the wire by the adversary: the
+    # frames, each with its sender, that the simulator's honest scenario sends
     _, _, sent = protocol.run_session(
-        record, h_r, user_id, user_key, phrase, provider_key,
-        rng_user=_QueueRng(seed, 0, b"na"), rng_locker=_QueueRng(seed, 0, b"nr", b"seal"),
+        world.records[world.user_id], world.h_r, world.user_id, world.user_key,
+        world.phrase, world.provider_key,
+        rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
     )
-    knowledge = frozenset((msg.encode(), sender) for msg, sender in sent)
-    return world, knowledge
+    return world, frozenset((msg.encode(), sender) for msg, sender in sent)
+
+
+def _nonces(seed: int, role: str, serial: int) -> SeededRng:
+    """The nonce source of `role`'s session `serial` in the model; its
+    context never equals the prior session's, the role alone."""
+    return SeededRng(seed, f"{role}-{serial}".encode())
 
 
 def _initial_state(
@@ -196,7 +162,7 @@ def _initial_state(
         return knowledge | tables.core(Core(locker=None, user=None, serial=1))
     world = tables.world
     auth, user_session = protocol.user_begin_session(
-        world.user_id, world.user_key, rng=_QueueRng(world.seed, 1, b"na")
+        world.user_id, world.user_key, rng=_nonces(world.seed, ACTOR_USER, 1)
     )
     frame_id = tables.frame((auth.encode(), ACTOR_USER))
     core_id = tables.core(Core(locker=None, user=user_session, serial=1))
@@ -227,7 +193,7 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
         key,
         protocol.locker_on_message(
             world.records, world.h_r, locker, msg, now=0,  # no clock, so no deadline passes
-            rng=_QueueRng(world.seed, serial, b"nr", b"seal"),
+            rng=_nonces(world.seed, ACTOR_LOCKER, serial),
         ),
     )
     # an equal session leaves the core as it was: a delivery that sends nothing,
@@ -258,7 +224,7 @@ def _intern(ids: dict, values: list, value) -> int:
 class _Tables:
     """One search's frame and core ids and its memos, dropped when it returns."""
 
-    def __init__(self, world: _World) -> None:
+    def __init__(self, world: World) -> None:
         self.world = world
         self.frames: list[tuple[bytes, str]] = []
         self.messages: list[Message] = []  # each frame decoded once

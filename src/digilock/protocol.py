@@ -25,7 +25,8 @@ or refuses. Three drivers deliver messages to them and hold no copy of the
 session order: `run_session` here (one session with no adversary, which the
 CLI runs and `explore` records as the adversary's prior session), the
 simulator (`sim`) and the model checker (`explore`). So the search checks
-the code the scenarios and the CLI run.
+the code the scenarios and the CLI run. The simulator and the model run in
+one world, which `seeded_world` draws from a seed.
 
 The locker has one session slot, and `locker_on_message` alone decides what
 goes in it. It takes the locker's records by user id: `sim` passes its
@@ -56,6 +57,7 @@ from .crypto import (
     Nonce,
     Rng,
     SecretKey,
+    SeededRng,
     ct_equal,
     fresh_nonce,
     prf,
@@ -495,3 +497,30 @@ def run_session(
     if locker is not None and locker.deadline is not None:
         locker = locker_check_timeout(locker, locker.deadline + 1)
     return locker, user, sent
+
+
+class World(NamedTuple):
+    """A deployment drawn from a seed: the provider key R and h(R), and the
+    one registered user's id, key, phrase and record."""
+
+    seed: int
+    provider_key: SecretKey
+    h_r: Digest
+    user_id: str
+    user_key: SecretKey
+    phrase: str
+    records: dict[str, LockerRecord]  # the one user's record, by user id
+
+
+def seeded_world(seed: int) -> World:
+    """The world both drivers run in: R, then alice's key and phrase, from
+    `SeededRng(seed, b"setup")`, and alice's record sealed with
+    `SeededRng(seed, b"register")`. Each call builds a new records dict, so
+    a caller may register more users in it."""
+    setup = SeededRng(seed, b"setup")
+    provider_key = SecretKey(setup.take(16))
+    user_key = SecretKey(setup.take(16))
+    phrase = setup.take(8).hex()
+    h_r = sha256(provider_key)
+    record = register_user("alice", user_key, phrase, h_r, rng=SeededRng(seed, b"register"))
+    return World(seed, provider_key, h_r, "alice", user_key, phrase, {"alice": record})

@@ -419,19 +419,12 @@ class ScenarioSpec:
 
 
 def seed_world(seed: int) -> tuple[Registry, Credentials, SecretKey]:
-    """Provision a registry and register "alice", all from the seed."""
-    setup = SeededRng(seed, b"setup")
-    provider_key = SecretKey(setup.take(16))
-    creds = Credentials(
-        user_id="alice",
-        key=SecretKey(setup.take(16)),
-        phrase=setup.take(8).hex(),
-    )
-    registry = Registry.provision(provider_key)
-    registry.register(
-        creds.user_id, creds.key, creds.phrase, rng=SeededRng(seed, b"register")
-    )
-    return registry, creds, provider_key
+    """A registry holding h(R) and "alice", alice's credentials and R: the
+    world `protocol.seeded_world` draws from the seed, which the model
+    searches too."""
+    world = protocol.seeded_world(seed)
+    creds = Credentials(world.user_id, world.user_key, world.phrase)
+    return Registry(world.h_r, world.records), creds, world.provider_key
 
 
 @dataclass

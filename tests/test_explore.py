@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from digilock import explore, protocol
+from digilock import explore, protocol, sim
 from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
@@ -274,7 +274,7 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
             locker, serial = read_by
             fresh_session, reply = protocol.locker_on_message(
                 world.records, world.h_r, locker, msg, now=0,
-                rng=explore._QueueRng(world.seed, serial, b"nr", b"seal"),
+                rng=explore._nonces(world.seed, ACTOR_LOCKER, serial),
             )
             assert party == ACTOR_LOCKER and session == fresh_session, key
         assert (None if sent is None else tables.frames[sent]) == (
@@ -347,7 +347,7 @@ def test_a_core_is_immutable_and_interns_by_its_fields():
     cores = []
     for _ in range(2):
         _, user = protocol.user_begin_session(
-            world.user_id, world.user_key, rng=explore._QueueRng(0, 1, b"na")
+            world.user_id, world.user_key, rng=explore._nonces(0, ACTOR_USER, 1)
         )
         cores.append(explore.Core(locker=None, user=user, serial=1))
     core, twin = cores
@@ -478,7 +478,7 @@ def _reference_search(seed, depth):
     for entry in sorted(old_knowledge):
         knowledge |= 1 << intern(frame_ids, frames, entry)
     auth, user = protocol.user_begin_session(
-        world.user_id, world.user_key, rng=explore._QueueRng(seed, 1, b"na")
+        world.user_id, world.user_key, rng=explore._nonces(seed, ACTOR_USER, 1)
     )
     auth_id = intern(frame_ids, frames, (auth.encode(), ACTOR_USER))
     initial = (
@@ -563,8 +563,8 @@ def test_enumeration_is_deterministic():
 @pytest.mark.parametrize(
     "seed,pinned",
     [
-        (0, "e3b7ec1ec6b5df027d44b6f3eef7d62917e1167de3ce18be23cff7e2fc3870bc"),
-        (7, "727a172265cc40292317926744fc3d76fc0caefa0fbb8e769db668fd01d77f00"),
+        (0, "7dbc1644e6a948fe9deddff0376d4c4491c33f8c0ead075448c2eee0562a1acd"),
+        (7, "50183214a877864f3d4197367c16d559c5d871af00e78c493561f807ae150366"),
     ],
 )
 def test_recorded_prior_session_is_pinned(seed, pinned):
@@ -572,3 +572,15 @@ def test_recorded_prior_session_is_pinned(seed, pinned):
     # and the party that sent it, byte for byte
     _, knowledge = explore._build_world(seed)
     assert hashlib.sha256(repr(sorted(knowledge)).encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_the_prior_session_is_the_simulated_honest_scenario(seed):
+    # the model runs in the simulator's world: the adversary knows exactly
+    # the frames the honest scenario's parties send, each with its sender
+    _, knowledge = explore._build_world(seed)
+    _, trace = sim.run_scenario(sim.ScenarioSpec("honest", seed))
+    sends = {(step.payload_sha256, step.origin) for step in trace.steps
+             if step.sender == step.origin}
+    assert len(sends) == len(knowledge) == 6
+    assert {(hashlib.sha256(frame).hexdigest(), sender) for frame, sender in knowledge} == sends

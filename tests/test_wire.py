@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digilock.crypto import Digest, Nonce, SecretKey
 from digilock.wire import (
+    _FIELD_LIMITS,
     BadFrame,
     Message,
     MessageKind,
     TrailingBytes,
     TruncatedEncoding,
+    WireError,
     decode_fields,
     encode_fields,
     flip_field_bit,
@@ -181,3 +185,60 @@ def test_kind_labels():
     assert MessageKind.AUTH_REQUEST.label == "auth-request"
     assert MessageKind.PROVIDER_KEY_REQUEST.label == "provider-key-request"
     assert MessageKind.ERROR.label == "error"
+
+
+# Hypothesis runs derandomized, with no example database and no deadline,
+# so every tier-1 run draws the same examples and a slow host fails nothing
+def _fixed(max_examples):
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+_FIELD_CAP = 96  # a challenge may hold 1 MiB; every other limit is below this
+
+
+@st.composite
+def _messages(draw):
+    """A message of any kind, each field's length within the kind's limits."""
+    kind = draw(st.sampled_from(MessageKind))
+    return Message(kind, tuple(
+        draw(st.binary(min_size=lo, max_size=min(hi, _FIELD_CAP)))
+        for lo, hi in _FIELD_LIMITS[kind]
+    ))
+
+
+@_fixed(100)
+@given(st.lists(st.binary(max_size=80), max_size=8))
+def test_decode_fields_inverts_encode_fields(fields):
+    assert decode_fields(encode_fields(fields)) == fields
+
+
+@_fixed(100)
+@given(_messages())
+def test_a_message_decodes_from_its_frame(msg):
+    frame = msg.encode()
+    decoded = Message.decode(frame)
+    assert decoded == msg
+    assert decoded.encode() == frame
+
+
+@_fixed(50)
+@given(_messages(), st.binary(min_size=1, max_size=12))
+def test_a_cut_or_extended_frame_raises_only_a_wire_error(msg, extra):
+    # decode reads outside input: a frame cut anywhere, or followed by any
+    # bytes, is refused with a WireError, never another exception
+    frame = msg.encode()
+    for end in range(len(frame)):
+        with pytest.raises(WireError):
+            Message.decode(frame[:end])
+    with pytest.raises(WireError):
+        Message.decode(frame + extra)
+
+
+@_fixed(100)
+@given(_messages().filter(lambda msg: msg.fields), st.data())
+def test_flipping_a_bit_twice_restores_the_message(msg, data):
+    index = data.draw(st.integers(0, len(msg.fields) - 1))
+    bit = data.draw(st.integers(0, 8 * len(msg.fields[index]) - 1))
+    once = flip_field_bit(msg, index, bit)
+    assert once != msg
+    assert flip_field_bit(once, index, bit) == msg
