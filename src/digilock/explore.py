@@ -34,19 +34,23 @@ garbage collector tracks no object per state: the core id in the low
 memos are exact, as the world is fixed, a frame id stands for the bytes and
 the origin, a core id for all a delivery reads, and counts and known bits
 only grow by the frame sent. Each party's transition is memoised on what it
-reads, a delivery in its core's row by frame id, a pool's moves on the count
-bits (how many, and each pending frame's flips), and the inject moves on the
-core id and known bits: how many, and those that change the core or send a
-frame. Each memo is read inline and filled only on a miss. A pool or inject
-entry is its one-frame-smaller neighbour's, for the key without its highest
-frame, plus that frame's part, so a new key costs one frame's work. The rest
-of the inject moves lead back to the state itself: they are counted from the
-memo and skip the visited lookup. Every other successor goes into `visited`
-as it is built, and the next level is the states added during this one. At
-depth 6, 311 party transitions and 1,608 deliveries serve 21,464 row reads,
-each inline with no call, 1,249 inject entries (854 of them neighbours no
-state reads) serve 3,711 expanded states, and 13,881 of the 69,371
-transitions lead back to their own state.
+reads (the locker's auth check on the frame alone: it reads only the records
+and the message), a delivery in its core's row by frame id (keeping the core
+id, and interning nothing, when neither session changes), a pool's moves on
+the count bits (how many, and each pending frame's flips), and the inject
+moves on the core id and known bits: how many, and those that change the
+core or send a frame. Each memo is read inline and filled only on a miss. A
+pool or inject entry is its one-frame-smaller neighbour's, for the key
+without its highest frame, plus that frame's part, so a new key costs one
+frame's work. The rest of the inject moves, and a pool's deliveries and
+tampers that change and send nothing, lead back to the state or to its
+drop's successor: they are counted from the memo and add nothing. Every
+other successor goes into `visited` as it is built, and the next level is
+the states added during this one. At depth 6, 192 party transitions (5 auth
+checks) and 1,608 deliveries serve 21,464 row reads, each inline with no
+call, 1,249 inject entries (854 of them neighbours no state reads) serve
+3,711 expanded states, and of the 69,371 transitions 13,881 lead back to
+their own state and 50,060 go to `visited`.
 """
 
 from __future__ import annotations
@@ -169,9 +173,10 @@ def _initial_state(
     return knowledge + core_id + tables.copies[frame_id] | tables.known[frame_id]
 
 
-def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]:
+def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core | None, int | None]:
     """One delivery from the party's memoised transition: the next core, with
-    the genuine flags, and the sent frame's id."""
+    the genuine flags, or None when neither session changes, and the sent
+    frame's id."""
     world, msg, memo = tables.world, tables.messages[frame_id], tables.transitions
     locker, user, serial, auth_genuine, pk_genuine, ack_genuine = core
     if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
@@ -179,31 +184,38 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core, int | None]
         _, sent = memo.get(key) or tables.transition(
             key, (None, protocol.provider_on_message(world.provider_key, msg))
         )
-        return core, sent
+        return None, sent
     if msg.kind in TO_USER:
         if user is None:
-            return core, None
+            return None, None
         key = (ACTOR_USER, user, frame_id)
         next_user, sent = memo.get(key) or tables.transition(
             key, protocol.user_on_message(user, world.user_id, world.user_key, world.phrase, msg)
         )
+        if next_user == user:
+            return None, sent
         return Core(locker, next_user, serial, auth_genuine, pk_genuine, ack_genuine), sent
-    key = (ACTOR_LOCKER, locker, serial, frame_id)
+    # an auth check reads only the records and the frame, so it is keyed on
+    # the frame alone and run with no session; the None session it returns
+    # for an id with no record leaves the slot as it was
+    auth = msg.kind is MessageKind.AUTH_REQUEST
+    key = (ACTOR_LOCKER, frame_id) if auth else (ACTOR_LOCKER, locker, serial, frame_id)
     next_locker, sent = memo.get(key) or tables.transition(
         key,
         protocol.locker_on_message(
-            world.records, world.h_r, locker, msg, now=0,  # no clock, so no deadline passes
+            world.records, world.h_r, None if auth else locker, msg, now=0,  # no clock, no deadline
             rng=_nonces(world.seed, ACTOR_LOCKER, serial),
         ),
     )
+    next_locker = next_locker or locker
     # an equal session leaves the core as it was: a delivery that sends nothing,
     # an id with no record, or the session's own auth request again, whose
     # bytes give the same origin and which finds the flags a reset would set
     if next_locker == locker:
-        return core, sent
+        return None, sent
     # the genuine flags record who built what the locker accepted
     origin = tables.frames[frame_id][1]
-    if msg.kind is MessageKind.AUTH_REQUEST:  # a new session: the other flags reset
+    if auth:  # a new session: the other flags reset
         return Core(next_locker, user, serial, origin == ACTOR_USER), sent
     if next_locker.phase is LockerPhase.CHALLENGE_SENT:  # a provider key was accepted
         pk_genuine = msg.fields[0] == bytes(world.provider_key)
@@ -281,9 +293,11 @@ class _Tables:
         step = row.get(frame_id)
         if step is None:
             core, sent = _step(self, self.cores[core_id], frame_id)
-            # most next cores are interned already; id 0 falls through to
-            # `core`, which finds it too
-            step = row[frame_id] = (self.core_ids.get(core) or self.core(core), sent)
+            # a no-op delivery interns nothing; most next cores are interned
+            # already, and id 0 falls through to `core`, which finds it too
+            step = row[frame_id] = (
+                core_id if core is None else self.core_ids.get(core) or self.core(core), sent
+            )
         return step
 
     def flipped(self, frame_id: int) -> tuple[int, ...]:
@@ -341,14 +355,16 @@ def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> 
     # frame sent and that frame's known bit; spelled out at each move, as a
     # call per successor made the depth-6 search about a third slower (2-core
     # host). A memoised delivery is one lookup in the core's row; `deliver`
-    # runs only on a miss
+    # runs only on a miss. A delivery that changes nothing and sends nothing
+    # lands on the drop's successor, added right after it or before the
+    # tampers, so it adds nothing and the first-visit order stays the same
     for frame_id, copy, doubles, flips in moves:
         removed = rest - copy
         next_core, sent = row.get(frame_id) or deliver(core_id, frame_id)
-        add(
-            removed + next_core if sent is None
-            else removed + next_core + copies[sent] | known[sent]
-        )
+        if sent is not None:
+            add(removed + next_core + copies[sent] | known[sent])
+        elif next_core != core_id:
+            add(removed + next_core)
         # drop
         add(state - copy)
         # duplicate (bounded; beyond that it's indistinguishable from inject)
@@ -357,10 +373,10 @@ def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> 
         # tamper: flip one bit in each field, delivered as adversary material
         for bad in flips:
             next_core, sent = row.get(bad) or deliver(core_id, bad)
-            add(
-                removed + next_core if sent is None
-                else removed + next_core + copies[sent] | known[sent]
-            )
+            if sent is not None:
+                add(removed + next_core + copies[sent] | known[sent])
+            elif next_core != core_id:
+                add(removed + next_core)
     # inject: replay anything ever observed, to its natural destination
     key = state & tables.inject_mask
     injects, changes = tables.injects.get(key) or tables.inject(key)

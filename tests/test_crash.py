@@ -2,7 +2,9 @@
 command finds on disk."""
 
 import itertools
+import json
 import os
+import pathlib
 import sqlite3
 from pathlib import Path
 
@@ -45,6 +47,27 @@ def _at_statement(k):
             return con
 
         sqlite3.connect = traced
+    return die
+
+
+def _at_file_op(k):
+    """Die as the k-th call to `os.mkdir`, `os.open`, `os.fdopen` or
+    `os.replace` in the child starts."""
+    def die():
+        started = itertools.count(1)
+
+        def traced(call):
+            def run(*args, **kwargs):
+                if next(started) == k:
+                    os._exit(CRASH_EXIT)
+                return call(*args, **kwargs)
+            return run
+
+        for name in ("mkdir", "open", "fdopen", "replace"):
+            setattr(os, name, traced(getattr(os, name)))
+        # Python 3.10's pathlib calls the os.mkdir it bound at import
+        if hasattr(pathlib, "_normal_accessor"):
+            pathlib._normal_accessor.mkdir = os.mkdir
     return die
 
 
@@ -110,3 +133,75 @@ def test_a_register_killed_at_any_statement_leaves_the_store_as_before(tmp_path)
         assert journal.read_bytes()[:28] == bytes(28), k
     assert main(["access", *user, *provider]) == 0
     assert k - 1 == 5  # PRAGMA, BEGIN IMMEDIATE, SELECT, INSERT, COMMIT
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_provision_killed_at_any_statement_leaves_no_registry(tmp_path):
+    # provision is one transaction: killed as any of its statements starts,
+    # it leaves no registry a register can use, and a retry succeeds. The
+    # meta SELECT on a fresh file fails before it runs, so it is no point
+    (tmp_path / "provider.key").write_bytes(b"provider key material")
+    (tmp_path / "alice.key").write_bytes(b"alice key material")
+    provider = ["--provider-key-file", str(tmp_path / "provider.key")]
+    for k in range(1, 10):
+        store = str(tmp_path / f"store{k}")
+        code = _killed(["provision", "--store", store, *provider], _at_statement(k))
+        if code == 0:
+            break
+        assert code == CRASH_EXIT, k
+        alice = ["--store", store, "--user", "alice",
+                 "--key-file", str(tmp_path / "alice.key"), "--phrase", "blue bicycle"]
+        assert main(["register", *alice]) == 8, k  # no registry
+        assert main(["provision", "--store", store, *provider]) == 0, k
+        assert main(["register", *alice]) == 0, k
+    assert k - 1 == 6  # PRAGMA, BEGIN IMMEDIATE, two CREATE TABLE, INSERT, COMMIT
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("name", ["deed", "will"])
+def test_a_vault_put_killed_at_any_file_operation_keeps_the_old_document(
+    tmp_path, capsys, name
+):
+    # killed as any of its file operations starts, a put of an existing name
+    # leaves the old document and one of a new name leaves none; the list is
+    # as before either way, and the run that passes every point stores the
+    # new document. The vault directory exists, so mkdir finds it
+    store = str(tmp_path / "store")
+    (tmp_path / "provider.key").write_bytes(b"provider key material")
+    (tmp_path / "alice.key").write_bytes(b"alice key material")
+    credentials = [
+        "--store", store, "--user", "alice", "--key-file", str(tmp_path / "alice.key"),
+        "--phrase", "blue bicycle",
+    ]
+    provider = ["--provider-key-file", str(tmp_path / "provider.key")]
+    assert main(["provision", "--store", store, *provider]) == 0
+    assert main(["register", *credentials]) == 0
+    vault = ["vault", *credentials, *provider]
+    (tmp_path / "old.bin").write_bytes(b"old document")
+    (tmp_path / "new.bin").write_bytes(b"new document")
+    out = tmp_path / "out.bin"
+    assert main([*vault, "put", "--name", "deed", "--file", str(tmp_path / "old.bin")]) == 0
+
+    def get():
+        out.unlink(missing_ok=True)
+        code = main([*vault, "get", "--name", name, "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    def listed():
+        capsys.readouterr()
+        assert main(["--output", "json", *vault, "list"]) == 0
+        return json.loads(capsys.readouterr().out)["documents"]
+
+    before = get()
+    assert before == ((0, b"old document") if name == "deed" else (7, None))
+    put = [*vault, "put", "--name", name, "--file", str(tmp_path / "new.bin")]
+    for k in range(1, 10):
+        code = _killed(put, _at_file_op(k))
+        if code == 0:
+            break
+        assert code == CRASH_EXIT, k
+        assert get() == before, k
+        assert listed() == ["deed"], k
+    assert get() == (0, b"new document")
+    assert listed() == sorted({"deed", name})
+    assert k - 1 == 4  # mkdir, the temporary file's open and fdopen, replace

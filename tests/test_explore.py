@@ -14,7 +14,7 @@ from digilock.explore import (
     enumerate_small_traces,
 )
 from digilock.protocol import ACTOR_ADVERSARY, ACTOR_LOCKER, ACTOR_PROVIDER, ACTOR_USER
-from digilock.wire import Message, flip_field_bit
+from digilock.wire import Message, MessageKind, flip_field_bit
 
 
 def test_explore_imports_neither_the_simulator_nor_the_store():
@@ -183,7 +183,7 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
     # 1,249 inject entries: 143 cores with no known frame, the keys the search
     # reads, and their one-frame-smaller neighbours that no state has
     assert len(memoised) >= 1_608 and len(injects) >= 1_249
-    assert len(tables.pool_moves) >= 736 and len(tables.transitions) >= 311
+    assert len(tables.pool_moves) >= 736 and len(tables.transitions) >= 192
     for core_id, frame_id, step in memoised:
         core = tables.cores[core_id]
         raw, origin = tables.frames[frame_id]
@@ -270,6 +270,12 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
                 user, world.user_id, world.user_key, world.phrase, msg
             )
             assert session == fresh_session, key
+        elif read_by == []:  # an auth request, keyed on the frame alone
+            assert party == ACTOR_LOCKER and msg.kind is MessageKind.AUTH_REQUEST, key
+            fresh_session, reply = protocol.locker_on_message(
+                world.records, world.h_r, None, msg, now=0
+            )
+            assert session == fresh_session, key
         else:
             locker, serial = read_by
             fresh_session, reply = protocol.locker_on_message(
@@ -280,6 +286,54 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         assert (None if sent is None else tables.frames[sent]) == (
             None if reply is None else (reply.encode(), party)
         ), key
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_memoised_delivery_equals_the_party_transition(monkeypatch, seed):
+    # every delivery a depth-6 search kept in its rows, against a direct call
+    # of the receiving party's transition in `protocol` on the core's own
+    # session, with no memo, `_step` or `deliver` in between: the next
+    # sessions and the sent frame must match, so a memo key that leaves out
+    # what a transition reads, such as the locker's slot under a refused auth
+    # request, fails here
+    searched = []
+
+    class Recorded(explore._Tables):
+        def __init__(self, world):
+            super().__init__(world)
+            searched.append(self)
+
+    monkeypatch.setattr(explore, "_Tables", Recorded)
+    enumerate_small_traces(depth=6, seed=seed)
+    [tables] = searched
+    world, checked = tables.world, 0
+    for core, row in zip(tables.cores, tables.rows):
+        for frame_id, (next_id, sent) in row.items():
+            msg = Message.decode(tables.frames[frame_id][0])
+            locker, user = core.locker, core.user
+            if msg.kind is MessageKind.PROVIDER_KEY_REQUEST:
+                party, reply = ACTOR_PROVIDER, protocol.provider_on_message(
+                    world.provider_key, msg
+                )
+            elif msg.kind in protocol.TO_USER:
+                party, reply = ACTOR_USER, None
+                if user is not None:
+                    user, reply = protocol.user_on_message(
+                        user, world.user_id, world.user_key, world.phrase, msg
+                    )
+            else:
+                party = ACTOR_LOCKER
+                locker, reply = protocol.locker_on_message(
+                    world.records, world.h_r, locker, msg, now=0,
+                    rng=explore._nonces(seed, ACTOR_LOCKER, core.serial),
+                )
+            following = tables.cores[next_id]
+            assert (following.locker, following.user) == (locker, user), (core, msg)
+            assert (None if sent is None else tables.frames[sent]) == (
+                None if reply is None else (reply.encode(), party)
+            ), (core, msg)
+            checked += 1
+    assert checked == 1_608
 
 
 def test_an_entry_holding_every_frame_of_a_depth_eight_search_builds_on_empty_memos(
