@@ -42,15 +42,19 @@ moves on the core id and known bits: how many, and those that change the
 core or send a frame. Each memo is read inline and filled only on a miss. A
 pool or inject entry is its one-frame-smaller neighbour's, for the key
 without its highest frame, plus that frame's part, so a new key costs one
-frame's work. The rest of the inject moves, and a pool's deliveries and
-tampers that change and send nothing, lead back to the state or to its
-drop's successor: they are counted from the memo and add nothing. Every
-other successor goes into `visited` as it is built, and the next level is
-the states added during this one. At depth 6, 192 party transitions (5 auth
-checks) and 1,608 deliveries serve 21,464 row reads, each inline with no
-call, 1,249 inject entries (854 of them neighbours no state reads) serve
-3,711 expanded states, and of the 69,371 transitions 13,881 lead back to
-their own state and 50,060 go to `visited`.
+frame's work. A frame gets its id with the message in hand (the reply, the
+flipped copy, the auth request, the prior session's), so none is decoded,
+and a locker step gets a nonce source only for a provider key, the one
+locker message that can draw nonces. The rest of the inject moves, and a
+pool's deliveries and tampers that change and send nothing, lead back to
+the state or to its drop's successor: they are counted from the memo and
+add nothing. Every other successor goes into `visited` as it is built, and
+the next level is the states added during this one. At depth 6, 192 party
+transitions (5 auth checks, 44 with a nonce source) and 1,608 deliveries
+serve 21,464 row reads, each inline with no call, 1,249 inject entries
+(854 of them neighbours no state reads) serve 3,711 expanded states, of the
+69,371 transitions 13,881 lead back to their own state and 50,060 go to
+`visited`, and the 143 cores give 45 signatures, one per distinct outcome.
 """
 
 from __future__ import annotations
@@ -136,16 +140,17 @@ class Enumeration:
         return {o for o in self.outcomes if o.locker_opened}
 
 
-def _build_world(seed: int) -> tuple[World, frozenset[tuple[bytes, str]]]:
+def _build_world(seed: int) -> tuple[World, dict[tuple[bytes, str], Message]]:
     world = protocol.seeded_world(seed)
     # one complete prior session, recorded off the wire by the adversary: the
-    # frames, each with its sender, that the simulator's honest scenario sends
+    # frames, each with its sender, that the simulator's honest scenario sends,
+    # and each frame's message, so the search interns it with no decode
     _, _, sent = protocol.run_session(
         world.records[world.user_id], world.h_r, world.user_id, world.user_key,
         world.phrase, world.provider_key,
         rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),
     )
-    return world, frozenset((msg.encode(), sender) for msg, sender in sent)
+    return world, {(msg.encode(), sender): msg for msg, sender in sent}
 
 
 def _nonces(seed: int, role: str, serial: int) -> SeededRng:
@@ -156,19 +161,19 @@ def _nonces(seed: int, role: str, serial: int) -> SeededRng:
 
 def _initial_state(
     tables: _Tables,
-    old_knowledge: frozenset[tuple[bytes, str]],
+    old_knowledge: dict[tuple[bytes, str], Message],
     include_honest_user: bool,
 ) -> _State:
     knowledge = 0
     for entry in sorted(old_knowledge):  # sorted: the same ids in every process
-        knowledge |= tables.known[tables.frame(entry)]
+        knowledge |= tables.known[tables.frame(entry, old_knowledge[entry])]
     if not include_honest_user:
         return knowledge | tables.core(Core(locker=None, user=None, serial=1))
     world = tables.world
     auth, user_session = protocol.user_begin_session(
         world.user_id, world.user_key, rng=_nonces(world.seed, ACTOR_USER, 1)
     )
-    frame_id = tables.frame((auth.encode(), ACTOR_USER))
+    frame_id = tables.frame((auth.encode(), ACTOR_USER), auth)
     core_id = tables.core(Core(locker=None, user=user_session, serial=1))
     return knowledge + core_id + tables.copies[frame_id] | tables.known[frame_id]
 
@@ -197,14 +202,16 @@ def _step(tables: _Tables, core: Core, frame_id: int) -> tuple[Core | None, int 
         return Core(locker, next_user, serial, auth_genuine, pk_genuine, ack_genuine), sent
     # an auth check reads only the records and the frame, so it is keyed on
     # the frame alone and run with no session; the None session it returns
-    # for an id with no record leaves the slot as it was
+    # for an id with no record leaves the slot as it was. Only a provider key
+    # can build a challenge, the one locker step that draws nonces
     auth = msg.kind is MessageKind.AUTH_REQUEST
     key = (ACTOR_LOCKER, frame_id) if auth else (ACTOR_LOCKER, locker, serial, frame_id)
     next_locker, sent = memo.get(key) or tables.transition(
         key,
         protocol.locker_on_message(
             world.records, world.h_r, None if auth else locker, msg, now=0,  # no clock, no deadline
-            rng=_nonces(world.seed, ACTOR_LOCKER, serial),
+            rng=_nonces(world.seed, ACTOR_LOCKER, serial)
+            if msg.kind is MessageKind.PROVIDER_KEY else None,
         ),
     )
     next_locker = next_locker or locker
@@ -239,7 +246,7 @@ class _Tables:
     def __init__(self, world: World) -> None:
         self.world = world
         self.frames: list[tuple[bytes, str]] = []
-        self.messages: list[Message] = []  # each frame decoded once
+        self.messages: list[Message] = []  # each frame's message, by frame id
         self.frame_ids: dict[tuple[bytes, str], int] = {}
         self.cores: list[Core] = []
         self.core_ids: dict[Core, int] = {}
@@ -256,10 +263,12 @@ class _Tables:
         self.copies: list[int] = []
         self.known: list[int] = []
 
-    def frame(self, entry: tuple[bytes, str]) -> int:
+    def frame(self, entry: tuple[bytes, str], msg: Message | None = None) -> int:
+        """The id of (raw frame, origin); `msg`, if given, is the frame's
+        message, kept as it is, else the frame is decoded on its first visit."""
         frame_id = _intern(self.frame_ids, self.frames, entry)
         if frame_id == len(self.messages):
-            self.messages.append(Message.decode(entry[0]))
+            self.messages.append(Message.decode(entry[0]) if msg is None else msg)
             copy = 1 << self.core_bits + _WIDTH * frame_id
             self.copies.append(copy)
             self.known.append(copy << _SLOT)
@@ -281,7 +290,7 @@ class _Tables:
         as that session and the sent frame's id. The key is the party, then
         all the transition reads besides the fixed world."""
         session, reply = run
-        sent = None if reply is None else self.frame((reply.encode(), key[0]))
+        sent = None if reply is None else self.frame((reply.encode(), key[0]), reply)
         result = self.transitions[key] = (session, sent)
         return result
 
@@ -306,8 +315,8 @@ class _Tables:
         if flips is None:
             msg = self.messages[frame_id]
             flips = self.flips[frame_id] = tuple(
-                self.frame((flip_field_bit(msg, index).encode(), ACTOR_ADVERSARY))
-                for index in range(len(msg.fields))
+                self.frame((bad.encode(), ACTOR_ADVERSARY), bad)
+                for bad in [flip_field_bit(msg, index) for index in range(len(msg.fields))]
             )
         return flips
 
@@ -388,24 +397,23 @@ def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> 
     return count + injects
 
 
-def _signature(core: Core) -> OutcomeSignature:
-    locker_phase = core.locker.phase if core.locker else LockerPhase.IDLE
-    locker_failure = core.locker.failure if core.locker else None
+def _outcome(core: Core) -> tuple:
+    """The core's `OutcomeSignature` fields, in order, as a plain tuple."""
+    locker, user = core.locker, core.user
+    locker_phase = locker.phase if locker else LockerPhase.IDLE
     opened = locker_phase is LockerPhase.OPEN
-    return OutcomeSignature(
-        locker_phase=locker_phase.value,
-        locker_failure=locker_failure.value if locker_failure else None,
-        user_phase=core.user.phase.value if core.user else None,
-        user_failure=(
-            core.user.failure.value if core.user and core.user.failure else None
-        ),
-        locker_opened=opened,
-        genuine=(
-            (core.auth_genuine, core.pk_genuine, core.ack_genuine)
-            if opened
-            else None
-        ),
+    return (
+        locker_phase.value,
+        locker.failure.value if locker and locker.failure else None,
+        user.phase.value if user else None,
+        user.failure.value if user and user.failure else None,
+        opened,
+        (core.auth_genuine, core.pk_genuine, core.ack_genuine) if opened else None,
     )
+
+
+def _signature(core: Core) -> OutcomeSignature:
+    return OutcomeSignature(*_outcome(core))
 
 
 def enumerate_small_traces(
@@ -441,10 +449,11 @@ def enumerate_small_traces(
             if len(visited) > state_budget:
                 raise DepthExceeded(f"visited states exceeded budget {state_budget}")
         frontier = list(islice(visited, start, None))
-    # an outcome depends only on the core: one signature per interned core.
-    # Only `_initial_state` and `deliver` intern one, each for a state the
-    # search adds, so the interned cores are the visited ones, in first-visit order
-    outcomes = dict.fromkeys(map(_signature, tables.cores))
+    # an outcome depends only on the core: one signature per distinct outcome
+    # of the interned cores. Only `_initial_state` and `deliver` intern one,
+    # each for a state the search adds, so the interned cores are the visited
+    # ones, in first-visit order, and so are the outcomes
+    outcomes = [OutcomeSignature(*fields) for fields in dict.fromkeys(map(_outcome, tables.cores))]
     return Enumeration(
         outcomes=set(outcomes),
         states_explored=len(visited),

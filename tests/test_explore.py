@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from digilock import explore, protocol, sim
+from digilock import crypto, explore, protocol, sim
 from digilock.explore import (
     DepthExceeded,
     enumerate_small_traces,
@@ -132,6 +132,66 @@ def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
     enum = enumerate_small_traces(depth=6, seed=0, include_honest_user=include_honest_user)
     lines = "\n".join(sorted(repr(astuple(o)) for o in enum.outcomes))
     assert hashlib.sha256(lines.encode()).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "include_honest_user,counts", [(True, (13_106, 69_371)), (False, (393, 2408))]
+)
+def test_a_model_search_draws_no_system_entropy(monkeypatch, seed, include_honest_user, counts):
+    # every nonce in the model comes from a seeded source: a transition handed
+    # no nonce source that drew nonces would fall back to os.urandom, and the
+    # memo and the search would differ from run to run
+    def refuse(self, n):
+        raise AssertionError(f"the model search drew {n} bytes of system entropy")
+
+    monkeypatch.setattr(crypto.SystemRng, "take", refuse)
+    enum = enumerate_small_traces(depth=6, seed=seed, include_honest_user=include_honest_user)
+    assert (enum.states_explored, enum.transitions) == counts and enum.sound
+
+
+def test_a_depth_six_search_decodes_no_frame(monkeypatch):
+    # each frame gets its id with the message that sent, flipped or recorded
+    # it, so the search parses no bytes back into a message
+    decode, decoded = Message.decode.__func__, []
+
+    def counted(cls, raw):
+        decoded.append(raw)
+        return decode(cls, raw)
+
+    monkeypatch.setattr(Message, "decode", classmethod(counted))
+    enumerate_small_traces(6, seed=0)
+    assert decoded == []
+    frame = protocol.PROVIDER_KEY_REQUEST.encode()
+    assert Message.decode(frame) == protocol.PROVIDER_KEY_REQUEST and decoded == [frame]
+
+
+def test_a_planted_ack_fault_is_reported_in_first_visit_order(monkeypatch):
+    # a locker that accepts any ack opens on a bit-flipped one: the search
+    # must report it, and its violations must be those of the per-core
+    # signatures, in the order the search first reached their cores
+    searched = []
+
+    class Recorded(explore._Tables):
+        def __init__(self, world):
+            super().__init__(world)
+            searched.append(self)
+
+    def accept_any(session, msg, now):
+        return session._replace(phase=protocol.LockerPhase.OPEN)
+
+    monkeypatch.setattr(explore, "_Tables", Recorded)
+    monkeypatch.setattr(protocol, "locker_verify_ack", accept_any)
+    enum = enumerate_small_traces(depth=6, seed=0)
+    [tables] = searched
+    per_core = dict.fromkeys(map(explore._signature, tables.cores))
+    expected = [
+        sig for sig in per_core if sig.locker_opened and sig.genuine != (True, True, True)
+    ]
+    assert enum.violations and not enum.sound
+    assert enum.violations == expected
+    assert enum.outcomes == set(per_core)
+    assert all(sig.genuine == (True, True, False) for sig in enum.violations)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
