@@ -42,25 +42,25 @@ moves on the core id and known bits: how many, and those that change the
 core or send a frame. Each memo is read inline and filled only on a miss. A
 pool or inject entry is its one-frame-smaller neighbour's, for the key
 without its highest frame, plus that frame's part, so a new key costs one
-frame's work. A frame gets its id with the message in hand (the reply, the
-flipped copy, the auth request, the prior session's), so none is decoded,
-and a locker step gets a nonce source only for a provider key, the one
-locker message that can draw nonces. The rest of the inject moves, and a
-pool's deliveries and tampers that change and send nothing, lead back to
-the state or to its drop's successor: they are counted from the memo and
-add nothing. Every other successor goes into `visited` as it is built, and
-the next level is the states added during this one. At depth 6, 192 party
-transitions (5 auth checks, 44 with a nonce source) and 1,608 deliveries
-serve 21,464 row reads, each inline with no call, 1,249 inject entries
-(854 of them neighbours no state reads) serve 3,711 expanded states, of the
-69,371 transitions 13,881 lead back to their own state and 50,060 go to
-`visited`, and the 143 cores give 45 signatures, one per distinct outcome.
+frame's work. A frame id is made only from a message in hand (the reply, the
+flipped copy, the auth request, the prior session's), as `_Tables.frame`
+cannot decode, and a locker step gets a nonce source only for a provider
+key, the one locker message that can draw nonces. The rest of the inject
+moves, and a pool's deliveries and tampers that change and send nothing,
+lead back to the state or to its drop's successor: they are counted from the
+memo and add nothing. Every other successor goes into `visited` as it is
+built, and the next level is the states added during this one. At depth 6,
+192 party transitions (5 auth checks, 44 with a nonce source) and 1,608
+deliveries serve 21,464 row reads, each inline with no call, 1,249 inject
+entries (854 of them neighbours no state reads) serve 3,711 expanded states,
+of the 69,371 transitions 13,881 lead back to their own state and 50,060 go
+to `visited`, and `_outcome` maps the 143 cores to 45 `OutcomeSignature`
+NamedTuples, one per distinct outcome.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -113,8 +113,7 @@ class Core(NamedTuple):
 _State = int
 
 
-@dataclass(frozen=True)
-class OutcomeSignature:
+class OutcomeSignature(NamedTuple):
     locker_phase: str
     locker_failure: str | None
     user_phase: str | None
@@ -123,8 +122,7 @@ class OutcomeSignature:
     genuine: tuple[bool, bool, bool] | None  # (auth, provider key, ack) when opened
 
 
-@dataclass
-class Enumeration:
+class Enumeration(NamedTuple):
     outcomes: set[OutcomeSignature]
     states_explored: int
     transitions: int
@@ -263,12 +261,12 @@ class _Tables:
         self.copies: list[int] = []
         self.known: list[int] = []
 
-    def frame(self, entry: tuple[bytes, str], msg: Message | None = None) -> int:
-        """The id of (raw frame, origin); `msg`, if given, is the frame's
-        message, kept as it is, else the frame is decoded on its first visit."""
+    def frame(self, entry: tuple[bytes, str], msg: Message) -> int:
+        """The id of (raw frame, origin); `msg` is the frame's message, kept
+        on its first visit, so no frame is decoded."""
         frame_id = _intern(self.frame_ids, self.frames, entry)
         if frame_id == len(self.messages):
-            self.messages.append(Message.decode(entry[0]) if msg is None else msg)
+            self.messages.append(msg)
             copy = 1 << self.core_bits + _WIDTH * frame_id
             self.copies.append(copy)
             self.known.append(copy << _SLOT)
@@ -397,12 +395,11 @@ def _expand(tables: _Tables, state: _State, add: Callable[[_State], object]) -> 
     return count + injects
 
 
-def _outcome(core: Core) -> tuple:
-    """The core's `OutcomeSignature` fields, in order, as a plain tuple."""
+def _outcome(core: Core) -> OutcomeSignature:
     locker, user = core.locker, core.user
     locker_phase = locker.phase if locker else LockerPhase.IDLE
     opened = locker_phase is LockerPhase.OPEN
-    return (
+    return OutcomeSignature(
         locker_phase.value,
         locker.failure.value if locker and locker.failure else None,
         user.phase.value if user else None,
@@ -410,10 +407,6 @@ def _outcome(core: Core) -> tuple:
         opened,
         (core.auth_genuine, core.pk_genuine, core.ack_genuine) if opened else None,
     )
-
-
-def _signature(core: Core) -> OutcomeSignature:
-    return OutcomeSignature(*_outcome(core))
 
 
 def enumerate_small_traces(
@@ -453,7 +446,7 @@ def enumerate_small_traces(
     # of the interned cores. Only `_initial_state` and `deliver` intern one,
     # each for a state the search adds, so the interned cores are the visited
     # ones, in first-visit order, and so are the outcomes
-    outcomes = [OutcomeSignature(*fields) for fields in dict.fromkeys(map(_outcome, tables.cores))]
+    outcomes = list(dict.fromkeys(map(_outcome, tables.cores)))
     return Enumeration(
         outcomes=set(outcomes),
         states_explored=len(visited),

@@ -33,12 +33,14 @@ goes in it. It takes the locker's records by user id: `sim` passes its
 whole registry, `run_session` and the model one record. An auth request
 names its user; the request is checked against that user's record and its
 session replaces the one in the slot. A request naming an id with no record
-is refused as a wrong key is, so ids cannot be probed, and the slot stays
-as it was.
+is checked against an all-zero key, so it is refused with the reply and the
+`prf`, `sha256` and `ct_equal` calls of a wrong key, and the slot stays as it
+was. The CLI still decodes the row and runs `locker_key` for a found id only,
+so timing shows that work, and a refused registered id replaces the slot.
 
 A refusal is never an exception. A step that refuses returns its session
 FAILED with a `FailureReason` (and no message where it would build one),
-and each transition turns a failed session into its reply in one place.
+and the locker replies with that reason's entry in `ERRORS`, framed once.
 Exceptions are for caller errors only: `OutOfOrder` for a step called in a
 phase that does not permit it, `EncodingError` for a user id or phrase to
 register or send that the wire cannot carry, and `ValueError` for a step
@@ -52,6 +54,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .crypto import (
+    DIGEST_LEN,
     AuthFailure,
     Digest,
     Nonce,
@@ -224,8 +227,8 @@ def user_begin_session(
 def locker_verify_auth(
     records: Mapping[str, LockerRecord], msg: Message
 ) -> LockerSession:
-    """Check the PRF proof (constant-time) against the record of the user the
-    request names; an id with no record fails alike."""
+    """Check the PRF proof (constant-time) against the named user's record,
+    or an all-zero key for an id with no record, which is always refused."""
     if msg.kind is not MessageKind.AUTH_REQUEST:
         raise ValueError(f"expected auth-request, got {msg.kind.label}")
     uid_raw, proof, n_a_raw = msg.fields
@@ -236,7 +239,8 @@ def locker_verify_auth(
         user_id = uid_raw.decode("utf-8", errors="surrogateescape")
     record = records.get(user_id)
     session = LockerSession(user_id, LockerPhase.USER_VERIFIED, n_a)
-    if record is not None and ct_equal(prf(record.d_u, n_a), proof):
+    d_u = bytes(DIGEST_LEN) if record is None else record.d_u
+    if ct_equal(prf(d_u, n_a), proof) and record is not None:
         return session
     return _fail(session, FailureReason.BAD_USER_KEY)
 
@@ -346,17 +350,12 @@ def locker_check_timeout(session: LockerSession, now: int) -> LockerSession:
 
 PROVIDER_KEY_REQUEST = Message(MessageKind.PROVIDER_KEY_REQUEST, ())
 RESULT_OPEN = Message(MessageKind.RESULT, (b"open",))
-_ERRORS = {
+ERRORS = {  # the one error reply naming each reason
     reason: Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
     for reason in FailureReason
 }
-for _reply in (PROVIDER_KEY_REQUEST, RESULT_OPEN, *_ERRORS.values()):
+for _reply in (PROVIDER_KEY_REQUEST, RESULT_OPEN, *ERRORS.values()):
     _reply.encode()  # framed at import, in no session
-
-
-def error_message(reason: FailureReason) -> Message:
-    """The shared error reply naming `reason`, framed once at import."""
-    return _ERRORS[reason]
 
 
 def reason_from_wire(raw: bytes) -> FailureReason | None:
@@ -396,7 +395,7 @@ def locker_on_message(
     if msg.kind is MessageKind.AUTH_REQUEST:
         verified = locker_verify_auth(records, msg)
         if verified.user_id not in records:  # the refused session is dropped
-            return session, error_message(FailureReason.BAD_USER_KEY)
+            return session, ERRORS[FailureReason.BAD_USER_KEY]
         session, reply = verified, PROVIDER_KEY_REQUEST
     elif session is None:
         return session, None
@@ -417,7 +416,7 @@ def locker_on_message(
     else:
         return session, None
     if session.phase is LockerPhase.FAILED:
-        return session, error_message(session.failure)
+        return session, ERRORS[session.failure]
     return session, reply
 
 

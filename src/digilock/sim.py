@@ -562,8 +562,6 @@ def run_impersonation_scenario(seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
 
 def run_tamper_scenario(target: str, seed: int = 0) -> tuple[ScenarioOutcome, Trace]:
     """Flip one bit of one protocol field in transit; the locker must not open."""
-    if ("tamper", target) not in _PLANS:
-        raise ValueError(f"unknown tamper target {target!r}")
     return run_scenario(ScenarioSpec("tamper", seed, target))
 
 

@@ -50,17 +50,23 @@ def _at_statement(k):
     return die
 
 
-def _at_file_op(k):
+def _at_file_op(k, after=False):
     """Die as the k-th call to `os.mkdir`, `os.open`, `os.fdopen` or
-    `os.replace` in the child starts."""
+    `os.replace` in the child starts, or, `after`, once it has returned or
+    raised."""
     def die():
         started = itertools.count(1)
 
         def traced(call):
             def run(*args, **kwargs):
-                if next(started) == k:
+                crash = next(started) == k
+                if crash and not after:
                     os._exit(CRASH_EXIT)
-                return call(*args, **kwargs)
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    if crash:
+                        os._exit(CRASH_EXIT)
             return run
 
         for name in ("mkdir", "open", "fdopen", "replace"):
@@ -69,6 +75,17 @@ def _at_file_op(k):
         if hasattr(pathlib, "_normal_accessor"):
             pathlib._normal_accessor.mkdir = os.mkdir
     return die
+
+
+def _assert_no_plaintext_secret(store, secrets):
+    """C7's scan: no file under the store, the journal and any temporary
+    file included, holds a secret or a document in plaintext."""
+    files = [path for path in sorted(Path(store).rglob("*")) if path.is_file()]
+    assert files
+    for path in files:
+        raw = path.read_bytes()
+        for secret in secrets:
+            assert secret not in raw, (path, secret)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -162,10 +179,11 @@ def test_a_provision_killed_at_any_statement_leaves_no_registry(tmp_path):
 def test_a_vault_put_killed_at_any_file_operation_keeps_the_old_document(
     tmp_path, capsys, name
 ):
-    # killed as any of its file operations starts, a put of an existing name
-    # leaves the old document and one of a new name leaves none; the list is
-    # as before either way, and the run that passes every point stores the
-    # new document. The vault directory exists, so mkdir finds it
+    # killed as any of its file operations starts, or once it has ended, a
+    # put leaves either the old document (none for a new name) and the old
+    # list, or the new document and the list with its name, and no secret
+    # or document in plaintext in any file. The run that passes every point
+    # stores the new document. The vault directory exists, so mkdir finds it
     store = str(tmp_path / "store")
     (tmp_path / "provider.key").write_bytes(b"provider key material")
     (tmp_path / "alice.key").write_bytes(b"alice key material")
@@ -192,16 +210,20 @@ def test_a_vault_put_killed_at_any_file_operation_keeps_the_old_document(
         assert main(["--output", "json", *vault, "list"]) == 0
         return json.loads(capsys.readouterr().out)["documents"]
 
-    before = get()
-    assert before == ((0, b"old document") if name == "deed" else (7, None))
+    old = (get(), listed())
+    assert old == ((0, b"old document") if name == "deed" else (7, None), ["deed"])
+    new = ((0, b"new document"), sorted({"deed", name}))
+    secrets = [b"provider key material", b"alice key material", b"blue bicycle",
+               b"old document", b"new document"]
     put = [*vault, "put", "--name", name, "--file", str(tmp_path / "new.bin")]
-    for k in range(1, 10):
-        code = _killed(put, _at_file_op(k))
+    points = [(k, after) for k in range(1, 10) for after in (False, True)]
+    for crashes, (k, after) in enumerate(points):
+        code = _killed(put, _at_file_op(k, after))
         if code == 0:
             break
-        assert code == CRASH_EXIT, k
-        assert get() == before, k
-        assert listed() == ["deed"], k
-    assert get() == (0, b"new document")
-    assert listed() == sorted({"deed", name})
-    assert k - 1 == 4  # mkdir, the temporary file's open and fdopen, replace
+        assert code == CRASH_EXIT, (k, after)
+        assert (get(), listed()) in (old, new), (k, after)
+        _assert_no_plaintext_secret(store, secrets)
+    assert (get(), listed()) == new
+    # before and after each of mkdir, the temporary file's open and fdopen, replace
+    assert crashes == 8

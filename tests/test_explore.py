@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -130,7 +129,7 @@ def test_depth_six_outcome_set_is_pinned(include_honest_user, pinned):
     # every distinct outcome the depth-6 search reaches, not only its size:
     # a change that keeps the counts but reaches other outcomes shows up here
     enum = enumerate_small_traces(depth=6, seed=0, include_honest_user=include_honest_user)
-    lines = "\n".join(sorted(repr(astuple(o)) for o in enum.outcomes))
+    lines = "\n".join(sorted(repr(tuple(o)) for o in enum.outcomes))
     assert hashlib.sha256(lines.encode()).hexdigest() == pinned
 
 
@@ -164,6 +163,11 @@ def test_a_depth_six_search_decodes_no_frame(monkeypatch):
     assert decoded == []
     frame = protocol.PROVIDER_KEY_REQUEST.encode()
     assert Message.decode(frame) == protocol.PROVIDER_KEY_REQUEST and decoded == [frame]
+    # a frame id is made only from a message in hand: a bare frame is refused
+    tables = explore._Tables(protocol.seeded_world(0))
+    with pytest.raises(TypeError):
+        tables.frame((frame, ACTOR_LOCKER))
+    assert tables.frames == [] and decoded == [frame]
 
 
 def test_a_planted_ack_fault_is_reported_in_first_visit_order(monkeypatch):
@@ -184,7 +188,7 @@ def test_a_planted_ack_fault_is_reported_in_first_visit_order(monkeypatch):
     monkeypatch.setattr(protocol, "locker_verify_ack", accept_any)
     enum = enumerate_small_traces(depth=6, seed=0)
     [tables] = searched
-    per_core = dict.fromkeys(map(explore._signature, tables.cores))
+    per_core = dict.fromkeys(map(explore._outcome, tables.cores))
     expected = [
         sig for sig in per_core if sig.locker_opened and sig.genuine != (True, True, True)
     ]
@@ -223,7 +227,9 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         key = (core, entry)
         if key not in fresh_steps:
             empty = tables_type(tables.world)
-            next_core, sent = empty.deliver(empty.core(core), empty.frame(entry))
+            next_core, sent = empty.deliver(
+                empty.core(core), empty.frame(entry, Message.decode(entry[0]))
+            )
             fresh_steps[key] = (
                 empty.cores[next_core], None if sent is None else empty.frames[sent]
             )
@@ -253,7 +259,9 @@ def test_memoised_delivery_equals_the_uncached_step(monkeypatch, seed):
         for flag in ("auth_genuine", "pk_genuine", "ack_genuine"):
             variants.append((core._replace(**{flag: not getattr(core, flag)}), origin))
         for variant, sender in variants:
-            step = tables.deliver(tables.core(variant), tables.frame((raw, sender)))
+            step = tables.deliver(
+                tables.core(variant), tables.frame((raw, sender), Message.decode(raw))
+            )
             assert read(step) == fresh(variant, (raw, sender))
     for key, (moves, changes) in injects:
         core_id, pending, known = _decode(tables, key)
@@ -420,7 +428,7 @@ def test_an_entry_holding_every_frame_of_a_depth_eight_search_builds_on_empty_me
     for core in (tables.cores[0], tables.cores[-1]):
         fresh = explore._Tables(tables.world)
         for entry in frames:
-            fresh.frame(entry)
+            fresh.frame(entry, Message.decode(entry[0]))
         core_id = fresh.core(core)
         moves, changes = fresh.inject(core_id | sum(fresh.known))
         steps = [fresh.deliver(core_id, frame_id) for frame_id in range(count)]
@@ -548,7 +556,8 @@ def _reference_search(seed, depth):
         if (core_id, frame_id) not in steps:
             empty = explore._Tables(world)
             next_core, sent = empty.deliver(
-                empty.core(cores[core_id]), empty.frame(frames[frame_id])
+                empty.core(cores[core_id]),
+                empty.frame(frames[frame_id], Message.decode(frames[frame_id][0])),
             )
             steps[core_id, frame_id] = (
                 intern(core_ids, cores, empty.cores[next_core]),
@@ -602,7 +611,7 @@ def _reference_search(seed, depth):
     )
     visited, frontier, transitions, levels = {initial: None}, [initial], 0, []
     for level in range(depth + 1):
-        outcomes = dict.fromkeys(explore._signature(cores[c]) for c, _, _ in visited)
+        outcomes = dict.fromkeys(explore._outcome(cores[c]) for c, _, _ in visited)
         violations = [
             o for o in outcomes if o.locker_opened and o.genuine != (True, True, True)
         ]

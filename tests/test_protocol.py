@@ -8,13 +8,13 @@ import pytest
 from digilock import protocol, sim
 from digilock.crypto import Digest, Nonce, SecretKey, SeededRng, seal, sha256, unseal
 from digilock.protocol import (
+    ERRORS,
     EncodingError,
     FailureReason,
     LockerPhase,
     OutOfOrder,
     UserPhase,
     ack_digest,
-    error_message,
     locker_build_challenge,
     locker_check_timeout,
     locker_key,
@@ -318,7 +318,7 @@ def test_an_ack_at_the_deadline_opens_and_one_after_it_times_out():
     assert session.phase is LockerPhase.OPEN and reply is protocol.RESULT_OPEN
     session, reply = locker_on_message(records, h_r, locker_state, ack, now=deadline + 1)
     assert session.failure is FailureReason.TIMEOUT
-    assert reply is error_message(FailureReason.TIMEOUT)
+    assert reply is ERRORS[FailureReason.TIMEOUT]
 
 
 @pytest.mark.parametrize("missing", ["n_a", "n_r", "deadline"])
@@ -359,14 +359,14 @@ def test_a_provider_verified_session_missing_its_nonce_raises_and_builds_no_chal
 
 
 def test_every_error_reply_equals_a_freshly_built_one():
-    # error_message hands out one reply per reason, built and framed at
+    # ERRORS holds one reply per reason, built and framed at
     # import; each equals, and frames to the same bytes as, the error
     # message built from its reason now
     assert len(FailureReason) == 7
     for reason in FailureReason:
         fresh = Message(MessageKind.ERROR, (reason.value.encode("ascii"),))
-        shared = error_message(reason)
-        assert shared is error_message(reason)
+        shared = ERRORS[reason]
+        assert shared is ERRORS[reason]
         assert shared == fresh
         assert shared.encode() == fresh.encode()
         assert Message.decode(shared.encode()) == fresh
@@ -560,7 +560,7 @@ def test_an_unknown_ids_auth_request_returns_the_slot_it_was_given(phase):
     intruder, _ = user_begin_session("mallory", creds[1])
     session, reply = locker_on_message(records, h_r, slot, intruder, now=9)
     assert session is slot
-    assert reply == error_message(FailureReason.BAD_USER_KEY)
+    assert reply == ERRORS[FailureReason.BAD_USER_KEY]
 
 
 def test_id_bytes_that_are_not_utf8_name_no_record():
@@ -574,8 +574,34 @@ def test_id_bytes_that_are_not_utf8_name_no_record():
     forged = Message(MessageKind.AUTH_REQUEST, (b"a\xff", *auth.fields[1:]))
     session, reply = locker_on_message(records, h_r, slot, forged, now=9)
     assert session is slot
-    assert reply == error_message(FailureReason.BAD_USER_KEY)
+    assert reply == ERRORS[FailureReason.BAD_USER_KEY]
     assert locker_verify_auth(records, forged).failure is FailureReason.BAD_USER_KEY
+
+
+def test_an_unknown_id_is_refused_with_the_crypto_calls_of_a_wrong_key(monkeypatch):
+    # the two refusals send the same reply and make the same prf, sha256 and
+    # ct_equal calls, so counting them does not tell which ids are registered
+    record, (user_id, _, _), _, h_r = _world()
+    wrong = SecretKey(b"not-alices-key")
+    requests = [user_begin_session(uid, wrong)[0] for uid in (user_id, "mallory")]
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    for name in ("prf", "sha256", "ct_equal"):
+        monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+    counts, replies = [], []
+    for auth in requests:
+        calls.clear()
+        _, reply = locker_on_message({record.user_id: record}, h_r, None, auth, now=2)
+        counts.append(sorted(calls))
+        replies.append(reply)
+    assert replies[0] is replies[1] is ERRORS[FailureReason.BAD_USER_KEY]
+    assert counts[0] == counts[1] == ["ct_equal", "prf"]
 
 
 @pytest.mark.xfail(
@@ -589,7 +615,7 @@ def test_a_refused_request_for_a_registered_id_leaves_an_open_session_alone():
     records = {**records, bob.user_id: bob}
     auth, _ = user_begin_session(bob.user_id, SecretKey(b"not-bobs-key"))
     session, reply = locker_on_message(records, h_r, slot, auth, now=9)
-    assert reply == error_message(FailureReason.BAD_USER_KEY)
+    assert reply == ERRORS[FailureReason.BAD_USER_KEY]
     assert session is slot
 
 
@@ -720,4 +746,4 @@ def test_every_refusal_fails_the_session_and_names_its_reason(reason, refuse):
     if isinstance(session, protocol.UserSession):
         assert reply is None
     else:
-        assert reply == error_message(reason)
+        assert reply == ERRORS[reason]

@@ -423,7 +423,7 @@ def test_an_unknown_ids_auth_request_leaves_the_session_alone():
 
     def refused():
         [(_, reply, _)] = locker.handle(intruder, protocol.ACTOR_USER, 1)
-        assert reply == protocol.error_message(protocol.FailureReason.BAD_USER_KEY)
+        assert reply == protocol.ERRORS[protocol.FailureReason.BAD_USER_KEY]
         assert locker.session_for("mallory") is None
 
     [(_, auth, _)] = user.begin()
