@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import protocol, store
-from .crypto import Digest, SecretKey
+from .crypto import MAX_KEY_LEN, Digest, SecretKey
 from .protocol import FailureReason, LockerPhase, LockerSession
 
 EXIT_OK = 0
@@ -68,16 +68,17 @@ _ERROR_EXITS = (
 
 
 def _read_key_file(path: str) -> SecretKey:
-    raw = Path(path).read_bytes()
+    # one byte past the longest key refuses a longer file unread
+    raw = store.read_file(path, MAX_KEY_LEN + 1)
+    if len(raw) > MAX_KEY_LEN:
+        raise ValueError(f"secret key must be 1-{MAX_KEY_LEN} bytes, got a longer file")
     return SecretKey(raw)
 
 
-def _store_path(args: argparse.Namespace) -> Path:
-    if args.store:
-        return Path(args.store)
-    env = os.environ.get(STORE_ENV_VAR)
-    if env:
-        return Path(env)
+def _store_path(args: argparse.Namespace) -> str:
+    root = args.store or os.environ.get(STORE_ENV_VAR)
+    if root:
+        return root
     print(f"error: --store or ${STORE_ENV_VAR} is required", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
@@ -153,13 +154,14 @@ def cmd_vault(args: argparse.Namespace) -> int:
     if session is None or session.phase is not LockerPhase.OPEN:
         return _access_exit(session, user, args)
     if args.vault_op == "put":
-        doc = Path(args.file).read_bytes()
+        doc = store.read_file(args.file)
         locker_store.vault_put(args.user, args.name, doc, key_l, session)
         _emit(args, f"stored {args.name}", {"stored": args.name})
     elif args.vault_op == "get":
         doc = locker_store.vault_get(args.user, args.name, key_l, session)
         if args.out:
-            Path(args.out).write_bytes(doc)
+            with open(args.out, "wb") as out:
+                out.write(doc)
         else:
             buffer = getattr(sys.stdout, "buffer", None)
             if buffer is None:

@@ -30,7 +30,9 @@ so documents at rest stay bound to both parties' keys; an entry keeps the
 sealed blob as its nonce, body and tag, each in base64. The file name is
 the hex of the document name (1-NAME_MAX = 120 bytes, so the temp file's
 name fits 255 bytes). Entries are written to a temporary file and renamed
-into place, without fsync.
+into place, without fsync. vault_list reads one directory listing: it lists
+<non-empty lower-case hex>.json names, refuses other .json names and skips
+other files. read_file is one unbuffered open, bounded for key files.
 Everything here is reachable only from the locker actor; the provider seat
 gets no handle to a store.
 """
@@ -168,6 +170,15 @@ class Registry:
             raise UnknownUser(f"no record for user {user_id!r}") from None
 
 
+def read_file(path: str | os.PathLike, limit: int = -1) -> bytes:
+    """The file's bytes, all or the first `limit`, read unbuffered past short reads."""
+    with open(path, "rb", buffering=0) as handle:
+        data = b""
+        while len(data) < limit and (chunk := handle.read(limit - len(data))):
+            data += chunk
+        return data if limit >= 0 else handle.readall()
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     # crash between write and rename must not corrupt the previous file
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -211,10 +222,8 @@ class LockerStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-
-    @property
-    def registry_path(self) -> Path:
-        return self.root / REGISTRY_FILENAME
+        self.registry_path = self.root / REGISTRY_FILENAME
+        self._uri = self.registry_path.absolute().as_uri()
 
     def vault_dir(self, user_id: str) -> Path:
         return self.root / VAULT_DIRNAME / user_id.encode("utf-8").hex()
@@ -232,9 +241,8 @@ class LockerStore:
     def _connect(self, mode: str = "rw") -> Iterator[sqlite3.Connection]:
         """One autocommit connection, closed on exit; mode=rw never creates
         the file. SQLite errors become StoreError."""
-        uri = f"{self.registry_path.absolute().as_uri()}?mode={mode}"
         try:
-            con = sqlite3.connect(uri, uri=True, isolation_level=None)
+            con = sqlite3.connect(f"{self._uri}?mode={mode}", uri=True, isolation_level=None)
         except sqlite3.Error as exc:
             if self.registry_path.exists():
                 raise StoreError(f"cannot open {self.registry_path}: {exc}") from None
@@ -373,12 +381,11 @@ class LockerStore:
     ) -> bytes:
         _require_open(session, user_id)
         path = self._entry_path(user_id, name)
-        if not path.exists():
-            raise UnknownDocument(f"no document {name!r} for user {user_id!r}")
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry = json.loads(read_file(path).decode("utf-8"))
             return unseal(vault_key(key_l), _ct_from_json(entry["sealed"]))
+        except (FileNotFoundError, NotADirectoryError):
+            raise UnknownDocument(f"no document {name!r} for user {user_id!r}") from None
         except (AuthFailure, KeyError, TypeError, ValueError) as exc:
             raise StoreError(
                 f"vault entry {name!r} of user {user_id!r} is malformed or does not "
@@ -389,20 +396,21 @@ class LockerStore:
         self, user_id: str, session: LockerSession | None
     ) -> list[str]:
         _require_open(session, user_id)
-        directory = self.vault_dir(user_id)
-        if not directory.exists():
+        try:
+            files = os.listdir(self.vault_dir(user_id))
+        except (FileNotFoundError, NotADirectoryError):
             return []
         names = []
         # the file name is hex(UTF-8 name), so hex order is byte order
-        for path in sorted(directory.glob("*.json")):
+        for file in sorted(file for file in files if file.endswith(".json")):
             try:
-                name = bytes.fromhex(path.stem).decode("utf-8")
+                name = bytes.fromhex(file[:-5]).decode("utf-8")
             except ValueError:  # not hex, or not UTF-8 (UnicodeDecodeError)
                 name = ""
-            # only the file `_entry_path` writes for the name lists it
-            if name.encode("utf-8").hex() != path.stem:
+            # only the file `_entry_path` writes for a name, 1 byte or more, lists it
+            if not name or name.encode("utf-8").hex() + ".json" != file:
                 raise StoreError(
-                    f"vault file {path.name!r} of user {user_id!r} is not a document entry"
+                    f"vault file {file!r} of user {user_id!r} is not a document entry"
                 )
             names.append(name)
         return names

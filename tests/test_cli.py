@@ -1,5 +1,6 @@
 import argparse
 import base64
+import builtins
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import re
 import sqlite3
 import subprocess
 import sys
+import tracemalloc
 from contextlib import closing
 from pathlib import Path
 
@@ -521,6 +523,85 @@ def test_each_store_command_opens_one_connection_and_closes_it(
     assert commands[case]() == code
     assert len(opened) == 1
     assert opened[0] is None or _closed(opened[0])
+
+
+def _count_file_calls(monkeypatch):
+    """Record, as strings, the paths given to every later `open`, directory
+    read (`os.listdir`, `os.scandir`) and stat (`os.stat`, `os.lstat`)."""
+    calls = {"open": [], "listdir": [], "stat": []}
+
+    def traced(kind, call):
+        def run(path, *args, **kwargs):
+            calls[kind].append(str(path))
+            return call(path, *args, **kwargs)
+        return run
+
+    for module, name, kind in (
+        (builtins, "open", "open"), (io, "open", "open"), (os, "listdir", "listdir"),
+        (os, "scandir", "listdir"), (os, "stat", "stat"), (os, "lstat", "stat"),
+    ):
+        monkeypatch.setattr(module, name, traced(kind, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["access", "register", "vault-get", "vault-list"])
+def test_each_store_command_opens_each_file_once_and_stats_none(
+    world, monkeypatch, capsys, case
+):
+    # key files and the vault entry are each opened once, with no stat to
+    # ask first whether they exist, and a listing reads its directory once
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed")
+    _provision(world)
+    assert _register(world) == 0
+    vault = ["vault", *_vault_base(world)]
+    for name in ("deed", "will"):
+        assert main([*vault, "put", "--name", name, "--file", str(doc)]) == 0
+    directory = LockerStore(world["store"]).vault_dir("alice")
+    out = str(world["tmp"] / "out.bin")
+    keys = [world["user_key"], world["provider"]]
+    commands = {
+        "access": (lambda: _access(world), keys, []),
+        "register": (lambda: _register(world, user="carol"), [world["user_key"]], []),
+        "vault-get": (
+            lambda: main([*vault, "get", "--name", "deed", "--out", out]),
+            [*keys, str(directory / f"{b'deed'.hex()}.json"), out], [],
+        ),
+        "vault-list": (lambda: main([*vault, "list"]), keys, [str(directory)]),
+    }
+    command, opened, listed = commands[case]
+    calls = _count_file_calls(monkeypatch)
+    assert command() == 0
+    assert calls == {"open": opened, "listdir": listed, "stat": []}
+
+
+@pytest.mark.parametrize("command", ["access", "access-provider", "register"])
+def test_a_key_file_over_64_bytes_exits_8_after_a_bounded_read(world, capsys, command):
+    # a 16 MiB key file (sparse) is refused after reading 65 bytes of it,
+    # not after reading it all; a 64-byte key is still accepted
+    _provision(world)
+    assert _register(world) == 0
+    huge, longest = world["tmp"] / "huge.key", world["tmp"] / "longest.key"
+    with open(huge, "wb") as handle:
+        handle.truncate(16 << 20)
+    longest.write_bytes(bytes(range(64)))
+    run = {
+        "access": lambda key: _access(world, key=key),
+        "access-provider": lambda key: _access(world, provider=key),
+        "register": lambda key: _register(world, user="carol", key=key),
+    }[command]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(str(huge))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 8
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err == "error: secret key must be 1-64 bytes, got a longer file\n"
+    assert run(str(longest)) == {"access": 4, "access-provider": 5, "register": 0}[command]
 
 
 @pytest.mark.parametrize("case,expected", [

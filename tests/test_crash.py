@@ -36,14 +36,38 @@ def _before_rename():
     os.replace = lambda *args, **kwargs: os._exit(CRASH_EXIT)
 
 
-def _at_statement(k):
-    """Die as the k-th SQL statement on the child's connections starts."""
+def _at_statement(k, after=False):
+    """Die as the k-th SQL statement on the child's connections starts, or,
+    `after`, once the call that ran it has returned or raised: its `execute`,
+    or, for the COMMIT or ROLLBACK, the exit of the connection's `with`."""
     def die():
-        connect, started = sqlite3.connect, itertools.count(1)
+        connect, started = sqlite3.connect, [0]
+
+        def start(sql):
+            started[0] += 1
+            if started[0] == k and not after:
+                os._exit(CRASH_EXIT)
+
+        def returned():
+            if after and started[0] >= k:
+                os._exit(CRASH_EXIT)
+
+        class Traced(sqlite3.Connection):
+            def execute(self, *args):
+                try:
+                    return super().execute(*args)
+                finally:
+                    returned()
+
+            def __exit__(self, *exc):
+                try:
+                    return super().__exit__(*exc)
+                finally:
+                    returned()
 
         def traced(*args, **kwargs):
-            con = connect(*args, **kwargs)
-            con.set_trace_callback(lambda sql: next(started) == k and os._exit(CRASH_EXIT))
+            con = connect(*args, factory=Traced, **kwargs)
+            con.set_trace_callback(start)
             return con
 
         sqlite3.connect = traced
@@ -124,54 +148,74 @@ def test_a_put_killed_before_its_rename_leaves_only_entry_files(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_register_killed_at_any_statement_leaves_the_store_as_before(tmp_path):
     # register is one transaction of five statements: killed as any of them
-    # starts, it leaves the store as it was, and a retry succeeds. A new
-    # statement is a new crash point, and changes the count at the end
+    # starts, or once it has run, it leaves the store as it was, and a retry
+    # succeeds; only the point after COMMIT leaves the user registered. No
+    # file then holds a key or phrase in plaintext. A new statement is two
+    # new crash points, and changes the count at the end
     store = str(tmp_path / "store")
     (tmp_path / "provider.key").write_bytes(b"provider key material")
     provider = ["--provider-key-file", str(tmp_path / "provider.key")]
+    secrets = [b"provider key material"]
 
     def credentials(user):
         (tmp_path / f"{user}.key").write_bytes(f"{user} key material".encode())
+        secrets.extend([f"{user} key material".encode(), f"{user} phrase".encode()])
         return ["--store", store, "--user", user, "--key-file", str(tmp_path / f"{user}.key"),
                 "--phrase", f"{user} phrase"]
 
     assert main(["provision", "--store", store, *provider]) == 0
-    assert main(["register", *credentials("bob")]) == 0
+    bob = credentials("bob")
+    assert main(["register", *bob]) == 0
     journal = Path(store) / "registry.db-journal"
-    for k in range(1, 10):
-        user = credentials(f"user{k}")
-        code = _killed(["register", *user], _at_statement(k))
+    points = [(k, after) for k in range(1, 10) for after in (False, True)]
+    for crashes, (k, after) in enumerate(points):
+        user = credentials(f"user{crashes}")
+        code = _killed(["register", *user], _at_statement(k, after))
         if code == 0:
             break
-        assert code == CRASH_EXIT, k
-        assert main(["access", *credentials("bob"), *provider]) == 0, k
-        assert main(["access", *user, *provider]) == 4, k
-        assert main(["register", *user]) == 0, k
-        assert journal.read_bytes()[:28] == bytes(28), k
+        assert code == CRASH_EXIT, (k, after)
+        _assert_no_plaintext_secret(store, secrets)
+        committed = (k, after) == (5, True)
+        assert main(["access", *bob, *provider]) == 0, (k, after)
+        assert main(["access", *user, *provider]) == (0 if committed else 4), (k, after)
+        assert main(["register", *user]) == (3 if committed else 0), (k, after)
+        assert journal.read_bytes()[:28] == bytes(28), (k, after)
     assert main(["access", *user, *provider]) == 0
-    assert k - 1 == 5  # PRAGMA, BEGIN IMMEDIATE, SELECT, INSERT, COMMIT
+    # before and after each of PRAGMA, BEGIN IMMEDIATE, SELECT, INSERT, COMMIT
+    assert crashes == 10
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_provision_killed_at_any_statement_leaves_no_registry(tmp_path):
     # provision is one transaction: killed as any of its statements starts,
-    # it leaves no registry a register can use, and a retry succeeds. The
-    # meta SELECT on a fresh file fails before it runs, so it is no point
+    # or once it has run, it leaves no registry a register can use, and a
+    # retry succeeds; only the point after COMMIT leaves one. No file then
+    # holds the provider key in plaintext. The meta SELECT on a fresh file
+    # fails before it runs, so it is no point
     (tmp_path / "provider.key").write_bytes(b"provider key material")
     (tmp_path / "alice.key").write_bytes(b"alice key material")
     provider = ["--provider-key-file", str(tmp_path / "provider.key")]
-    for k in range(1, 10):
-        store = str(tmp_path / f"store{k}")
-        code = _killed(["provision", "--store", store, *provider], _at_statement(k))
+    secrets = [b"provider key material", b"alice key material", b"blue bicycle"]
+    points = [(k, after) for k in range(1, 10) for after in (False, True)]
+    for crashes, (k, after) in enumerate(points):
+        store = str(tmp_path / f"store{crashes}")
+        code = _killed(["provision", "--store", store, *provider], _at_statement(k, after))
         if code == 0:
             break
-        assert code == CRASH_EXIT, k
+        assert code == CRASH_EXIT, (k, after)
+        _assert_no_plaintext_secret(store, secrets)
+        committed = (k, after) == (6, True)
         alice = ["--store", store, "--user", "alice",
                  "--key-file", str(tmp_path / "alice.key"), "--phrase", "blue bicycle"]
-        assert main(["register", *alice]) == 8, k  # no registry
-        assert main(["provision", "--store", store, *provider]) == 0, k
-        assert main(["register", *alice]) == 0, k
-    assert k - 1 == 6  # PRAGMA, BEGIN IMMEDIATE, two CREATE TABLE, INSERT, COMMIT
+        if not committed:
+            assert main(["register", *alice]) == 8, (k, after)  # no registry
+        provisioned = main(["provision", "--store", store, *provider])
+        assert provisioned == (2 if committed else 0), (k, after)
+        assert main(["register", *alice]) == 0, (k, after)
+        _assert_no_plaintext_secret(store, secrets)
+    # before and after each of PRAGMA, BEGIN IMMEDIATE, two CREATE TABLE,
+    # INSERT, COMMIT
+    assert crashes == 12
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

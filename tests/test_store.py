@@ -6,6 +6,8 @@ import random
 import sqlite3
 import subprocess
 import sys
+import threading
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -368,13 +370,14 @@ def test_vault_get_of_a_corrupt_entry_is_a_store_error(tmp_path, corrupt):
 
 
 @pytest.mark.parametrize(
-    "stem", ["zz", "ff", "4A"], ids=["not-hex", "not-utf-8", "upper-case-hex"]
+    "stem", ["zz", "ff", "4A", ""], ids=["not-hex", "not-utf-8", "upper-case-hex", "empty"]
 )
 def test_vault_list_of_a_stray_file_is_a_store_error(tmp_path, stem):
     # a file whose name is not lower-case hex(UTF-8 name) cannot be listed;
     # the error names the file and its user, not a bare fromhex or codec
     # error. "4A" would otherwise list a document "J" that `vault_get("J")`
-    # never reads, since it opens "4a.json"
+    # never reads, since it opens "4a.json", and ".json" a document "" that
+    # no put can store
     locker_store = LockerStore(tmp_path)
     registry = locker_store.provision(SecretKey(b"master"))
     record = registry.register("alice", SecretKey(b"ka"), "phrase")
@@ -384,6 +387,27 @@ def test_vault_list_of_a_stray_file_is_a_store_error(tmp_path, stem):
     (locker_store.vault_dir("alice") / f"{stem}.json").write_text("{}", encoding="utf-8")
     with pytest.raises(StoreError, match=f"'{stem}.json'.*'alice'"):
         locker_store.vault_list("alice", session)
+
+
+def test_vault_list_is_in_byte_order_and_skips_temporary_and_other_files(tmp_path):
+    # only `<non-empty lower-case hex>.json` files are entries: a put's
+    # temporary file beside its entry and a file of another suffix are not
+    # listed, and the names come back in the byte order of their UTF-8
+    locker_store = LockerStore(tmp_path)
+    registry = locker_store.provision(SecretKey(b"master"))
+    record = registry.register("alice", SecretKey(b"ka"), "phrase")
+    key_l = protocol.locker_key(record.d_u, registry.h_r)
+    session = _open_session("alice")
+    names = ["deed", "Deed", "deed 2", "é", "z", "\U0001f512", "~"]
+    for name in names:
+        locker_store.vault_put("alice", name, b"doc", key_l, session)
+    directory = locker_store.vault_dir("alice")
+    (directory / f"{b'deed'.hex()}.json.k3x9_q2z").write_bytes(b'{"version"')
+    (directory / f"{b'will'.hex()}.txt").write_text("{}", encoding="utf-8")
+    (directory / "notes").write_text("{}", encoding="utf-8")
+    listed = locker_store.vault_list("alice", session)
+    assert listed == sorted(names, key=lambda name: name.encode("utf-8"))
+    assert listed == ["Deed", "deed", "deed 2", "z", "~", "é", "\U0001f512"]
 
 
 def test_vault_file_does_not_leak_plaintext(tmp_path):
@@ -414,6 +438,27 @@ def test_vault_entries_survive_reload(tmp_path):
     for name, doc in docs.items():
         assert fresh.vault_get("alice", name, key_l, session) == doc
     assert sorted(fresh.vault_list("alice", session)) == sorted(docs)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_read_file_reads_on_past_a_pipes_short_read_up_to_its_limit(tmp_path):
+    # a key file may be a pipe, whose first read returns only what has been
+    # written so far; the bounded read goes on until the limit or the end
+    fifo = tmp_path / "key.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as pipe:
+            pipe.write(b"first ")
+            time.sleep(0.05)
+            pipe.write(b"second part")
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert store.read_file(fifo, 10) == b"first seco"
+    finally:
+        writer.join()
 
 
 def test_vault_key_derivation_is_labelled():
