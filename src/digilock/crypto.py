@@ -29,6 +29,7 @@ SEAL_NONCE_LEN = 12
 TAG_LEN = 16
 SEALED_MIN_LEN = SEAL_NONCE_LEN + TAG_LEN  # an empty plaintext's blob
 MAX_KEY_LEN = 64
+_BYTES_LIKE = (bytes, bytearray, memoryview)  # what the checked types take
 
 
 class CryptoError(Exception):
@@ -47,10 +48,12 @@ class Digest(bytes):
     """A 32-byte hash output. Equality is constant-time in the content."""
 
     def __new__(cls, value: bytes) -> "Digest":
-        raw = bytes(value)
+        if not isinstance(value, _BYTES_LIKE):
+            raise TypeError(f"digest must be bytes, not {type(value).__name__}")
+        raw = bytes.__new__(cls, value)
         if len(raw) != DIGEST_LEN:
             raise ValueError(f"digest must be {DIGEST_LEN} bytes, got {len(raw)}")
-        return super().__new__(cls, raw)
+        return raw
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (bytes, bytearray, memoryview)):
@@ -68,20 +71,24 @@ class Nonce(bytes):
     """A 16-byte per-session random value."""
 
     def __new__(cls, value: bytes) -> "Nonce":
-        raw = bytes(value)
+        if not isinstance(value, _BYTES_LIKE):
+            raise TypeError(f"nonce must be bytes, not {type(value).__name__}")
+        raw = bytes.__new__(cls, value)
         if len(raw) != NONCE_LEN:
             raise ValueError(f"nonce must be {NONCE_LEN} bytes, got {len(raw)}")
-        return super().__new__(cls, raw)
+        return raw
 
 
 class SecretKey(bytes):
     """A user or provider secret, 1-64 bytes. repr never shows the content."""
 
     def __new__(cls, value: bytes) -> "SecretKey":
-        raw = bytes(value)
+        if not isinstance(value, _BYTES_LIKE):
+            raise TypeError(f"secret key must be bytes, not {type(value).__name__}")
+        raw = bytes.__new__(cls, value)
         if not 1 <= len(raw) <= MAX_KEY_LEN:
             raise ValueError(f"secret key must be 1-{MAX_KEY_LEN} bytes, got {len(raw)}")
-        return super().__new__(cls, raw)
+        return raw
 
     def __repr__(self) -> str:
         return f"SecretKey(<redacted, {len(self)} bytes>)"
@@ -116,10 +123,12 @@ class SeededRng:
         self._counter = 0
 
     def take(self, n: int) -> bytes:
+        prefix, counter = self._prefix, self._counter
         out = b""
         while len(out) < n:
-            out += hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
+            out += hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+            counter += 1
+        self._counter = counter
         return out[:n]
 
 

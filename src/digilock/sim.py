@@ -8,6 +8,7 @@ structured outcome plus a trace. All randomness flows from a single 64-bit
 seed and time is an int of simulated milliseconds, so a scenario replays
 byte for byte. The trace records each hop's payload digest; a message is
 framed once, and a relayed one reuses the frame of the hop before.
+Its value types (credentials, trace step, outcome, session run) are NamedTuples.
 
 The actors only deliver: their replies come from the user, provider and
 locker transitions in `protocol`, the functions `explore` searches over.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
 from . import protocol
@@ -169,8 +170,7 @@ def adversary_try_open_challenge(
     return FailureReason.CHALLENGE_AUTH_FAILURE
 
 
-@dataclass(frozen=True)
-class Credentials:
+class Credentials(NamedTuple):
     user_id: str
     key: SecretKey
     phrase: str
@@ -376,8 +376,7 @@ class Simulation:
             send_all(dst, actors[dst].handle(msg, origin, now))
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     """Terminal states of one scenario run."""
 
     scenario: str
@@ -389,7 +388,7 @@ class ScenarioOutcome:
     adversary_failure: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -427,8 +426,7 @@ def seed_world(seed: int) -> tuple[Registry, Credentials, SecretKey]:
     return Registry(world.h_r, world.records), creds, world.provider_key
 
 
-@dataclass
-class SessionRun:
+class SessionRun(NamedTuple):
     """Handles left behind by a driven session, for assertions and vault ops."""
 
     user: UserActor
@@ -479,7 +477,7 @@ def run_scenario(spec: ScenarioSpec) -> tuple[ScenarioOutcome, Trace]:
     if plan.wrong_secret is not None:
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
         if plan.wrong_secret == "user-key":
-            creds = replace(creds, key=wrong)
+            creds = creds._replace(key=wrong)
         else:
             provider_key = wrong
     knowledge: list[Message] = []

@@ -74,8 +74,10 @@ _FIELD_LIMITS: dict[MessageKind, tuple[tuple[int, int], ...]] = {
 def encode_fields(fields: Iterable[bytes]) -> bytes:
     """Length-prefix and concatenate a field list (arbitrary bytes allowed)."""
     parts: list[bytes] = []
+    append = parts.append
     for field in fields:
-        parts += (len(field).to_bytes(_LEN_PREFIX, "big"), field)
+        append(len(field).to_bytes(_LEN_PREFIX, "big"))
+        append(field)
     return b"".join(parts)
 
 

@@ -210,6 +210,11 @@ def test_secret_key_repr_is_redacted():
         SecretKey(b"")
     with pytest.raises(ValueError):
         SecretKey(b"x" * 65)
+    # bytes(32) would zero-fill and bytes([...]) would pack ints: neither is a key
+    for value in (32, [1, 2, 3], "text"):
+        with pytest.raises(TypeError):
+            SecretKey(value)
+    assert type(SecretKey(memoryview(b"key"))) is SecretKey
 
 
 def test_seeded_rng_is_deterministic():
@@ -277,6 +282,12 @@ def test_outside_bytes_still_go_through_the_checked_digest():
     with pytest.raises(ValueError, match="digest must be 32 bytes, got 31"):
         Digest(b"x" * 31)
     assert type(Digest(bytearray(32))) is Digest
+    assert type(Nonce(memoryview(bytes(16)))) is Nonce
+    # an int would zero-fill and a list of ints would pack, each to a valid length
+    for checked, length in ((Digest, 32), (Nonce, 16)):
+        for value in (length, [0] * length, "x" * length):
+            with pytest.raises(TypeError):
+                checked(value)
 
 
 def test_seeded_rng_drives_seal_reproducibly():

@@ -1,7 +1,6 @@
 import hashlib
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -459,13 +458,13 @@ def test_run_session_ends_where_the_simulated_session_ends(fault):
         registry, creds, provider_key = sim.seed_world(seed)
         wrong = SecretKey(SeededRng(seed, b"wrong-secret").take(16))
         if fault == "user-key":
-            creds = replace(creds, key=wrong)
+            creds = creds._replace(key=wrong)
         elif fault == "provider-key":
             provider_key = wrong
         elif fault == "phrase":
-            creds = replace(creds, phrase="not " + creds.phrase)
+            creds = creds._replace(phrase="not " + creds.phrase)
         elif fault == "user-id":  # no record for this id
-            creds = replace(creds, user_id="mallory")
+            creds = creds._replace(user_id="mallory")
         run = sim.drive_session(
             registry, creds, provider_key,
             rng_user=SeededRng(seed, b"user"), rng_locker=SeededRng(seed, b"locker"),

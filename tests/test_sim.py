@@ -461,3 +461,68 @@ def test_pump_raises_at_the_first_hop_past_max_hops():
         network.pump()
     assert len(trace.steps) == sim.MAX_HOPS
     assert network.now == sim.MAX_HOPS * sim.HOP_MS
+
+
+# (sha256, prf, seal, unseal) calls of one run_scenario, seeded world included,
+# by row; the counts do not depend on the seed
+ROW_CRYPTO_CALLS = {
+    ("honest", None): (19, 2, 2, 2),
+    ("replay", None): (31, 3, 3, 6),
+    ("impersonation", None): (14, 2, 2, 4),
+    ("repudiation-user", None): (7, 2, 1, 0),
+    ("repudiation-provider", None): (10, 2, 1, 0),
+    ("tamper", "prf-field"): (7, 2, 1, 0),
+    ("tamper", "challenge-body"): (13, 2, 2, 2),
+    ("tamper", "ack-digest"): (19, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("row", list(ROW_CRYPTO_CALLS), ids=lambda row: "-".join(filter(None, row)))
+def test_each_scenario_row_makes_its_pinned_crypto_calls(monkeypatch, row, seed):
+    # every binding of the four primitives is wrapped, wherever a module
+    # imported it, so a hash added or dropped on any path of a row shows
+    from digilock import crypto, store
+
+    names = ("sha256", "prf", "seal", "unseal")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        real = getattr(crypto, name)
+        for module in (crypto, protocol, sim, store):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    scenario, variant = row
+    outcome, _ = run_scenario(ScenarioSpec(scenario, seed, variant))
+    assert outcome.locker_opened == (scenario == "honest")
+    assert tuple(calls.values()) == ROW_CRYPTO_CALLS[row]
+
+
+def test_the_sim_value_types_are_immutable_keyword_built_tuples():
+    creds = Credentials(user_id="alice", key=SecretKey(b"secret material"), phrase="p")
+    assert creds == Credentials("alice", SecretKey(b"secret material"), "p")
+    assert "secret material" not in repr(creds)
+    assert "key=SecretKey(<redacted, 15 bytes>)" in repr(creds)
+    outcome, _ = run_honest_session(seed=4)
+    assert list(outcome.to_json()) == [
+        "scenario", "locker_phase", "user_phase", "locker_opened",
+        "failure_reason", "user_failure", "adversary_failure",
+    ]
+    assert outcome.to_json() == {
+        "scenario": "honest", "locker_phase": "open", "user_phase": "done",
+        "locker_opened": True, "failure_reason": None, "user_failure": None,
+        "adversary_failure": None,
+    }
+    registry, creds, provider_key = seed_world(4)
+    run = sim.drive_session(registry, creds, provider_key)
+    assert run.trace is run.sim.trace
+    for value, name in ((creds, "phrase"), (outcome, "locker_opened"), (run, "trace")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
