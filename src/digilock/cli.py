@@ -112,9 +112,9 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 def _run_local_access(
     args: argparse.Namespace, locker_store: store.LockerStore
-) -> tuple[Digest | None, LockerSession | None, protocol.UserSession]:
-    """Run one access session; returns L and the locker's session (both None
-    without a record) and the user agent's session."""
+) -> tuple[Digest, protocol.LockerRecord | None, LockerSession | None, protocol.UserSession]:
+    """Run one access session; returns h(R), the record and the locker's session
+    (both None without a record) and the user agent's session; no L is derived."""
     # an id or phrase the wire cannot carry is refused before the store is read
     # (exit 8); an unknown id gets a wrong key's exit 4, so ids cannot be probed
     protocol.user_id_bytes(args.user)
@@ -125,8 +125,7 @@ def _run_local_access(
     locker, user, _ = protocol.run_session(
         record, h_r, args.user, key, args.phrase, provider_key
     )
-    key_l = None if record is None else protocol.locker_key(record.d_u, h_r)
-    return key_l, locker, user
+    return h_r, record, locker, user
 
 
 def _access_exit(
@@ -144,15 +143,16 @@ def _access_exit(
 
 
 def cmd_access(args: argparse.Namespace) -> int:
-    _, locker, user = _run_local_access(args, store.LockerStore(_store_path(args)))
+    *_, locker, user = _run_local_access(args, store.LockerStore(_store_path(args)))
     return _access_exit(locker, user, args)
 
 
 def cmd_vault(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
-    key_l, session, user = _run_local_access(args, locker_store)
+    h_r, record, session, user = _run_local_access(args, locker_store)
     if session is None or session.phase is not LockerPhase.OPEN:
         return _access_exit(session, user, args)
+    key_l = protocol.locker_key(record.d_u, h_r)
     if args.vault_op == "put":
         doc = store.read_file(args.file)
         locker_store.vault_put(args.user, args.name, doc, key_l, session)

@@ -35,8 +35,8 @@ names its user; the request is checked against that user's record and its
 session replaces the one in the slot. A request naming an id with no record
 is checked against an all-zero key, so it is refused with the reply and the
 `prf`, `sha256` and `ct_equal` calls of a wrong key, and the slot stays as it
-was. The CLI still decodes the row and runs `locker_key` for a found id only,
-so timing shows that work, and a refused registered id replaces the slot.
+was. The CLI's `lookup` still decodes the row for a found id only, so timing
+shows that work, and a refused registered id replaces the slot.
 
 A refusal is never an exception. A step that refuses returns its session
 FAILED with a `FailureReason` (and no message where it would build one),

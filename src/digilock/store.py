@@ -30,9 +30,10 @@ so documents at rest stay bound to both parties' keys; an entry keeps the
 sealed blob as its nonce, body and tag, each in base64. The file name is
 the hex of the document name (1-NAME_MAX = 120 bytes, so the temp file's
 name fits 255 bytes). Entries are written to a temporary file and renamed
-into place, without fsync. vault_list reads one directory listing: it lists
-<non-empty lower-case hex>.json names, refuses other .json names and skips
-other files. read_file is one unbuffered open, bounded for key files.
+into place, without fsync; a put makes the vault directory only if it is
+missing. vault_list reads one directory listing: it lists <non-empty
+lower-case hex>.json names, refuses other .json names and skips other
+files. read_file makes one os.open, then os.read calls, bounded for keys.
 Everything here is reachable only from the locker actor; the provider seat
 gets no handle to a store.
 """
@@ -44,6 +45,7 @@ import json
 import os
 import sqlite3
 import tempfile
+import urllib.parse
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -171,20 +173,36 @@ class Registry:
 
 
 def read_file(path: str | os.PathLike, limit: int = -1) -> bytes:
-    """The file's bytes, all or the first `limit`, read unbuffered past short reads."""
-    with open(path, "rb", buffering=0) as handle:
-        data = b""
-        while len(data) < limit and (chunk := handle.read(limit - len(data))):
-            data += chunk
-        return data if limit >= 0 else handle.readall()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    # crash between write and rename must not corrupt the previous file
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    """The file's bytes, all or the first `limit`, read on past short reads;
+    `limit` counts down what is left, and a negative one never reaches 0."""
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        chunks = []
+        while limit and (chunk := os.read(fd, limit if limit > 0 else 1 << 16)):
+            chunks.append(chunk)
+            limit -= len(chunk)
+        return b"".join(chunks)
+    except OSError as exc:  # os.read names no file, as EISDIR on a directory
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    # crash between write and rename must not corrupt the previous file
+    directory, name = os.path.split(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
+    except FileNotFoundError:  # a user's first entry: no vault directory yet
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -220,13 +238,21 @@ def _record_row(record: LockerRecord) -> tuple[str, bytes, bytes]:
 class LockerStore:
     """Filesystem-backed locker state: registry database plus vault directory."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.registry_path = self.root / REGISTRY_FILENAME
-        self._uri = self.registry_path.absolute().as_uri()
+    def __init__(self, root: str | os.PathLike) -> None:
+        self._root = os.fspath(root)
+        self._registry = os.path.join(self._root, REGISTRY_FILENAME)
+        # as Path.absolute().as_uri(): a relative root joined to the cwd, `..` kept
+        path = os.path.join("" if os.path.isabs(self._root) else os.getcwd(), self._registry)
+        self._uri = "file://" + urllib.parse.quote_from_bytes(os.fsencode(path))
+
+    root = property(lambda self: Path(self._root), doc="the store directory")
+    registry_path = property(lambda self: Path(self._registry), doc="registry.db's path")
+
+    def _user_dir(self, user_id: str) -> str:
+        return os.path.join(self._root, VAULT_DIRNAME, user_id.encode("utf-8").hex())
 
     def vault_dir(self, user_id: str) -> Path:
-        return self.root / VAULT_DIRNAME / user_id.encode("utf-8").hex()
+        return Path(self._user_dir(user_id))
 
     def _refuse_v1(self) -> None:
         legacy = self.root / V1_REGISTRY_FILENAME
@@ -344,11 +370,11 @@ class LockerStore:
                 (_record_row(r) for u, r in registry.records.items() if u not in stored),
             )
 
-    def _entry_path(self, user_id: str, name: str) -> Path:
+    def _entry_path(self, user_id: str, name: str) -> str:
         raw = name.encode("utf-8")
         if not 1 <= len(raw) <= NAME_MAX:
             raise StoreError(f"document name must be 1-{NAME_MAX} UTF-8 bytes")
-        return self.vault_dir(user_id) / (raw.hex() + ".json")
+        return os.path.join(self._user_dir(user_id), raw.hex() + ".json")
 
     def vault_put(
         self,
@@ -369,7 +395,6 @@ class LockerStore:
             "name": name,
             "sealed": _ct_to_json(sealed),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, json.dumps(entry, indent=2).encode("utf-8"))
 
     def vault_get(
@@ -397,7 +422,7 @@ class LockerStore:
     ) -> list[str]:
         _require_open(session, user_id)
         try:
-            files = os.listdir(self.vault_dir(user_id))
+            files = os.listdir(self._user_dir(user_id))
         except (FileNotFoundError, NotADirectoryError):
             return []
         names = []

@@ -2,6 +2,8 @@ import argparse
 import base64
 import builtins
 import contextlib
+import errno
+import gc
 import hashlib
 import io
 import json
@@ -11,13 +13,14 @@ import sqlite3
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 import digilock
-from digilock import cli
+from digilock import cli, protocol
 from digilock.cli import main
 from digilock.crypto import SecretKey
 from digilock.store import LockerStore, SessionNotOpen
@@ -167,6 +170,34 @@ def test_access_unknown_user_maps_to_bad_user_key(world):
     # an unregistered id is indistinguishable from a wrong key on purpose
     _provision(world)
     assert _access(world, user="mallory") == 4
+
+
+@pytest.mark.parametrize("case,derived,code", [
+    ("registered", 1, 0), ("wrong-key", 0, 4), ("unknown-id", 0, 4),
+])
+def test_access_derives_l_only_in_the_locker_that_opens_the_blob(
+    world, monkeypatch, capsys, case, derived, code
+):
+    # L seals the record's blob and keys the vault; `access` reads no vault,
+    # so only the locker's challenge step derives it, once the user's proof
+    # and the provider's key have both been accepted
+    _provision(world)
+    assert _register(world) == 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return locker_key(*args)
+
+    locker_key = protocol.locker_key
+    monkeypatch.setattr(protocol, "locker_key", counted)
+    run = {
+        "registered": lambda: _access(world),
+        "wrong-key": lambda: _access(world, key=world["wrong_key"]),
+        "unknown-id": lambda: _access(world, user="mallory"),
+    }[case]
+    assert run() == code
+    assert len(calls) == derived
 
 
 def test_vault_put_get_list(world, capsysbinary):
@@ -526,8 +557,9 @@ def test_each_store_command_opens_one_connection_and_closes_it(
 
 
 def _count_file_calls(monkeypatch):
-    """Record, as strings, the paths given to every later `open`, directory
-    read (`os.listdir`, `os.scandir`) and stat (`os.stat`, `os.lstat`)."""
+    """Record, as strings, the paths given to every later open (`open`,
+    `os.open`), directory read (`os.listdir`, `os.scandir`) and stat
+    (`os.stat`, `os.lstat`)."""
     calls = {"open": [], "listdir": [], "stat": []}
 
     def traced(kind, call):
@@ -537,8 +569,9 @@ def _count_file_calls(monkeypatch):
         return run
 
     for module, name, kind in (
-        (builtins, "open", "open"), (io, "open", "open"), (os, "listdir", "listdir"),
-        (os, "scandir", "listdir"), (os, "stat", "stat"), (os, "lstat", "stat"),
+        (builtins, "open", "open"), (io, "open", "open"), (os, "open", "open"),
+        (os, "listdir", "listdir"), (os, "scandir", "listdir"), (os, "stat", "stat"),
+        (os, "lstat", "stat"),
     ):
         monkeypatch.setattr(module, name, traced(kind, getattr(module, name)))
     return calls
@@ -573,6 +606,87 @@ def test_each_store_command_opens_each_file_once_and_stats_none(
     calls = _count_file_calls(monkeypatch)
     assert command() == 0
     assert calls == {"open": opened, "listdir": listed, "stat": []}
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_a_store_under_a_name_a_uri_must_escape_runs_every_command(
+    world, monkeypatch, capsys, relative
+):
+    # the registry is opened through a file: URI, so a space, ?, #, % and a
+    # non-ASCII letter in the store's path must each be escaped, and a
+    # relative root with a `..` step is joined to the working directory
+    odd = world["tmp"] / "odd dir?#%é"
+    (odd / "inner").mkdir(parents=True)
+    (world["tmp"] / "cwd").mkdir()
+    if relative:
+        monkeypatch.chdir(world["tmp"] / "cwd")
+        root = os.path.join("..", odd.name, "store")
+    else:
+        root = str(odd / "store")
+    world = dict(world, store=root)
+    assert _provision(world) == 0
+    assert _register(world) == 0
+    assert _access(world) == 0
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"odd deed")
+    out = world["tmp"] / "out.bin"
+    vault = ["vault", *_vault_base(world)]
+    assert main([*vault, "put", "--name", "deed", "--file", str(doc)]) == 0
+    assert main([*vault, "get", "--name", "deed", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"odd deed"
+    capsys.readouterr()
+    assert main(["--output", "json", *vault, "list"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"documents": ["deed"]}
+    locker_store = LockerStore(root)
+    assert locker_store.root == Path(root)
+    assert locker_store.registry_path == Path(root) / "registry.db"
+    assert sorted(os.listdir(odd)) == ["inner", "store"]
+    assert sorted(os.listdir(odd / "store")) == ["registry.db", "registry.db-journal", "vault"]
+    assert sorted(os.listdir(world["tmp"])) == sorted(
+        ["alice.key", "cwd", "deed.bin", odd.name, "out.bin", "provider.key", "wrong.key"]
+    )
+    assert os.listdir(world["tmp"] / "cwd") == []
+    if relative:
+        # the `..` is left for the kernel, as in every other path of the
+        # store: past a symlink, `link/..` is the target's parent, which a
+        # lexical `..` would take for the working directory
+        os.symlink(odd / "inner", "link")
+        assert _access(dict(world, store=os.path.join("link", "..", "store"))) == 0
+
+
+@pytest.mark.parametrize("case", ["key-file-directory", "key-file-missing", "put-directory"])
+def test_a_file_that_cannot_be_read_exits_8_and_names_its_path(
+    world, capsys, case
+):
+    # read_file reads through a bare descriptor: a directory fails on the
+    # read, which names no file, so the error must still name the path, and
+    # no descriptor is left open on any failure
+    _provision(world)
+    assert _register(world) == 0
+    directory = world["tmp"] / "a directory"
+    directory.mkdir()
+    missing = world["tmp"] / "missing.key"
+    vault = ["vault", *_vault_base(world)]
+    path, error, argv = {
+        "key-file-directory": (directory, errno.EISDIR, ["access", *_vault_base(world)]),
+        "key-file-missing": (missing, errno.ENOENT, ["access", *_vault_base(world)]),
+        "put-directory": (
+            directory, errno.EISDIR,
+            [*vault, "put", "--name", "deed", "--file", str(directory)],
+        ),
+    }[case]
+    if case.startswith("key-file"):
+        argv[argv.index("--key-file") + 1] = str(path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 8
+        gc.collect()
+    assert [w.category for w in caught] == []
+    expected = OSError(error, os.strerror(error), str(path))
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert main([*vault, "list"]) == 0
+    assert capsys.readouterr().out == "\n"  # nothing was stored
 
 
 @pytest.mark.parametrize("command", ["access", "access-provider", "register"])

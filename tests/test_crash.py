@@ -4,7 +4,7 @@ command finds on disk."""
 import itertools
 import json
 import os
-import pathlib
+import shutil
 import sqlite3
 from pathlib import Path
 
@@ -75,7 +75,7 @@ def _at_statement(k, after=False):
 
 
 def _at_file_op(k, after=False):
-    """Die as the k-th call to `os.mkdir`, `os.open`, `os.fdopen` or
+    """Die as the k-th call to `os.mkdir`, `os.open`, `os.write` or
     `os.replace` in the child starts, or, `after`, once it has returned or
     raised."""
     def die():
@@ -93,11 +93,8 @@ def _at_file_op(k, after=False):
                         os._exit(CRASH_EXIT)
             return run
 
-        for name in ("mkdir", "open", "fdopen", "replace"):
+        for name in ("mkdir", "open", "write", "replace"):
             setattr(os, name, traced(getattr(os, name)))
-        # Python 3.10's pathlib calls the os.mkdir it bound at import
-        if hasattr(pathlib, "_normal_accessor"):
-            pathlib._normal_accessor.mkdir = os.mkdir
     return die
 
 
@@ -227,7 +224,7 @@ def test_a_vault_put_killed_at_any_file_operation_keeps_the_old_document(
     # put leaves either the old document (none for a new name) and the old
     # list, or the new document and the list with its name, and no secret
     # or document in plaintext in any file. The run that passes every point
-    # stores the new document. The vault directory exists, so mkdir finds it
+    # stores the new document. The vault directory exists, so no mkdir runs
     store = str(tmp_path / "store")
     (tmp_path / "provider.key").write_bytes(b"provider key material")
     (tmp_path / "alice.key").write_bytes(b"alice key material")
@@ -269,5 +266,66 @@ def test_a_vault_put_killed_at_any_file_operation_keeps_the_old_document(
         assert (get(), listed()) in (old, new), (k, after)
         _assert_no_plaintext_secret(store, secrets)
     assert (get(), listed()) == new
-    # before and after each of mkdir, the temporary file's open and fdopen, replace
-    assert crashes == 8
+    # before and after each of the opens of the two key files and the input,
+    # the temporary file's open and its write, and replace
+    assert crashes == 12
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("others", [False, True])
+def test_a_first_vault_put_killed_at_any_file_operation_stores_all_or_nothing(
+    tmp_path, capsys, others
+):
+    # a user's first put finds no vault directory: its temporary file's
+    # open fails, the directories are made and the open is retried. Killed
+    # as any file operation starts, or once it has ended, the put leaves
+    # either no document (get exits 7, the list is empty) or the new one,
+    # and no secret or document in plaintext in any file. The directories
+    # are removed after each crash, so every run is a first put. Without
+    # `others` no vault directory exists at all; with it, bob's does
+    store = str(tmp_path / "store")
+    (tmp_path / "provider.key").write_bytes(b"provider key material")
+    provider = ["--provider-key-file", str(tmp_path / "provider.key")]
+    assert main(["provision", "--store", store, *provider]) == 0
+
+    def credentials(user):
+        (tmp_path / f"{user}.key").write_bytes(f"{user} key material".encode())
+        argv = ["--store", store, "--user", user, "--key-file", str(tmp_path / f"{user}.key"),
+                "--phrase", f"{user} phrase"]
+        assert main(["register", *argv]) == 0
+        return ["vault", *argv, *provider]
+
+    vault = credentials("alice")
+    (tmp_path / "doc.bin").write_bytes(b"first document")
+    put = [*vault, "put", "--name", "deed", "--file", str(tmp_path / "doc.bin")]
+    if others:
+        assert main([*credentials("bob"), *put[len(vault):]]) == 0
+    made = Path(store) / "vault" / (b"alice".hex() if others else "")
+    out = tmp_path / "out.bin"
+
+    def state():
+        out.unlink(missing_ok=True)
+        code = main([*vault, "get", "--name", "deed", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["--output", "json", *vault, "list"]) == 0
+        listed = json.loads(capsys.readouterr().out)["documents"]
+        return code, out.read_bytes() if code == 0 else None, listed
+
+    secrets = [b"provider key material", b"alice key material", b"alice phrase",
+               b"bob key material", b"bob phrase", b"first document"]
+    points = [(k, after) for k in range(1, 12) for after in (False, True)]
+    for crashes, (k, after) in enumerate(points):
+        assert not made.exists()
+        code = _killed(put, _at_file_op(k, after))
+        if code == 0:
+            break
+        assert code == CRASH_EXIT, (k, after)
+        assert state() in ((7, None, []), (0, b"first document", ["deed"])), (k, after)
+        _assert_no_plaintext_secret(store, secrets)
+        shutil.rmtree(made, ignore_errors=True)
+    assert state() == (0, b"first document", ["deed"])
+    # before and after each of the opens of the two key files and the input,
+    # the temporary file's open that finds no directory, the mkdir of the
+    # vault directory (when no user has one) and of the user's, the
+    # temporary file's second open, its write, and replace
+    assert crashes == (16 if others else 18)
