@@ -173,8 +173,7 @@ class Registry:
 
 
 def read_file(path: str | os.PathLike, limit: int = -1) -> bytes:
-    """The file's bytes, all or the first `limit`, read on past short reads;
-    `limit` counts down what is left, and a negative one never reaches 0."""
+    """The file's bytes, all or, when `limit` >= 0, the first `limit`, past short reads."""
     fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
     try:
         chunks = []
@@ -389,20 +388,11 @@ class LockerStore:
         _require_open(session, user_id)
         path = self._entry_path(user_id, name)
         sealed = seal(vault_key(key_l), doc, rng)
-        entry = {
-            "version": 1,
-            "user_id": user_id,
-            "name": name,
-            "sealed": _ct_to_json(sealed),
-        }
+        entry = {"version": 1, "user_id": user_id, "name": name, "sealed": _ct_to_json(sealed)}
         _atomic_write(path, json.dumps(entry, indent=2).encode("utf-8"))
 
     def vault_get(
-        self,
-        user_id: str,
-        name: str,
-        key_l: Digest,
-        session: LockerSession | None,
+        self, user_id: str, name: str, key_l: Digest, session: LockerSession | None
     ) -> bytes:
         _require_open(session, user_id)
         path = self._entry_path(user_id, name)
@@ -417,9 +407,7 @@ class LockerStore:
                 f"unseal ({type(exc).__name__})"
             ) from exc
 
-    def vault_list(
-        self, user_id: str, session: LockerSession | None
-    ) -> list[str]:
+    def vault_list(self, user_id: str, session: LockerSession | None) -> list[str]:
         _require_open(session, user_id)
         try:
             files = os.listdir(self._user_dir(user_id))
