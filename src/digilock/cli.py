@@ -18,9 +18,12 @@ Exit codes are a stable contract:
   7 unknown document, 8 other protocol or store failure.
 
 `main(argv)` can be called repeatedly in one process. The argument parser
-is built on the first call, not at import, and is shared by every later
-call; nothing mutates it after it is built, and every call parses into a
-fresh namespace, so no option carries over from one call to the next.
+is built on the first call, not at import, and shared by every later call;
+nothing mutates it, and every call parses into a fresh namespace, so no
+option carries over. An argv that starts with a command's name is parsed
+once, by the command's parser the top-level one hands those tokens to; any
+other argv goes through the top-level parser. Help, usage and errors read
+the same either way.
 """
 
 from __future__ import annotations
@@ -94,11 +97,8 @@ def cmd_provision(args: argparse.Namespace) -> int:
     locker_store = store.LockerStore(_store_path(args))
     provider_key = _read_key_file(args.provider_key_file)
     registry = locker_store.provision(provider_key)
-    _emit(
-        args,
-        registry.h_r.hex(),
-        {"h_r": registry.h_r.hex(), "store": str(locker_store.root)},
-    )
+    h_r = registry.h_r.hex()
+    _emit(args, h_r, {"h_r": h_r, "store": str(locker_store.root)})
     return EXIT_OK
 
 
@@ -160,8 +160,12 @@ def cmd_vault(args: argparse.Namespace) -> int:
     elif args.vault_op == "get":
         doc = locker_store.vault_get(args.user, args.name, key_l, session)
         if args.out:
-            with open(args.out, "wb") as out:
-                out.write(doc)
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o600)
+            try:
+                while doc:
+                    doc = doc[os.write(fd, doc):]
+            finally:
+                os.close(fd)
         else:
             buffer = getattr(sys.stdout, "buffer", None)
             if buffer is None:
@@ -200,6 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the exit-code contract wants 1."""
+    commands: dict[str, argparse.ArgumentParser]  # by name; build_parser sets it
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -207,7 +212,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="digilock",
         description="Dual-key digital locker: store operations and attack simulations.",
@@ -217,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     common_store = argparse.ArgumentParser(add_help=False)
     common_store.add_argument(
@@ -263,7 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command_parser = parser.commands.get(argv[0]) if argv else None
+    # only the top-level parser refuses a "--=..." token, as an ambiguous option
+    if command_parser is None or any(token.startswith("--=") for token in argv):
+        args = parser.parse_args(argv)
+    else:
+        args = argparse.Namespace(output=parser.get_default("output"), command=argv[0])
+        args, extras = command_parser.parse_known_args(argv[1:], args)
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "vault":
         if args.vault_op in ("put", "get") and not args.name:
             parser.error("vault put/get requires --name")

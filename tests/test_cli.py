@@ -226,6 +226,28 @@ def test_vault_put_get_list(world, capsysbinary):
     assert b"deed" in capsysbinary.readouterr().out
 
 
+def test_vault_get_creates_its_out_file_for_the_owner_alone(world, capsys):
+    # a new --out file is 0600 whatever the umask lets through, as the sealed
+    # entry is; a file already there keeps its mode and is overwritten whole
+    _provision(world)
+    _register(world)
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"the deed")
+    vault = ["vault", *_vault_base(world)]
+    assert main([*vault, "put", "--name", "deed", "--file", str(doc)]) == 0
+    new, old = world["tmp"] / "new.out", world["tmp"] / "old.out"
+    old.write_bytes(b"a longer document than the deed")
+    old.chmod(0o640)
+    previous = os.umask(0o022)
+    try:
+        for out in (new, old):
+            assert main([*vault, "get", "--name", "deed", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert (new.read_bytes(), new.stat().st_mode & 0o777) == (b"the deed", 0o600)
+    assert (old.read_bytes(), old.stat().st_mode & 0o777) == (b"the deed", 0o640)
+
+
 def test_vault_get_to_a_text_stdout_exits_8_and_names_out(world, capsys):
     # an in-process caller may swap sys.stdout for a text stream with no
     # byte buffer; the document cannot go there, so the command asks for --out
@@ -847,6 +869,105 @@ def test_main_reuses_one_parser_and_carries_no_option_over(world, capsys, monkey
 
     assert len(built) == first_build
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_store_command_argv_is_parsed_once(world, monkeypatch, capsys):
+    # an argv that starts with the command's name goes straight to that
+    # command's parser: one parse_known_args, not the top-level pass as well
+    doc = world["tmp"] / "deed.bin"
+    doc.write_bytes(b"deed")
+    assert _provision(world) == 0
+    vault = ["vault", *_vault_base(world)]
+    commands = {
+        "register": lambda: _register(world),
+        "access": lambda: _access(world),
+        "vault put": lambda: main([*vault, "put", "--name", "deed", "--file", str(doc)]),
+        "vault get": lambda: main([*vault, "get", "--name", "deed", "--out", str(doc) + ".out"]),
+        "vault list": lambda: main([*vault, "list"]),
+    }
+    parses = []
+    real_parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    for name, command in commands.items():
+        parses.clear()
+        assert command() == 0, name
+        assert parses == [f"digilock {name.split()[0]}"], name
+
+
+_ACCESS = ["--store", "s", "--user", "alice", "--key-file", "k",
+           "--provider-key-file", "p", "--phrase", "blue bicycle"]
+
+# argv, valid or not, that main must parse as build_parser().parse_args does
+_PARSE_CORPUS = {
+    "provision": ["provision", "--store", "s", "--provider-key-file", "p"],
+    "register": ["register", "--store", "s", "--user", "alice", "--key-file", "k",
+                 "--phrase", "blue bicycle"],
+    "access": ["access", *_ACCESS],
+    "vault-put": ["vault", *_ACCESS, "put", "--name", "deed", "--file", "f"],
+    "vault-get": ["vault", *_ACCESS, "get", "--name", "deed", "--out", "o"],
+    "vault-list": ["vault", "list", *_ACCESS],
+    "simulate": ["simulate", "--scenario", "tamper", "--seed", "3", "--variant", "x",
+                 "--trace-out", "t"],
+    "leading-output": ["--output", "json", "access", *_ACCESS],
+    "leading-output-equals": ["--output=json", "vault", *_ACCESS, "list"],
+    "store-abbreviated": ["access", "--sto", "s", *_ACCESS[2:]],
+    "store-equals": ["access", "--store=s", *_ACCESS[2:]],
+    "no-store": ["access", *_ACCESS[2:]],
+    "no-argv": [],
+    "top-h": ["-h"],
+    "top-help": ["--help"],
+    "command-h": ["access", "-h"],
+    "command-help": ["vault", *_ACCESS, "--help"],
+    "unknown-command": ["nope", *_ACCESS],
+    "abbreviated-command": ["acc", *_ACCESS],
+    "missing-required": ["access", "--store", "s", "--user", "alice"],
+    "output-after-command": ["access", *_ACCESS, "--output", "json"],
+    "timeout-after-command": ["access", *_ACCESS, "--timeout-ms", "0"],
+    "stray-positional": ["access", *_ACCESS, "extra"],
+    "bad-output": ["--output", "yaml", "access", *_ACCESS],
+    "output-without-value": ["--output"],
+    "double-dash-after-command": ["access", *_ACCESS, "--", "--store", "t"],
+    "double-dash-first": ["--", "access", *_ACCESS],
+    "ambiguous-top-option": ["access", *_ACCESS, "--=x"],
+    "vault-put-no-name": ["vault", *_ACCESS, "put", "--file", "f"],
+    "vault-put-no-file": ["vault", *_ACCESS, "put", "--name", "deed"],
+    "vault-bad-op": ["vault", *_ACCESS, "erase"],
+}
+
+
+def _main_outcome(argv, capsys, monkeypatch):
+    """main's exit code, stdout, stderr and the namespace its command got,
+    with every command replaced by one that records its namespace."""
+    ran = []
+    for name in ("cmd_provision", "cmd_register", "cmd_access", "cmd_vault", "cmd_simulate"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, ran
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS.values(), ids=_PARSE_CORPUS.keys())
+def test_main_parses_as_the_top_level_parser_does(argv, capsys, monkeypatch):
+    got = _main_outcome(argv, capsys, monkeypatch)
+    # with no command parser to go to, main parses with parse_args alone
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.build_parser(), "commands", {}, raising=False)
+        want = _main_outcome(argv, capsys, monkeypatch)
+    assert got == want
+    code, _, _, ran = got
+    if code == 0 and ran:
+        assert ran == [cli.build_parser().parse_args(argv)]
+    # the console script's call, main() on sys.argv, parses the same
+    monkeypatch.setattr(sys, "argv", ["digilock", *argv])
+    assert _main_outcome(None, capsys, monkeypatch) == want
 
 
 def test_import_builds_no_parser_and_the_module_command_keeps_its_exit_codes():
